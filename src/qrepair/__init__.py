@@ -30,6 +30,7 @@ from .model import (
     argmax_label,
     capture_activations,
     forward,
+    forward_batch,
     load_model,
     save_model,
 )

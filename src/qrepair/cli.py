@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import experiment as exp
@@ -29,19 +28,6 @@ log = logging.getLogger("qrepair")
 USAGE_ERROR = 64
 RUNTIME_ERROR = 1
 ZERO_REPAIRS = 2
-
-
-@dataclass
-class RunConfig:
-    """Everything one repair invocation needs: repair knobs plus file I/O."""
-
-    repair: RepairConfig
-    float_path: str
-    quant_path: str
-    repair_set_path: str
-    val_path: str
-    out_dir: str
-    seed: int = 0
 
 
 class _UsageError(Exception):
@@ -105,9 +91,6 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--recompute-inputs", action="store_true")
     p_rep.add_argument("--delta-bound", type=float)
     p_rep.add_argument("--lp-dir", help="dump every generated LP file here")
-    p_rep.add_argument("--workers", type=int, default=1)
-    p_rep.add_argument("--seed", type=int, default=0,
-                       help="recorded in the run config; repair itself is deterministic")
     p_rep.add_argument("--out", required=True, help="output directory")
 
     p_exp = sub.add_parser("experiment", help="train/quantize/repair harness")
@@ -116,7 +99,6 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--trials", type=int, default=10,
                        help="random-selection baseline repetitions")
     p_exp.add_argument("--data-dir", help="IDX files for the mnist-mini preset")
-    p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -166,26 +148,21 @@ def cmd_localize(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    run = RunConfig(
-        repair=RepairConfig(
-            target_layer=args.layer, metric=args.metric, top_n=args.top,
-            epsilon=args.epsilon, time_budget=args.time_budget,
-            patch_mode=args.patch_mode, max_constraints=args.max_constraints,
-            recompute_inputs=args.recompute_inputs, delta_bound=args.delta_bound,
-            workers=args.workers, lp_dir=args.lp_dir,
-        ),
-        float_path=args.float_model, quant_path=args.quant,
-        repair_set_path=args.repair_set, val_path=args.val, out_dir=args.out,
-        seed=args.seed,
+    config = RepairConfig(
+        target_layer=args.layer, metric=args.metric, top_n=args.top,
+        epsilon=args.epsilon, time_budget=args.time_budget,
+        patch_mode=args.patch_mode, max_constraints=args.max_constraints,
+        recompute_inputs=args.recompute_inputs, delta_bound=args.delta_bound,
+        lp_dir=args.lp_dir,
     )
-    fmodel = load_model(run.float_path)
-    qmodel = load_qmodel(run.quant_path)
-    repair_set = load_dataset(run.repair_set_path, num_classes=fmodel.num_classes)
-    val = load_dataset(run.val_path, num_classes=fmodel.num_classes)
-    if run.repair.lp_dir:
-        Path(run.repair.lp_dir).mkdir(parents=True, exist_ok=True)
-    patched, report = repair(fmodel, qmodel, repair_set, val, run.repair)
-    out = Path(run.out_dir)
+    fmodel = load_model(args.float_model)
+    qmodel = load_qmodel(args.quant)
+    repair_set = load_dataset(args.repair_set, num_classes=fmodel.num_classes)
+    val = load_dataset(args.val, num_classes=fmodel.num_classes)
+    if config.lp_dir:
+        Path(config.lp_dir).mkdir(parents=True, exist_ok=True)
+    patched, report = repair(fmodel, qmodel, repair_set, val, config)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "repair_report.json").write_text(report.to_json())
     save_qmodel(patched, out / "repaired_model.json")
@@ -194,9 +171,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = RepairConfig(workers=args.workers)
-    report = exp.run_experiment(preset=args.preset, seed=args.seed,
-                                out_dir=args.out, config=config,
+    report = exp.run_experiment(preset=args.preset, seed=args.seed, out_dir=args.out,
                                 trials=args.trials, data_dir=args.data_dir)
     print(exp.comparison_table(report), end="")
     return 0

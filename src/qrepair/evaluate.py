@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Model, argmax_label, forward
-from .quantize import QuantizedModel, quantized_forward
+import numpy as np
+
+from .model import forward_batch
 
 
 @dataclass
@@ -17,13 +18,9 @@ class EvalResult:
     fidelity: float | None = None
 
 
-def predict(model, x) -> int:
-    """argmax label through either a float or a quantized model."""
-    if isinstance(model, Model):
-        return argmax_label(forward(model, x))
-    if isinstance(model, QuantizedModel):
-        return argmax_label(quantized_forward(model, x))
-    raise TypeError(f"cannot run inference on {type(model).__name__}")
+def _labels(model, dataset) -> np.ndarray:
+    """argmax label of every dataset row through a float or a quantized model."""
+    return forward_batch(model, dataset.features)[0].argmax(axis=1)
 
 
 def accuracy(model, dataset, dataset_id: str = "", reference=None) -> EvalResult:
@@ -34,11 +31,7 @@ def accuracy(model, dataset, dataset_id: str = "", reference=None) -> EvalResult
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    shape = model.input_shape
-    correct = 0
-    for i in range(len(dataset)):
-        if predict(model, dataset.input_array(i, shape)) == int(dataset.labels[i]):
-            correct += 1
+    correct = int(np.sum(_labels(model, dataset) == dataset.labels))
     fid = fidelity(model, reference, dataset) if reference is not None else None
     return EvalResult(dataset_id, len(dataset), correct, correct / len(dataset), fid)
 
@@ -51,11 +44,6 @@ def fidelity(model_a, model_b, dataset) -> float:
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate fidelity on an empty dataset")
-    shape = model_a.input_shape
-    k = 0
-    for i in range(len(dataset)):
-        x = dataset.input_array(i, shape)
-        if predict(model_a, x) != predict(model_b, x):
-            k += 1
+    k = int(np.sum(_labels(model_a, dataset) != _labels(model_b, dataset)))
     n = len(dataset)
     return (n - k) / n

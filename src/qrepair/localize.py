@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, capture_activations, forward, argmax_label
-from .quantize import QuantizedModel, capture_activations_q, quantized_forward
+from .model import Model, forward_batch
+from .quantize import QuantizedModel
 
 METRICS = ("tarantula", "ochiai", "dstar", "jaccard", "ample", "euclid", "wong3")
 
@@ -86,13 +86,10 @@ class ImportanceScore:
 
 def classify_tests(fmodel: Model, qmodel: QuantizedModel, dataset) -> list[TestOutcome]:
     """Label every repair-set input passing or failing by model agreement."""
-    outcomes = []
-    for i in range(len(dataset)):
-        x = dataset.input_array(i, fmodel.input_shape)
-        fl = argmax_label(forward(fmodel, x))
-        ql = argmax_label(quantized_forward(qmodel, x))
-        outcomes.append(TestOutcome(dataset.ids[i], fl, ql))
-    return outcomes
+    float_labels = forward_batch(fmodel, dataset.features)[0].argmax(axis=1)
+    quant_labels = forward_batch(qmodel, dataset.features)[0].argmax(axis=1)
+    return [TestOutcome(test_id, int(fl), int(ql))
+            for test_id, fl, ql in zip(dataset.ids, float_labels, quant_labels)]
 
 
 def build_diff_matrix(fmodel: Model, qmodel: QuantizedModel, dataset,
@@ -100,15 +97,9 @@ def build_diff_matrix(fmodel: Model, qmodel: QuantizedModel, dataset,
     """entry[t][n] = |status_float(t,n) - status_quant(t,n)| on a dense layer."""
     if fmodel.layers[layer_index].kind != "dense":
         raise ValueError(f"layer {layer_index} is not dense")
-    rows = []
-    for i in range(len(dataset)):
-        x = dataset.input_array(i, fmodel.input_shape)
-        (rec_f,) = capture_activations(fmodel, x, {layer_index})
-        (rec_q,) = capture_activations_q(qmodel, x, {layer_index})
-        rows.append(np.abs(rec_f.status.astype(np.int16) - rec_q.status.astype(np.int16)))
-    width = fmodel.layers[layer_index].weights.shape[1]
-    entries = np.asarray(rows, dtype=np.uint8) if rows else np.zeros((0, width), np.uint8)
-    return DiffMatrix(layer_index, entries)
+    pre_f = forward_batch(fmodel, dataset.features, {layer_index})[1][layer_index]
+    pre_q = forward_batch(qmodel, dataset.features, {layer_index})[1][layer_index]
+    return DiffMatrix(layer_index, (pre_f > 0) != (pre_q > 0))
 
 
 def accumulate_spectra(diff: DiffMatrix, outcomes: list[TestOutcome]) -> SpectraCounters:

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .localize import classify_tests
-from .model import Model, capture_activations
-from .quantize import QuantizedModel, capture_activations_q, layer_input_vector
+from .model import Model, forward_batch
+from .model import capture_activations  # noqa: F401  perfbench/test_perfbench.py expects it bound here
+from .quantize import QuantizedModel
 from .simplex import SimplexResult, simplex_solve
 
 
@@ -80,28 +80,22 @@ def build_neuron_lp(fmodel: Model, qmodel: QuantizedModel, neuron: tuple[int, in
     qlayer = qmodel.layers[layer_index]
     if qlayer.kind != "dense":
         raise ValueError(f"layer {layer_index} is not dense")
+    logits_f, pre_f, _ = forward_batch(fmodel, dataset.features, {layer_index})
+    logits_q, pre_q, x_in = forward_batch(qmodel, dataset.features, {layer_index},
+                                          input_of=layer_index)
     if outcomes is None:
-        outcomes = classify_tests(fmodel, qmodel, dataset)
-
-    order = [i for i in range(len(dataset)) if outcomes[i].is_failing]
-    order += [i for i in range(len(dataset)) if not outcomes[i].is_failing]
+        failing = logits_f.argmax(axis=1) != logits_q.argmax(axis=1)
+    else:
+        failing = np.array([o.is_failing for o in outcomes], dtype=bool)
+    status_f = (pre_f[layer_index][:, neuron_index] > 0).astype(int)
+    status_q = (pre_q[layer_index][:, neuron_index] > 0).astype(int)
+    order = np.concatenate([np.flatnonzero(failing), np.flatnonzero(~failing)])
+    chosen = order[status_f[order] != status_q[order]][: max(max_constraints, 0)]
 
     w = qlayer.eff_weights[:, neuron_index].astype(np.float64)
     bias = float(qlayer.bias.data[neuron_index]) if qlayer.bias is not None else 0.0
-
-    constraints = []
-    for i in order:
-        if len(constraints) >= max_constraints:
-            break
-        x_in = dataset.input_array(i, qmodel.input_shape)
-        (rec_f,) = capture_activations(fmodel, x_in, {layer_index})
-        (rec_q,) = capture_activations_q(qmodel, x_in, {layer_index})
-        status_f = int(rec_f.status[neuron_index])
-        status_q = int(rec_q.status[neuron_index])
-        if status_f == status_q:
-            continue
-        x_vec = layer_input_vector(qmodel, x_in, layer_index).astype(np.float64)
-        constraints.append(LPConstraint(x_vec, status_f, status_q, i))
+    constraints = [LPConstraint(x_in[i].astype(np.float64), int(status_f[i]),
+                                int(status_q[i]), int(i)) for i in chosen]
 
     if not constraints:
         raise EmptyLPError(

@@ -8,6 +8,7 @@ worker threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,6 +81,12 @@ class Model:
         if not idxs:
             raise ShapeMismatchError("model has no dense layer")
         return idxs[-1]
+
+    def layer_arrays(self) -> list[tuple]:
+        """(kind, weights, bias, hyperparams) per layer: the view inference runs on."""
+        return [(l.kind, None if l.weights is None else l.weights.array(),
+                 None if l.bias is None else l.bias.array(), l.hyperparams)
+                for l in self.layers]
 
 
 @dataclass
@@ -186,13 +193,13 @@ def _dense(x, w, b):
 
 def _conv2d(x, w, b, stride):
     kh, kw, _, out_ch = w.shape
-    h, wd, _ = x.shape
+    n, h, wd, _ = x.shape
     ho = (h - kh) // stride + 1
     wo = (wd - kw) // stride + 1
-    out = np.zeros((ho, wo, out_ch), dtype=x.dtype)
+    out = np.zeros((n, ho, wo, out_ch), dtype=x.dtype)
     for a in range(kh):
         for bb in range(kw):
-            patch = x[a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
+            patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
             out += patch @ w[a, bb]
     if b is not None:
         out = out + b
@@ -200,19 +207,20 @@ def _conv2d(x, w, b, stride):
 
 
 def _maxpool2d(x, kernel, stride):
-    h, w, c = x.shape
+    n, h, w, c = x.shape
     ho = (h - kernel) // stride + 1
     wo = (w - kernel) // stride + 1
-    out = np.full((ho, wo, c), -np.inf, dtype=x.dtype)
+    out = np.full((n, ho, wo, c), -np.inf, dtype=x.dtype)
     for a in range(kernel):
         for b in range(kernel):
-            np.maximum(out, x[a : a + stride * ho : stride, b : b + stride * wo : stride, :], out=out)
+            np.maximum(out, x[:, a : a + stride * ho : stride, b : b + stride * wo : stride, :],
+                       out=out)
     return out
 
 
 def apply_layer(layer_kind: str, x: np.ndarray, weights: np.ndarray | None,
                 bias: np.ndarray | None, hyperparams: dict) -> np.ndarray:
-    """One layer's forward computation on a float32 activation array."""
+    """One layer's forward computation on a float32 activation batch [N, ...]."""
     if layer_kind == "dense":
         return _dense(x, weights, bias)
     if layer_kind == "relu":
@@ -223,54 +231,81 @@ def apply_layer(layer_kind: str, x: np.ndarray, weights: np.ndarray | None,
         k = int(hyperparams.get("kernel", 2))
         return _maxpool2d(x, k, int(hyperparams.get("stride", k)))
     if layer_kind == "flatten":
-        return x.reshape(-1)
+        return x.reshape(len(x), -1)
     raise ModelFormatError(f"unknown layer kind {layer_kind!r}")
 
 
-def _as_input_array(inp, input_shape) -> np.ndarray:
-    x = inp.array() if isinstance(inp, Tensor) else np.asarray(inp, dtype=np.float32)
-    if tuple(x.shape) != tuple(input_shape):
-        if x.size == int(np.prod(input_shape)):
-            x = x.reshape(input_shape)
-        else:
-            raise ShapeMismatchError(f"input shape {x.shape} != model input {input_shape}")
-    return x.astype(np.float32, copy=False)
+def forward_batch(model, inputs, capture=(), input_of: int | None = None):
+    """Run a batch of inputs [N, ...] through a Model or a QuantizedModel.
 
-
-def _walk(model: Model, inp, capture: set[int] | None):
-    x = _as_input_array(inp, model.input_shape)
-    records = []
-    for i, layer in enumerate(model.layers):
-        w = layer.weights.array() if layer.weights is not None else None
-        b = layer.bias.array() if layer.bias is not None else None
-        x = apply_layer(layer.kind, x, w, b, layer.hyperparams)
-        if capture is not None and i in capture:
-            flat = x.reshape(-1)
-            records.append(
-                ActivationRecord(i, Tensor(x.shape, flat.copy()), (flat > 0).astype(np.uint8))
-            )
-    return x, records
-
-
-def forward(model: Model, inp) -> Tensor:
-    """Run the float32 forward pass; returns the logits (no softmax)."""
-    logits, _ = _walk(model, inp, None)
-    return Tensor(logits.shape, logits.reshape(-1))
-
-
-def capture_activations(model: Model, inp, layer_filter) -> list[ActivationRecord]:
-    """Record pre-ReLU outputs and activation status for the given layers.
-
-    `layer_filter` must contain indices of dense or conv2d layers.
+    Returns the logits [N, num_classes], a dict from every layer index in
+    `capture` to that layer's output [N, ...] (the pre-activation, for a
+    dense or conv2d layer), and, when `input_of` is a layer index, the flat
+    input [N, d] of that layer (else None). Raises ValueError when an input
+    row or a logit is not finite.
     """
+    x = np.asarray(inputs, dtype=np.float32)
+    n = len(x)
+    if x.size != n * math.prod(model.input_shape):
+        raise ShapeMismatchError(
+            f"input rows of shape {x.shape[1:]} do not fit model input {model.input_shape}"
+        )
+    x = x.reshape((n,) + model.input_shape)
+    if not np.isfinite(x).all():
+        raise ValueError("input values must be finite")
+    captured, layer_input = {}, None
+    for i, (kind, w, b, hyperparams) in enumerate(model.layer_arrays()):
+        if i == input_of:
+            layer_input = x.reshape(n, -1)
+        x = apply_layer(kind, x, w, b, hyperparams)
+        if i in capture:
+            captured[i] = x
+    if not np.isfinite(x).all():
+        raise ValueError("logits must be finite")
+    return x, captured, layer_input
+
+
+def _one_row(inp) -> np.ndarray:
+    """One input (array or Tensor) as a batch of one flat row."""
+    data = inp.data if isinstance(inp, Tensor) else inp
+    return np.asarray(data, dtype=np.float32).reshape(1, -1)
+
+
+def _forward_one(model, inp) -> Tensor:
+    """Logits of one input through a Model or a QuantizedModel."""
+    logits = forward_batch(model, _one_row(inp))[0][0]
+    return Tensor(logits.shape, logits)
+
+
+def _capture_one(model, inp, layer_filter) -> list[ActivationRecord]:
+    """Pre-activation records of one input, in layer order, for a Model or a
+    QuantizedModel; `layer_filter` must hold indices of dense or conv2d layers."""
     capture = set(int(i) for i in layer_filter)
     for i in capture:
         if i < 0 or i >= len(model.layers):
             raise IndexError(f"layer index {i} out of range")
         if model.layers[i].kind not in ("dense", "conv2d"):
             raise ValueError(f"layer {i} is {model.layers[i].kind}, not dense/conv2d")
-    _, records = _walk(model, inp, capture)
+    _, pre, _ = forward_batch(model, _one_row(inp), capture)
+    records = []
+    for i in sorted(capture):
+        flat = pre[i][0].reshape(-1)
+        records.append(ActivationRecord(i, Tensor(pre[i].shape[1:], flat.copy()),
+                                        (flat > 0).astype(np.uint8)))
     return records
+
+
+def forward(model: Model, inp) -> Tensor:
+    """Run the float32 forward pass of one input; returns the logits (no softmax)."""
+    return _forward_one(model, inp)
+
+
+def capture_activations(model: Model, inp, layer_filter) -> list[ActivationRecord]:
+    """Record pre-ReLU outputs and activation status of one input for the given layers.
+
+    `layer_filter` must contain indices of dense or conv2d layers.
+    """
+    return _capture_one(model, inp, layer_filter)
 
 
 def argmax_label(logits) -> int:

@@ -21,10 +21,13 @@ from .model import (
     ModelFormatError,
     ActivationRecord,
     Tensor,
-    apply_layer,
-    _as_input_array,
+    _capture_one,
+    _forward_one,
+    _one_row,
+    forward_batch,
     validate_topology,
 )
+from .model import apply_layer  # noqa: F401  perfbench/test_perfbench.py expects it bound here
 
 INT8_MAX = 127
 
@@ -117,6 +120,11 @@ class QuantizedModel:
             raise ValueError("model has no dense layer")
         return idxs[-1]
 
+    def layer_arrays(self) -> list[tuple]:
+        """(kind, eff_weights, bias, hyperparams) per layer: the view inference runs on."""
+        return [(l.kind, l.eff_weights, None if l.bias is None else l.bias.array(),
+                 l.hyperparams) for l in self.layers]
+
 
 def quantize_model(model: Model) -> QuantizedModel:
     """Quantize every dense/conv weight tensor; topology and biases untouched."""
@@ -131,47 +139,21 @@ def quantize_model(model: Model) -> QuantizedModel:
     return QuantizedModel(qlayers, model.input_shape, model.num_classes)
 
 
-def _walk_q(qmodel: QuantizedModel, inp, capture: set[int] | None):
-    x = _as_input_array(inp, qmodel.input_shape)
-    records = []
-    for i, layer in enumerate(qmodel.layers):
-        b = layer.bias.array() if layer.bias is not None else None
-        x = apply_layer(layer.kind, x, layer.eff_weights, b, layer.hyperparams)
-        if capture is not None and i in capture:
-            flat = x.reshape(-1)
-            records.append(
-                ActivationRecord(i, Tensor(x.shape, flat.copy()), (flat > 0).astype(np.uint8))
-            )
-    return x, records
-
-
 def quantized_forward(qmodel: QuantizedModel, inp) -> Tensor:
-    """Forward pass through the quantized model (dequantized weights, float32)."""
-    logits, _ = _walk_q(qmodel, inp, None)
-    return Tensor(logits.shape, logits.reshape(-1))
+    """Forward pass of one input through the quantized model (dequantized weights, float32)."""
+    return _forward_one(qmodel, inp)
 
 
 def capture_activations_q(qmodel: QuantizedModel, inp, layer_filter) -> list[ActivationRecord]:
     """Quantized-model counterpart of model.capture_activations."""
-    capture = set(int(i) for i in layer_filter)
-    for i in capture:
-        if i < 0 or i >= len(qmodel.layers):
-            raise IndexError(f"layer index {i} out of range")
-        if qmodel.layers[i].kind not in ("dense", "conv2d"):
-            raise ValueError(f"layer {i} is {qmodel.layers[i].kind}, not dense/conv2d")
-    _, records = _walk_q(qmodel, inp, capture)
-    return records
+    return _capture_one(qmodel, inp, layer_filter)
 
 
 def layer_input_vector(qmodel: QuantizedModel, inp, layer_index: int) -> np.ndarray:
     """The flat activation vector feeding layers[layer_index] for one input."""
     if layer_index < 0 or layer_index >= len(qmodel.layers):
         raise IndexError(f"layer index {layer_index} out of range")
-    x = _as_input_array(inp, qmodel.input_shape)
-    for layer in qmodel.layers[:layer_index]:
-        b = layer.bias.array() if layer.bias is not None else None
-        x = apply_layer(layer.kind, x, layer.eff_weights, b, layer.hyperparams)
-    return x.reshape(-1)
+    return forward_batch(qmodel, _one_row(inp), input_of=layer_index)[2][0]
 
 
 def clone_quantized(qmodel: QuantizedModel) -> QuantizedModel:

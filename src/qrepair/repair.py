@@ -3,9 +3,10 @@
 The pipeline classifies the repair set, builds the activation-difference
 spectra for the target dense layer once, ranks neurons by the configured
 metric, then walks the top-N neurons solving each one's correction LP and
-patching the solved deltas in. Constraint inputs come from the pre-repair
-model by default, so neuron repairs commute; `recompute_inputs` re-derives
-them from the patched model instead (sequential).
+patching the solved deltas in. Each LP is built from the pre-repair model
+by default; `recompute_inputs` builds it from the model patched so far. The
+two agree under float_patch, which changes only the repaired column, but
+not under requantize, which re-rounds every column of the layer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +52,10 @@ class RepairConfig:
     epsilon: float = 1e-3
     time_budget: float = 60.0
     patch_mode: str = "float_patch"
-    accuracy_threshold: float | None = None
     max_constraints: int = 64
     recompute_inputs: bool = False
     dstar_exponent: int = 2
     delta_bound: float | None = None  # optional |delta| box fed to the LP
-    workers: int = 1
     lp_dir: str | None = None
 
     def __post_init__(self):
@@ -90,7 +88,6 @@ class RepairReport:
     accuracy_after: float | None = None
     fidelity_before: float | None = None
     fidelity_after: float | None = None
-    early_stopped: bool = False
     warning: str | None = None
 
     @property
@@ -115,7 +112,6 @@ class RepairReport:
             "accuracy_after": round6(self.accuracy_after),
             "fidelity_before": round6(self.fidelity_before),
             "fidelity_after": round6(self.fidelity_after),
-            "early_stopped": self.early_stopped,
             "warning": self.warning,
             "neurons": [
                 {
@@ -184,8 +180,9 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
         raise ValueError(
             f"expected {layer.eff_weights.shape[0]} deltas, got {deltas.shape}"
         )
-    base = dequantize(layer.qweights).array()[:, neuron_index]
-    corrected = base + deltas
+    # the LP was solved for the weights inference uses, which differ from the
+    # int8 codes once a patched layer is saved and reloaded
+    corrected = layer.eff_weights[:, neuron_index].astype(np.float64) + deltas
     if patch_mode == "float_patch":
         layer.eff_weights[:, neuron_index] = corrected.astype(np.float32)
         layer.patched_columns.add(neuron_index)
@@ -245,70 +242,31 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         by_neuron = {s.neuron_index: s.value for s in scores}
     targets = order[: min(config.top_n, width)]
 
-    def build(neuron_index):
-        # constraints come from the pre-repair model unless recompute_inputs
-        # asks for the progressively patched one
-        source = patched if config.recompute_inputs else qmodel
-        return build_neuron_lp(
-            fmodel, source, (target, neuron_index), repair_set,
-            epsilon=config.epsilon, max_constraints=config.max_constraints,
-            big_M_bound=config.delta_bound, outcomes=outcomes,
-        )
-
-    def solve_one(neuron_index):
+    for rank, n in enumerate(targets, start=1):
         t0 = time.monotonic()
         try:
-            lp = build(neuron_index)
+            # constraints come from the pre-repair model unless recompute_inputs
+            # asks for the progressively patched one
+            lp = build_neuron_lp(
+                fmodel, patched if config.recompute_inputs else qmodel,
+                (target, n), repair_set, epsilon=config.epsilon,
+                max_constraints=config.max_constraints,
+                big_M_bound=config.delta_bound, outcomes=outcomes,
+            )
         except EmptyLPError:
-            return None, None, time.monotonic() - t0
+            report.records.append(
+                NeuronRecord(n, rank, by_neuron[n], "skipped", None, time.monotonic() - t0))
+            continue
         if config.lp_dir is not None:
-            export_lp(lp, f"{config.lp_dir}/neuron_L{target}_N{neuron_index}.lp")
+            export_lp(lp, f"{config.lp_dir}/neuron_L{target}_N{n}.lp")
         sol = solve_lp(lp, config.time_budget)
-        return lp, sol, time.monotonic() - t0
-
-    sequential = (
-        config.recompute_inputs
-        or config.accuracy_threshold is not None
-        or config.workers <= 1
-    )
-    if sequential:
-        solved = {}
-        for n in targets:
-            solved[n] = solve_one(n)
-            lp, sol, _ = solved[n]
-            if sol is not None and sol.status == "optimal":
-                apply_deltas(patched, (target, n), sol.deltas, config.patch_mode)
-                if config.accuracy_threshold is not None and validation_set is not None:
-                    running = accuracy(patched, validation_set).accuracy
-                    if running > config.accuracy_threshold:
-                        report.early_stopped = True
-            _record(report, n, by_neuron[n], targets, solved[n])
-            if report.early_stopped:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {n: pool.submit(solve_one, n) for n in targets}
-            solved = {n: futures[n].result() for n in targets}
-        for n in targets:
-            lp, sol, _ = solved[n]
-            if sol is not None and sol.status == "optimal":
-                apply_deltas(patched, (target, n), sol.deltas, config.patch_mode)
-            _record(report, n, by_neuron[n], targets, solved[n])
+        if sol.status == "optimal":
+            apply_deltas(patched, (target, n), sol.deltas, config.patch_mode)
+        report.records.append(
+            NeuronRecord(n, rank, by_neuron[n], sol.status, sol.M, time.monotonic() - t0))
 
     if validation_set is not None and len(validation_set):
         report.accuracy_after = accuracy(patched, validation_set).accuracy
         report.fidelity_after = fidelity(fmodel, patched, validation_set)
     return patched, report
 
-
-def _record(report, neuron_index, importance_value, targets, solved_entry):
-    lp, sol, wall = solved_entry
-    rank = targets.index(neuron_index) + 1
-    if sol is None:
-        report.records.append(
-            NeuronRecord(neuron_index, rank, importance_value, "skipped", None, wall)
-        )
-    else:
-        report.records.append(
-            NeuronRecord(neuron_index, rank, importance_value, sol.status, sol.M, wall)
-        )

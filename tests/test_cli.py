@@ -127,3 +127,27 @@ def test_experiment_missing_mnist_files(tmp_path):
     code = cli_main(["experiment", "--preset", "mnist-mini",
                      "--data-dir", str(tmp_path), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command,nan_file", [
+    ("eval", "val"), ("repair", "repair"), ("repair", "val"),
+])
+def test_nan_row_fails_with_finite_message(artifacts, tmp_path, capsys, command, nan_file):
+    paths = {name: artifacts / f"{name}.csv" for name in ("repair", "val")}
+    lines = paths[nan_file].read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[2] = "nan"
+    lines[1] = ",".join(fields)
+    paths[nan_file] = tmp_path / f"{nan_file}_nan.csv"
+    paths[nan_file].write_text("\n".join(lines) + "\n")
+    if command == "eval":
+        argv = ["eval", "--model", str(artifacts / "quant.json"),
+                "--data", str(paths["val"])]
+    else:
+        argv = ["repair", "--float", str(artifacts / "float.json"),
+                "--quant", str(artifacts / "quant.json"),
+                "--repair-set", str(paths["repair"]), "--val", str(paths["val"]),
+                "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert "finite" in capsys.readouterr().err

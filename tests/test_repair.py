@@ -1,11 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import dense_model, grid_mlp, make_dataset, make_desk_parts, manual_qmodel
+from conftest import GOLDEN, dense_model, grid_mlp, make_dataset, make_desk_parts, manual_qmodel
 from qrepair.experiment import PresetSpec
 from qrepair.localize import classify_tests
 from qrepair.lp import build_neuron_lp, solve_lp
-from qrepair.quantize import capture_activations_q, quantize_model, quantized_forward
+from qrepair.quantize import (
+    capture_activations_q,
+    load_qmodel,
+    quantize_model,
+    quantized_forward,
+    save_qmodel,
+)
 from qrepair.repair import RepairConfig, apply_deltas, repair
 
 SPEC = PresetSpec(dim=10, num_classes=3, hidden=12, n_train=240, n_repair=120,
@@ -132,21 +140,11 @@ def test_repair_deterministic(desk_fixture):
     assert r1.to_json() == r2.to_json()
 
 
-def test_parallel_workers_match_sequential(desk_fixture):
-    fmodel, qmodel, repair_set, val = desk_fixture
-    seq_cfg = RepairConfig(metric="jaccard", top_n=3, workers=1)
-    par_cfg = RepairConfig(metric="jaccard", top_n=3, workers=4)
-    patched_s, rs = repair(fmodel, qmodel, repair_set, val, seq_cfg)
-    patched_p, rp = repair(fmodel, qmodel, repair_set, val, par_cfg)
-    assert rs.to_json() == rp.to_json()
-    target = rs.target_layer
-    assert np.array_equal(patched_s.layers[target].eff_weights,
-                          patched_p.layers[target].eff_weights)
-
-
 def test_recompute_inputs_equivalent_for_single_layer(desk_fixture):
-    # only the target layer is patched, so its inputs and per-column statuses
-    # cannot drift: both modes must produce the same repairs
+    # under float_patch only the repaired column of the target layer changes,
+    # so no other neuron's inputs, weights or statuses drift and both modes
+    # produce the same repairs; requantize re-rounds every column, and there
+    # the two modes can differ
     fmodel, qmodel, repair_set, val = desk_fixture
     _, r_default = repair(fmodel, qmodel, repair_set, val,
                           RepairConfig(metric="wong3", top_n=3))
@@ -156,12 +154,45 @@ def test_recompute_inputs_equivalent_for_single_layer(desk_fixture):
     assert r_default.to_json() == r_recompute.to_json()
 
 
-def test_early_stop(desk_fixture):
+@pytest.mark.parametrize("patch_mode", ["float_patch", "requantize"])
+def test_desk_repair_matches_golden(desk_fixture, patch_mode):
+    # tests/golden/desk_repair.json holds the summary this repair produced
+    # when the file was written; any change to it must be deliberate
     fmodel, qmodel, repair_set, val = desk_fixture
-    config = RepairConfig(top_n=3, accuracy_threshold=0.0)
-    _, report = repair(fmodel, qmodel, repair_set, val, config)
-    assert report.early_stopped
-    assert report.attempts <= 3
+    want = json.loads((GOLDEN / "desk_repair.json").read_text())[patch_mode]
+    _, report = repair(fmodel, qmodel, repair_set, val,
+                       RepairConfig(top_n=3, patch_mode=patch_mode))
+    got = report.to_dict()
+    for key in ("accuracy_before", "accuracy_after", "fidelity_before", "fidelity_after"):
+        assert got[key] == want[key], key
+    assert len(got["neurons"]) == len(want["neurons"])
+    for g, w in zip(got["neurons"], want["neurons"]):
+        assert (g["neuron"], g["status"]) == (w["neuron"], w["status"])
+        assert g["M"] == pytest.approx(w["M"], rel=1e-5)
+
+
+@pytest.mark.parametrize("seed", [42, 4242])
+def test_repair_after_reload_holds_constraints(tmp_path, seed):
+    # a float_patch layer reloads with int8 codes re-derived at a fresh scale,
+    # so its codes no longer dequantize to the weights inference uses; a
+    # second repair must patch the weights its LPs were solved for
+    fmodel, qmodel, repair_set, _ = make_desk_parts(SPEC, seed=seed)
+    first, _ = repair(fmodel, qmodel, repair_set, None, RepairConfig())
+    save_qmodel(first, tmp_path / "first.json")
+    reloaded = load_qmodel(tmp_path / "first.json")
+    second, report = repair(fmodel, reloaded, repair_set, None, RepairConfig(top_n=3))
+    save_qmodel(second, tmp_path / "second.json")
+    stored = load_qmodel(tmp_path / "second.json")
+    target = report.target_layer
+    outcomes = classify_tests(fmodel, reloaded, repair_set)
+    solved = [r.neuron for r in report.records if r.status == "optimal"]
+    assert solved, "the second repair should solve at least one neuron"
+    for n in solved:
+        lp = build_neuron_lp(fmodel, reloaded, (target, n), repair_set, outcomes=outcomes)
+        for con in lp.constraints:
+            x = repair_set.input_array(con.test_id, fmodel.input_shape)
+            (rec,) = capture_activations_q(stored, x, {target})
+            assert int(rec.status[n]) == con.target_status, (n, con.test_id)
 
 
 def test_repair_accuracy_recovers(desk_fixture):
@@ -238,8 +269,6 @@ def test_requantize_bounds_other_columns():
 
 
 def test_float_patch_survives_save_load(tmp_path, desk_fixture):
-    from qrepair.quantize import load_qmodel, save_qmodel
-
     fmodel, qmodel, repair_set, _ = desk_fixture
     patched, report = repair(fmodel, qmodel, repair_set, None,
                              RepairConfig(metric="ample", top_n=2))
