@@ -19,8 +19,8 @@ from .data import load_dataset
 from .evaluate import accuracy
 from .localize import METRICS, accumulate_spectra, build_diff_matrix, classify_tests, \
     importance_scores, spectra_csv
-from .model import load_model
-from .quantize import load_qmodel, quantize_model, save_qmodel
+from .model import load_model, model_from_json, read_model_json
+from .quantize import load_qmodel, qmodel_from_json, quantize_model, save_qmodel
 from .repair import RepairConfig, repair
 
 log = logging.getLogger("qrepair")
@@ -46,11 +46,12 @@ def _setup_logging():
 
 
 def _load_any_model(path):
-    """A model file is quantized iff any weight tensor carries int8 codes."""
-    text = Path(path).read_text()
-    if '"data_i8"' in text or '"scale"' in text:
-        return load_qmodel(path)
-    return load_model(path)
+    """A model file is quantized iff any layer's weight tensor carries int8 codes."""
+    obj = read_model_json(path)
+    if any(isinstance(layer, dict) and isinstance(layer.get("weights"), dict)
+           and "data_i8" in layer["weights"] for layer in obj["layers"]):
+        return qmodel_from_json(obj)
+    return model_from_json(obj, Path(path).parent)
 
 
 def build_parser() -> _Parser:

@@ -365,18 +365,27 @@ def _layer_from_json(obj, base_dir: Path) -> Layer:
         raise ModelFormatError(str(e)) from None
 
 
-def load_model(path) -> Model:
-    """Load a float model from its JSON file."""
+def read_model_json(path) -> dict:
+    """Parse a model file's envelope, shared by the float and quantized formats."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{path}: {e}") from None
     for key in ("input_shape", "num_classes", "layers"):
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise ModelFormatError(f"{path}: missing {key!r}")
-    layers = [_layer_from_json(l, path.parent) for l in obj["layers"]]
+    return obj
+
+
+def model_from_json(obj: dict, base_dir: Path) -> Model:
+    layers = [_layer_from_json(l, base_dir) for l in obj["layers"]]
     return Model(layers, tuple(obj["input_shape"]), int(obj["num_classes"]))
+
+
+def load_model(path) -> Model:
+    """Load a float model from its JSON file."""
+    return model_from_json(read_model_json(path), Path(path).parent)
 
 
 def save_model(model: Model, path) -> None:

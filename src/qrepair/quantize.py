@@ -25,6 +25,7 @@ from .model import (
     _forward_one,
     _one_row,
     forward_batch,
+    read_model_json,
     validate_topology,
 )
 from .model import apply_layer  # noqa: F401  perfbench/test_perfbench.py expects it bound here
@@ -221,14 +222,10 @@ def save_qmodel(qmodel: QuantizedModel, path) -> None:
 
 
 def load_qmodel(path) -> QuantizedModel:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"{path}: {e}") from None
-    for key in ("input_shape", "num_classes", "layers"):
-        if key not in obj:
-            raise ModelFormatError(f"{path}: missing {key!r}")
+    return qmodel_from_json(read_model_json(path))
+
+
+def qmodel_from_json(obj: dict) -> QuantizedModel:
     layers = []
     for lobj in obj["layers"]:
         kind = lobj.get("kind")

@@ -3,7 +3,9 @@
 Minimizes c.x subject to A x (<=|>=|=) b with x >= 0. Bland's rule is used
 for both the entering and leaving choices, which rules out cycling; the
 tableau is dense float64, adequate for the problem sizes produced by
-per-neuron repair (hundreds of rows/columns).
+per-neuron repair (hundreds of rows/columns). Each pivot is one rank-1
+numpy update with the rounding of a row-by-row pivot, so the pivot path and
+every solution bit stay fixed (tests/golden/simplex_pivots.json).
 """
 
 from __future__ import annotations
@@ -26,37 +28,39 @@ class SimplexResult:
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    update = factors[:, None] * tableau[row]
+    # rows with a zero factor, the pivot row among them, must come out
+    # unchanged: 0*y may be -0.0 and -0.0 - -0.0 is +0.0, but x - +0.0 is x
+    # bit for bit, signed zeros included
+    update[factors == 0.0] = 0.0
+    tableau -= update
 
 
 def _iterate(tableau, basis, costs, deadline, max_iter):
     """Run simplex pivots to optimality. Returns a status string."""
-    m = tableau.shape[0]
     n = tableau.shape[1] - 1
     for _ in range(max_iter):
         if deadline is not None and time.monotonic() > deadline:
             return "timeout"
         reduced = costs - costs[basis] @ tableau[:, :n]
-        entering = -1
-        for j in range(n):
-            if reduced[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+        if candidates.size == 0:
             return "optimal"
-        # ratio test; ties resolved by smallest basis variable index (Bland)
+        entering = int(candidates[0])
+        # ratio test over the rows with a positive pivot element; ties go to
+        # the smallest basis index (Bland). The scan stays sequential because
+        # near-ties chain: a min-then-tie-break can pick another row.
+        column = tableau[:, entering]
+        rows = np.flatnonzero(column > PIVOT_TOL)
         best_ratio = None
         leaving = -1
-        for i in range(m):
-            a = tableau[i, entering]
-            if a > PIVOT_TOL:
-                ratio = tableau[i, -1] / a
-                if (best_ratio is None or ratio < best_ratio - PIVOT_TOL
-                        or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = i
+        for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / column[rows]).tolist()):
+            if (best_ratio is None or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving])):
+                best_ratio = ratio
+                leaving = i
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, leaving, entering)
@@ -85,8 +89,7 @@ def simplex_solve(c, a, senses, b, deadline=None, max_iter=50000) -> SimplexResu
             senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
 
     n_slack = sum(1 for s in senses if s in ("<=", ">="))
-    art_rows = [i for i, s in enumerate(senses) if s in (">=", "=")]
-    n_art = len(art_rows)
+    n_art = sum(1 for s in senses if s in (">=", "="))
     total = n + n_slack + n_art
 
     tableau = np.zeros((m, total + 1))
@@ -96,16 +99,11 @@ def simplex_solve(c, a, senses, b, deadline=None, max_iter=50000) -> SimplexResu
     s_at = n
     a_at = n + n_slack
     for i, sense in enumerate(senses):
+        if sense != "=":
+            tableau[i, s_at] = 1.0 if sense == "<=" else -1.0
+            s_at += 1
         if sense == "<=":
-            tableau[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif sense == ">=":
-            tableau[i, s_at] = -1.0
-            s_at += 1
-            tableau[i, a_at] = 1.0
-            basis[i] = a_at
-            a_at += 1
+            basis[i] = s_at - 1
         else:
             tableau[i, a_at] = 1.0
             basis[i] = a_at
@@ -124,21 +122,16 @@ def simplex_solve(c, a, senses, b, deadline=None, max_iter=50000) -> SimplexResu
         drop_rows = []
         for i in range(m):
             if basis[i] >= n + n_slack:
-                pivot_col = -1
-                for j in range(n + n_slack):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, i, pivot_col)
-                    basis[i] = pivot_col
+                cols = np.flatnonzero(np.abs(tableau[i, : n + n_slack]) > PIVOT_TOL)
+                if cols.size:
+                    _pivot(tableau, i, int(cols[0]))
+                    basis[i] = int(cols[0])
                 else:
                     drop_rows.append(i)
         if drop_rows:
             keep = [i for i in range(m) if i not in drop_rows]
             tableau = tableau[keep]
             basis = [basis[i] for i in keep]
-            m = len(basis)
         tableau = np.hstack([tableau[:, : n + n_slack], tableau[:, -1:]])
 
     phase2_costs = np.zeros(n + n_slack)
@@ -148,7 +141,6 @@ def simplex_solve(c, a, senses, b, deadline=None, max_iter=50000) -> SimplexResu
         return SimplexResult(status)
 
     x = np.zeros(n + n_slack)
-    for i, var in enumerate(basis):
-        x[var] = tableau[i, -1]
+    x[basis] = tableau[:, -1]
     x = x[:n]
     return SimplexResult("optimal", x, float(c @ x))

@@ -97,3 +97,26 @@ def conv3_val():
     from qrepair.data import load_dataset
 
     return load_dataset(FIXTURES / "conv3_val.csv", num_classes=10)
+
+
+def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
+    """Seeded dense-neuron repair LP with k status-disagreeing tests of width m.
+
+    The float weights are perturbed the way quantization damage would be,
+    and the layer inputs are ReLU outputs, so the LP rows carry exact zeros
+    (and negated zeros on target-0 rows) as real repair LPs do.
+    """
+    from qrepair.lp import LPConstraint, NeuronLP
+
+    rng = np.random.default_rng(seed)
+    w_float = rng.normal(0.0, 1.0 / np.sqrt(m), m)
+    w = w_float + rng.normal(0.0, 0.3 / np.sqrt(m), m)
+    bias = float(rng.normal(0.0, 0.1))
+    xs = np.maximum(rng.normal(size=(50 * k, m)), 0.0)
+    target = (xs @ w_float + bias > 0).astype(int)
+    current = (xs @ w + bias > 0).astype(int)
+    rows = np.flatnonzero(target != current)[:k]
+    if rows.size < k:
+        raise ValueError(f"seed {seed} gives only {rows.size} disagreeing tests")
+    cons = [LPConstraint(xs[i], int(target[i]), int(current[i]), int(i)) for i in rows]
+    return NeuronLP(0, 0, m, w, bias, cons, epsilon)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_desk_parts
@@ -54,6 +55,28 @@ def test_eval_subcommand(artifacts, tmp_path, capsys):
     assert obj["n"] == SPEC.n_val
     assert 0.0 <= obj["accuracy"] <= 1.0
     assert obj["fidelity"] is None
+
+
+def test_eval_float_model_with_sidecar_named_scale(artifacts, tmp_path):
+    # a float model whose weights sit in a sidecar file called "scale" is
+    # still a float model: only int8 codes ("data_i8") make a model quantized
+    obj = json.loads((artifacts / "float.json").read_text())
+    blob = bytearray()
+    for layer in obj["layers"]:
+        for key in ("weights", "bias"):
+            if key in layer:
+                data = np.asarray(layer[key].pop("data"), dtype="<f4")
+                layer[key].update(data_file="scale", offset=len(blob))
+                blob += data.tobytes()
+    (tmp_path / "scale").write_bytes(bytes(blob))
+    (tmp_path / "float.json").write_text(json.dumps(obj))
+    results = []
+    for i, model in enumerate((artifacts / "float.json", tmp_path / "float.json")):
+        out = tmp_path / f"eval{i}.json"
+        assert cli_main(["eval", "--model", str(model), "--data",
+                         str(artifacts / "val.csv"), "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text()))
+    assert results[1] == results[0]
 
 
 def test_eval_with_reference_fidelity(artifacts, tmp_path):
