@@ -48,10 +48,11 @@ def _setup_logging():
 def _load_any_model(path):
     """A model file is quantized iff any layer's weight tensor carries int8 codes."""
     obj = read_model_json(path)
+    base_dir = Path(path).parent
     if any(isinstance(layer, dict) and isinstance(layer.get("weights"), dict)
            and "data_i8" in layer["weights"] for layer in obj["layers"]):
-        return qmodel_from_json(obj)
-    return model_from_json(obj, Path(path).parent)
+        return qmodel_from_json(obj, base_dir)
+    return model_from_json(obj, base_dir)
 
 
 def build_parser() -> _Parser:

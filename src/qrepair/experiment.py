@@ -213,9 +213,12 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
 
     strategies = {}
     reports = {}
+    # every repair below starts from the same model, repair set and config, so
+    # they keep meeting the same LPs; each distinct one is solved once
+    memo = {}
     for metric in METRICS:
         cfg = RepairConfig(**{**config.__dict__, "metric": metric})
-        patched, rep = repair(fmodel, qmodel, repair_set, val, cfg)
+        patched, rep = repair(fmodel, qmodel, repair_set, val, cfg, memo=memo)
         reports[metric] = rep
         strategies[metric] = {
             "accuracy_after": round6(rep.accuracy_after),
@@ -230,7 +233,8 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     rand_accs = []
     for _ in range(trials):
         order = [int(v) for v in rng_rand.permutation(width)]
-        _, rep = repair(fmodel, qmodel, repair_set, val, config, neuron_order=order)
+        _, rep = repair(fmodel, qmodel, repair_set, val, config, neuron_order=order,
+                        memo=memo)
         rand_accs.append(rep.accuracy_after)
     strategies["random"] = {
         "accuracy_after": round6(float(np.mean(rand_accs))),

@@ -11,6 +11,7 @@ the standard-form simplex.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,8 @@ from .model import Model, forward_batch
 from .model import capture_activations  # noqa: F401  perfbench/test_perfbench.py expects it bound here
 from .quantize import QuantizedModel
 from .simplex import SimplexResult, simplex_solve
+
+log = logging.getLogger("qrepair")
 
 
 class EmptyLPError(ValueError):
@@ -105,14 +108,45 @@ def build_neuron_lp(fmodel: Model, qmodel: QuantizedModel, neuron: tuple[int, in
                     epsilon, big_M_bound)
 
 
-def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
+def _memo_key(lp: NeuronLP) -> tuple:
+    """Everything the solver reads from `lp`; floats by their bits, so -0.0 is not 0.0."""
+    bound = None if lp.big_M_bound is None else float(lp.big_M_bound).hex()
+    return (lp.m, lp.w.tobytes(), float(lp.bias).hex(), float(lp.epsilon).hex(), bound,
+            tuple((con.x.tobytes(), con.target_status) for con in lp.constraints))
+
+
+def solve_lp(lp: NeuronLP, time_budget: float = 60.0, memo: dict | None = None
+             ) -> LPSolution:
     """Minimize M with |delta_i| <= M and every constraint met at margin epsilon.
 
     Statuses: optimal (minimal M found), infeasible (phase-1 certified),
     timeout (budget exceeded).
+
+    `memo`, a dict the caller owns, stores optimal and infeasible results
+    keyed by the LP's content; an identical LP later returns a copy of the
+    stored result without solving. The simplex is deterministic, so the copy
+    holds the bits a solve would compute, whatever `time_budget` is.
+    Timeouts are never stored.
     """
     if not lp.constraints:
         raise EmptyLPError("cannot solve an LP with no constraints")
+    if memo is None:
+        return _solve(lp, time_budget)
+    key = _memo_key(lp)
+    if key in memo:
+        log.debug("layer %d neuron %d: LP solution reused", lp.layer_index, lp.neuron_index)
+        return _copy(memo[key])
+    sol = _solve(lp, time_budget)
+    if sol.status != "timeout":
+        memo[key] = _copy(sol)  # the caller may mutate the deltas it gets back
+    return sol
+
+
+def _copy(sol: LPSolution) -> LPSolution:
+    return LPSolution(sol.status, sol.M, None if sol.deltas is None else sol.deltas.copy())
+
+
+def _solve(lp: NeuronLP, time_budget: float) -> LPSolution:
     m = lp.m
     n_vars = 2 * m + 1  # [p_0..p_{m-1}, q_0..q_{m-1}, M]
     rows, senses, rhs = [], [], []

@@ -24,6 +24,7 @@ from .model import (
     _capture_one,
     _forward_one,
     _one_row,
+    _tensor_from_json,
     forward_batch,
     read_model_json,
     validate_topology,
@@ -222,26 +223,31 @@ def save_qmodel(qmodel: QuantizedModel, path) -> None:
 
 
 def load_qmodel(path) -> QuantizedModel:
-    return qmodel_from_json(read_model_json(path))
+    return qmodel_from_json(read_model_json(path), Path(path).parent)
 
 
-def qmodel_from_json(obj: dict) -> QuantizedModel:
+def qmodel_from_json(obj: dict, base_dir: Path) -> QuantizedModel:
+    """Build a quantized model; `base_dir` resolves sidecar bias files."""
     layers = []
     for lobj in obj["layers"]:
         kind = lobj.get("kind")
         hyper = dict(lobj.get("hyperparams", {}))
-        bias = None
-        if "bias" in lobj:
-            bias = Tensor(tuple(lobj["bias"]["shape"]),
-                          np.asarray(lobj["bias"]["data"], dtype=np.float32))
+        bias = _tensor_from_json(lobj["bias"], base_dir) if "bias" in lobj else None
         if "weights" not in lobj:
             layers.append(QuantizedLayer(kind, None, bias, hyper))
             continue
         wobj = lobj["weights"]
+        if not isinstance(wobj, dict) or "shape" not in wobj:
+            raise ModelFormatError(f"{kind} layer weights need a 'shape'")
         shape = tuple(int(d) for d in wobj["shape"])
         if "data_i8" in wobj:
-            qw = QuantizedTensor(shape, np.asarray(wobj["data_i8"], dtype=np.int8),
-                                 float(wobj["scale"]), int(wobj.get("zero_point", 0)))
+            if "scale" not in wobj:
+                raise ModelFormatError(f"{kind} layer int8 weights need a 'scale'")
+            try:
+                qw = QuantizedTensor(shape, np.asarray(wobj["data_i8"], dtype=np.int8),
+                                     float(wobj["scale"]), int(wobj.get("zero_point", 0)))
+            except (ValueError, OverflowError) as e:  # numpy raises the latter past int8
+                raise ModelFormatError(str(e)) from None
             layers.append(QuantizedLayer(kind, qw, bias, hyper))
         elif "data" in wobj:
             # mixed-precision layer written after float patching

@@ -201,12 +201,13 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
 
 
 def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
-           config: RepairConfig, neuron_order: list[int] | None = None
-           ) -> tuple[QuantizedModel, RepairReport]:
+           config: RepairConfig, neuron_order: list[int] | None = None,
+           memo: dict | None = None) -> tuple[QuantizedModel, RepairReport]:
     """Run the repair pipeline; returns the patched model and its report.
 
     `neuron_order` overrides the metric ranking (used by the random-selection
-    baseline); importance values are then reported as 0.
+    baseline); importance values are then reported as 0. `memo` is passed to
+    `solve_lp`, so repairs that share it solve each distinct LP once.
     """
     check_same_topology(fmodel, qmodel)
     target = config.target_layer if config.target_layer is not None else fmodel.last_dense_index()
@@ -259,7 +260,7 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
             continue
         if config.lp_dir is not None:
             export_lp(lp, f"{config.lp_dir}/neuron_L{target}_N{n}.lp")
-        sol = solve_lp(lp, config.time_budget)
+        sol = solve_lp(lp, config.time_budget, memo=memo)
         if sol.status == "optimal":
             apply_deltas(patched, (target, n), sol.deltas, config.patch_mode)
         report.records.append(

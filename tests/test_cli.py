@@ -174,3 +174,43 @@ def test_nan_row_fails_with_finite_message(artifacts, tmp_path, capsys, command,
     capsys.readouterr()
     assert cli_main(argv) == 1
     assert "finite" in capsys.readouterr().err
+
+
+def _edited_quant_json(artifacts, tmp_path, edit):
+    obj = json.loads((artifacts / "quant.json").read_text())
+    edit(obj)
+    path = tmp_path / "quant.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_eval_quantized_model_with_sidecar_bias(artifacts, tmp_path):
+    def to_sidecar(obj):
+        blob = bytearray()
+        for layer in obj["layers"]:
+            if "bias" in layer:
+                data = np.asarray(layer["bias"].pop("data"), dtype="<f4")
+                layer["bias"].update(data_file="bias.bin", offset=len(blob))
+                blob += data.tobytes()
+        (tmp_path / "bias.bin").write_bytes(bytes(blob))
+
+    results = []
+    for i, model in enumerate((artifacts / "quant.json",
+                               _edited_quant_json(artifacts, tmp_path, to_sidecar))):
+        out = tmp_path / f"eval{i}.json"
+        assert cli_main(["eval", "--model", str(model), "--data",
+                         str(artifacts / "val.csv"), "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text()))
+    assert results[1] == results[0]
+
+
+def test_eval_quantized_model_without_scale_fails_cleanly(artifacts, tmp_path, capsys):
+    def drop_scale(obj):
+        next(l for l in obj["layers"] if "weights" in l)["weights"].pop("scale")
+
+    path = _edited_quant_json(artifacts, tmp_path, drop_scale)
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", str(path), "--data",
+                     str(artifacts / "val.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'scale'" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_model, grid_mlp
 from oracles import quantization_error_bound
-from qrepair.model import Tensor, argmax_label, forward
+from qrepair.model import ModelFormatError, Tensor, argmax_label, forward
 from qrepair.quantize import (
     QuantizedTensor,
     capture_activations_q,
@@ -190,6 +192,47 @@ def test_qmodel_json_roundtrip(tmp_path, conv3_model):
             assert np.array_equal(a.qweights.data, b.qweights.data)
             assert a.qweights.scale == b.qweights.scale
             assert np.array_equal(a.eff_weights, b.eff_weights)
+
+
+def _saved_qmodel_json(tmp_path, model):
+    path = tmp_path / "q.json"
+    save_qmodel(quantize_model(model), path)
+    return path, json.loads(path.read_text())
+
+
+def test_qmodel_sidecar_bias_loads_like_inline(tmp_path, conv3_model):
+    path, obj = _saved_qmodel_json(tmp_path, conv3_model)
+    blob = bytearray()
+    for layer in obj["layers"]:
+        if "bias" in layer:
+            data = np.asarray(layer["bias"].pop("data"), dtype="<f4")
+            layer["bias"].update(data_file="bias.bin", offset=len(blob))
+            blob += data.tobytes()
+    assert blob
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "bias.bin").write_bytes(bytes(blob))
+    (tmp_path / "side" / "q.json").write_text(json.dumps(obj))
+    inline, sidecar = load_qmodel(path), load_qmodel(tmp_path / "side" / "q.json")
+    for a, b in zip(inline.layers, sidecar.layers):
+        assert (a.bias is None) == (b.bias is None)
+        if a.bias is not None:
+            assert a.bias.shape == b.bias.shape
+            assert np.array_equal(a.bias.data, b.bias.data)
+        if a.eff_weights is not None:
+            assert np.array_equal(a.eff_weights, b.eff_weights)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda w: w.pop("scale"), "scale"),
+    (lambda w: w.pop("shape"), "shape"),
+    (lambda w: w["data_i8"].__setitem__(0, 200), "200"),
+], ids=["no_scale", "no_shape", "code_out_of_int8"])
+def test_malformed_qweights_raise_model_format_error(tmp_path, conv3_model, edit, message):
+    path, obj = _saved_qmodel_json(tmp_path, conv3_model)
+    edit(next(l["weights"] for l in obj["layers"] if "weights" in l))
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ModelFormatError, match=message):
+        load_qmodel(path)
 
 
 def test_quantized_tensor_invariants():
