@@ -12,11 +12,13 @@ from .localize import (
     METRICS,
     DiffMatrix,
     ImportanceScore,
+    LayerComparison,
     SpectraCounters,
     TestOutcome,
     accumulate_spectra,
     build_diff_matrix,
     classify_tests,
+    compare_at_layer,
     importance,
     importance_scores,
     rank_neurons,

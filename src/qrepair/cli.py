@@ -17,8 +17,8 @@ from pathlib import Path
 from . import experiment as exp
 from .data import load_dataset
 from .evaluate import accuracy
-from .localize import METRICS, accumulate_spectra, build_diff_matrix, classify_tests, \
-    importance_scores, spectra_csv
+from .localize import METRICS, accumulate_spectra, compare_at_layer, importance_scores, \
+    spectra_csv
 from .model import load_model, model_from_json, read_model_json
 from .quantize import load_qmodel, qmodel_from_json, quantize_model, save_qmodel
 from .repair import RepairConfig, repair
@@ -90,7 +90,6 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--patch-mode", choices=("float_patch", "requantize"),
                        default="float_patch")
     p_rep.add_argument("--max-constraints", type=int, default=64)
-    p_rep.add_argument("--recompute-inputs", action="store_true")
     p_rep.add_argument("--delta-bound", type=float)
     p_rep.add_argument("--lp-dir", help="dump every generated LP file here")
     p_rep.add_argument("--out", required=True, help="output directory")
@@ -138,9 +137,8 @@ def cmd_localize(args) -> int:
     qmodel = load_qmodel(args.quant)
     dataset = load_dataset(args.repair_set, num_classes=fmodel.num_classes)
     layer = args.layer if args.layer is not None else fmodel.last_dense_index()
-    outcomes = classify_tests(fmodel, qmodel, dataset)
-    diff = build_diff_matrix(fmodel, qmodel, dataset, layer)
-    counters = accumulate_spectra(diff, outcomes)
+    comparison = compare_at_layer(fmodel, qmodel, dataset, layer)
+    counters = accumulate_spectra(comparison.diff_matrix(), comparison.outcomes)
     scores = importance_scores(counters, args.metric)
     csv_text = spectra_csv(counters, scores)
     if args.out:
@@ -154,8 +152,7 @@ def cmd_repair(args) -> int:
         target_layer=args.layer, metric=args.metric, top_n=args.top,
         epsilon=args.epsilon, time_budget=args.time_budget,
         patch_mode=args.patch_mode, max_constraints=args.max_constraints,
-        recompute_inputs=args.recompute_inputs, delta_bound=args.delta_bound,
-        lp_dir=args.lp_dir,
+        delta_bound=args.delta_bound, lp_dir=args.lp_dir,
     )
     fmodel = load_model(args.float_model)
     qmodel = load_qmodel(args.quant)

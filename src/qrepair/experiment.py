@@ -29,7 +29,6 @@ from .model import Layer, Model, Tensor, save_model
 from .quantize import (
     QuantizedModel,
     QuantizedTensor,
-    dequantize,
     quantize_model,
     save_qmodel,
 )
@@ -124,10 +123,8 @@ def damage_layer(qmodel: QuantizedModel, layer_index: int,
     else:
         mask = rng.random(codes.shape) < flip_fraction
     damaged = np.where(mask, -codes, codes).astype(np.int8)
-    layer.qweights = QuantizedTensor(layer.qweights.shape, damaged,
-                                     layer.qweights.scale, layer.qweights.zero_point)
-    layer.eff_weights = dequantize(layer.qweights).array().astype(np.float32)
-    layer.patched_columns.clear()
+    layer.set_codes(QuantizedTensor(layer.qweights.shape, damaged,
+                                    layer.qweights.scale, layer.qweights.zero_point))
 
 
 def damaged_quantized_model(fmodel: Model, val: Dataset, repair_set: Dataset,

@@ -10,7 +10,8 @@ ranking below consumes).
 
 Counter naming: c_af / c_as count status differences on failing / passing
 tests, c_nf / c_ns the complements, so c_af + c_nf == #failing and
-c_as + c_ns == #passing for every neuron.
+c_as + c_ns == #passing for every neuron. Labels and statuses both come from
+`compare_at_layer`, one forward pass per model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Model, forward_batch
-from .quantize import QuantizedModel
+from .quantize import QuantizedModel, check_same_topology
 
 METRICS = ("tarantula", "ochiai", "dstar", "jaccard", "ample", "euclid", "wong3")
 
@@ -84,22 +85,58 @@ class ImportanceScore:
     value: float
 
 
+@dataclass(frozen=True)
+class LayerComparison:
+    """Two models compared on one dataset at one dense layer; the quantized
+    layer's weights and bias are copies, so later patches leave them be."""
+
+    layer_index: int
+    outcomes: list[TestOutcome]
+    failing: np.ndarray  # bool [tests]
+    status_float: np.ndarray  # bool [tests, neurons]: pre-activation > 0
+    status_quant: np.ndarray  # bool [tests, neurons]
+    inputs: np.ndarray  # float32 [tests, in_dim], the quantized layer's input rows
+    weights: np.ndarray  # float32 [in_dim, neurons], the weights inference uses
+    bias: np.ndarray | None  # [neurons]
+
+    def diff_matrix(self) -> DiffMatrix:
+        return DiffMatrix(self.layer_index, self.status_float != self.status_quant)
+
+
+def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
+                     layer_index: int) -> LayerComparison:
+    """Run `dataset` once through each model and compare them at a dense layer.
+
+    Raises ValueError for models of different topology, or a layer index
+    out of range or not of a dense layer.
+    """
+    check_same_topology(fmodel, qmodel)
+    if not 0 <= layer_index < len(fmodel.layers):
+        raise ValueError(f"layer {layer_index} is out of range 0..{len(fmodel.layers) - 1}")
+    if fmodel.layers[layer_index].kind != "dense":
+        raise ValueError(f"layer {layer_index} is not dense")
+    logits_f, pre_f, _ = forward_batch(fmodel, dataset.features, {layer_index})
+    logits_q, pre_q, inputs = forward_batch(qmodel, dataset.features, {layer_index},
+                                            input_of=layer_index)
+    float_labels, quant_labels = logits_f.argmax(axis=1), logits_q.argmax(axis=1)
+    outcomes = [TestOutcome(test_id, int(fl), int(ql))
+                for test_id, fl, ql in zip(dataset.ids, float_labels, quant_labels)]
+    qlayer = qmodel.layers[layer_index]
+    bias = None if qlayer.bias is None else qlayer.bias.data.copy()
+    return LayerComparison(layer_index, outcomes, float_labels != quant_labels,
+                           pre_f[layer_index] > 0, pre_q[layer_index] > 0, inputs,
+                           qlayer.eff_weights.copy(), bias)
+
+
 def classify_tests(fmodel: Model, qmodel: QuantizedModel, dataset) -> list[TestOutcome]:
     """Label every repair-set input passing or failing by model agreement."""
-    float_labels = forward_batch(fmodel, dataset.features)[0].argmax(axis=1)
-    quant_labels = forward_batch(qmodel, dataset.features)[0].argmax(axis=1)
-    return [TestOutcome(test_id, int(fl), int(ql))
-            for test_id, fl, ql in zip(dataset.ids, float_labels, quant_labels)]
+    return compare_at_layer(fmodel, qmodel, dataset, fmodel.last_dense_index()).outcomes
 
 
 def build_diff_matrix(fmodel: Model, qmodel: QuantizedModel, dataset,
                       layer_index: int) -> DiffMatrix:
     """entry[t][n] = |status_float(t,n) - status_quant(t,n)| on a dense layer."""
-    if fmodel.layers[layer_index].kind != "dense":
-        raise ValueError(f"layer {layer_index} is not dense")
-    pre_f = forward_batch(fmodel, dataset.features, {layer_index})[1][layer_index]
-    pre_q = forward_batch(qmodel, dataset.features, {layer_index})[1][layer_index]
-    return DiffMatrix(layer_index, (pre_f > 0) != (pre_q > 0))
+    return compare_at_layer(fmodel, qmodel, dataset, layer_index).diff_matrix()
 
 
 def accumulate_spectra(diff: DiffMatrix, outcomes: list[TestOutcome]) -> SpectraCounters:

@@ -4,9 +4,10 @@ For a dense-layer neuron with incoming weights w and bias b, each repair-set
 input whose activation status differs between the float and quantized models
 contributes one constraint on the correction deltas: the corrected
 pre-activation (w + delta).x + b must land strictly on the float model's side
-of zero, realized with margin epsilon. The objective minimizes the box radius
-M bounding every |delta_i|; deltas are split into positive/negative parts for
-the standard-form simplex.
+of zero, realized with margin epsilon. The objective minimizes the box
+radius M bounding every |delta_i|; deltas are split into positive/negative
+parts for the standard-form simplex. The statuses, x, w and b all come from
+one `localize.LayerComparison`, so building an LP runs no model.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Model, forward_batch
+from .localize import LayerComparison
 from .model import capture_activations  # noqa: F401  perfbench/test_perfbench.py expects it bound here
-from .quantize import QuantizedModel
 from .simplex import SimplexResult, simplex_solve
 
 log = logging.getLogger("qrepair")
@@ -70,41 +70,30 @@ class LPSolution:
     deltas: np.ndarray | None = None
 
 
-def build_neuron_lp(fmodel: Model, qmodel: QuantizedModel, neuron: tuple[int, int],
-                    dataset, epsilon: float = 1e-3, max_constraints: int = 64,
-                    big_M_bound: float | None = None, outcomes=None) -> NeuronLP:
-    """Collect the correction constraints for one dense-layer neuron.
+def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1e-3,
+                    max_constraints: int = 64, big_M_bound: float | None = None) -> NeuronLP:
+    """Collect the correction constraints for one neuron of the compared layer.
 
     One constraint per test whose status on this neuron differs between the
     two models, failing tests first in dataset order, capped at
     `max_constraints`. Raises EmptyLPError when no test disagrees.
     """
-    layer_index, neuron_index = neuron
-    qlayer = qmodel.layers[layer_index]
-    if qlayer.kind != "dense":
-        raise ValueError(f"layer {layer_index} is not dense")
-    logits_f, pre_f, _ = forward_batch(fmodel, dataset.features, {layer_index})
-    logits_q, pre_q, x_in = forward_batch(qmodel, dataset.features, {layer_index},
-                                          input_of=layer_index)
-    if outcomes is None:
-        failing = logits_f.argmax(axis=1) != logits_q.argmax(axis=1)
-    else:
-        failing = np.array([o.is_failing for o in outcomes], dtype=bool)
-    status_f = (pre_f[layer_index][:, neuron_index] > 0).astype(int)
-    status_q = (pre_q[layer_index][:, neuron_index] > 0).astype(int)
-    order = np.concatenate([np.flatnonzero(failing), np.flatnonzero(~failing)])
+    c = comparison
+    status_f = c.status_float[:, neuron].astype(int)
+    status_q = c.status_quant[:, neuron].astype(int)
+    order = np.concatenate([np.flatnonzero(c.failing), np.flatnonzero(~c.failing)])
     chosen = order[status_f[order] != status_q[order]][: max(max_constraints, 0)]
 
-    w = qlayer.eff_weights[:, neuron_index].astype(np.float64)
-    bias = float(qlayer.bias.data[neuron_index]) if qlayer.bias is not None else 0.0
-    constraints = [LPConstraint(x_in[i].astype(np.float64), int(status_f[i]),
+    w = c.weights[:, neuron].astype(np.float64)
+    bias = float(c.bias[neuron]) if c.bias is not None else 0.0
+    constraints = [LPConstraint(c.inputs[i].astype(np.float64), int(status_f[i]),
                                 int(status_q[i]), int(i)) for i in chosen]
 
     if not constraints:
         raise EmptyLPError(
-            f"neuron ({layer_index},{neuron_index}) has no status-disagreeing tests"
+            f"neuron ({c.layer_index},{neuron}) has no status-disagreeing tests"
         )
-    return NeuronLP(layer_index, neuron_index, w.size, w, bias, constraints,
+    return NeuronLP(c.layer_index, neuron, w.size, w, bias, constraints,
                     epsilon, big_M_bound)
 
 

@@ -231,7 +231,7 @@ def apply_layer(layer_kind: str, x: np.ndarray, weights: np.ndarray | None,
         k = int(hyperparams.get("kernel", 2))
         return _maxpool2d(x, k, int(hyperparams.get("stride", k)))
     if layer_kind == "flatten":
-        return x.reshape(len(x), -1)
+        return x.reshape(len(x), math.prod(x.shape[1:]))
     raise ModelFormatError(f"unknown layer kind {layer_kind!r}")
 
 
@@ -256,7 +256,7 @@ def forward_batch(model, inputs, capture=(), input_of: int | None = None):
     captured, layer_input = {}, None
     for i, (kind, w, b, hyperparams) in enumerate(model.layer_arrays()):
         if i == input_of:
-            layer_input = x.reshape(n, -1)
+            layer_input = x.reshape(n, math.prod(x.shape[1:]))
         x = apply_layer(kind, x, w, b, hyperparams)
         if i in capture:
             captured[i] = x

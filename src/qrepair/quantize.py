@@ -103,6 +103,12 @@ class QuantizedLayer:
     def weight_shape(self):
         return None if self.eff_weights is None else self.eff_weights.shape
 
+    def set_codes(self, qweights: QuantizedTensor) -> None:
+        """Install new int8 weights; inference then uses what they dequantize to."""
+        self.qweights = qweights
+        self.eff_weights = dequantize(qweights).array().astype(np.float32)
+        self.patched_columns.clear()
+
 
 @dataclass
 class QuantizedModel:
@@ -227,7 +233,7 @@ def load_qmodel(path) -> QuantizedModel:
 
 
 def qmodel_from_json(obj: dict, base_dir: Path) -> QuantizedModel:
-    """Build a quantized model; `base_dir` resolves sidecar bias files."""
+    """Build a quantized model; `base_dir` resolves sidecar (`data_file`) tensors."""
     layers = []
     for lobj in obj["layers"]:
         kind = lobj.get("kind")
@@ -249,16 +255,13 @@ def qmodel_from_json(obj: dict, base_dir: Path) -> QuantizedModel:
             except (ValueError, OverflowError) as e:  # numpy raises the latter past int8
                 raise ModelFormatError(str(e)) from None
             layers.append(QuantizedLayer(kind, qw, bias, hyper))
-        elif "data" in wobj:
+        elif "data" in wobj or "data_file" in wobj:
             # mixed-precision layer written after float patching
-            eff = np.asarray(wobj["data"], dtype=np.float32).reshape(shape)
-            peak = float(np.max(np.abs(eff))) if eff.size else 0.0
-            scale = peak / INT8_MAX if peak > 0 else 1.0
-            qw = QuantizedTensor(shape, quantize_values(eff.reshape(-1), scale), scale)
-            layers.append(QuantizedLayer(kind, qw, bias, hyper, eff,
-                                         set(range(shape[-1]))))
+            eff = _tensor_from_json(wobj, base_dir)
+            layers.append(QuantizedLayer(kind, quantize_tensor(eff), bias, hyper,
+                                         eff.array(), set(range(shape[-1]))))
         else:
-            raise ModelFormatError("weight tensor needs 'data_i8' or 'data'")
+            raise ModelFormatError("weight tensor needs 'data_i8', 'data' or 'data_file'")
     qm = QuantizedModel(layers, tuple(obj["input_shape"]), int(obj["num_classes"]))
     _validate_qmodel(qm)
     return qm

@@ -1,12 +1,11 @@
 """End-to-end repair: spectra, ranking, per-neuron LP solve, weight patching.
 
-The pipeline classifies the repair set, builds the activation-difference
-spectra for the target dense layer once, ranks neurons by the configured
-metric, then walks the top-N neurons solving each one's correction LP and
-patching the solved deltas in. Each LP is built from the pre-repair model
-by default; `recompute_inputs` builds it from the model patched so far. The
-two agree under float_patch, which changes only the repaired column, but
-not under requantize, which re-rounds every column of the layer.
+The pipeline compares the float and the pre-repair quantized model on the
+repair set once, at the target dense layer (`localize.compare_at_layer`:
+one forward pass per model). That comparison classifies the tests, gives
+the activation-difference spectra the configured metric ranks neurons by,
+and supplies every top-N neuron's correction LP, so each LP is built from
+the pre-repair model. The solved deltas are patched into a copy.
 """
 
 from __future__ import annotations
@@ -20,24 +19,14 @@ import numpy as np
 
 from .evaluate import accuracy, fidelity
 from .localize import (
-    SpectraCounters,
     accumulate_spectra,
-    build_diff_matrix,
-    classify_tests,
+    compare_at_layer,
     importance_scores,
     rank_neurons,
 )
 from .lp import EmptyLPError, build_neuron_lp, export_lp, solve_lp
-from .model import Model
-from .quantize import (
-    QuantizedModel,
-    QuantizedTensor,
-    check_same_topology,
-    clone_quantized,
-    dequantize,
-    quantize_values,
-    INT8_MAX,
-)
+from .model import Model, Tensor
+from .quantize import QuantizedModel, clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
 
@@ -53,7 +42,6 @@ class RepairConfig:
     time_budget: float = 60.0
     patch_mode: str = "float_patch"
     max_constraints: int = 64
-    recompute_inputs: bool = False
     dstar_exponent: int = 2
     delta_bound: float | None = None  # optional |delta| box fed to the LP
     lp_dir: str | None = None
@@ -189,13 +177,7 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
     elif patch_mode == "requantize":
         full = layer.eff_weights.astype(np.float64)
         full[:, neuron_index] = corrected
-        peak = float(np.max(np.abs(full)))
-        scale = peak / INT8_MAX if peak > 0 else 1.0
-        layer.qweights = QuantizedTensor(
-            layer.qweights.shape, quantize_values(full.reshape(-1), scale), scale
-        )
-        layer.eff_weights = dequantize(layer.qweights).array().astype(np.float32)
-        layer.patched_columns.clear()
+        layer.set_codes(quantize_tensor(Tensor(full.shape, full)))
     else:
         raise ValueError(f"unknown patch_mode {patch_mode!r}")
 
@@ -209,11 +191,8 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
     baseline); importance values are then reported as 0. `memo` is passed to
     `solve_lp`, so repairs that share it solve each distinct LP once.
     """
-    check_same_topology(fmodel, qmodel)
     target = config.target_layer if config.target_layer is not None else fmodel.last_dense_index()
-    if fmodel.layers[target].kind != "dense":
-        raise ValueError(f"target layer {target} is not dense")
-
+    comparison = compare_at_layer(fmodel, qmodel, repair_set, target)
     patched = clone_quantized(qmodel)
     report = RepairReport(target_layer=target, metric=config.metric)
 
@@ -221,7 +200,7 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         report.accuracy_before = accuracy(patched, validation_set).accuracy
         report.fidelity_before = fidelity(fmodel, patched, validation_set)
 
-    outcomes = classify_tests(fmodel, patched, repair_set)
+    outcomes = comparison.outcomes
     report.n_failing = sum(1 for o in outcomes if o.is_failing)
     report.n_passing = len(outcomes) - report.n_failing
     if report.n_failing == 0:
@@ -231,29 +210,22 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         report.fidelity_after = report.fidelity_before
         return patched, report
 
-    width = fmodel.layers[target].weights.shape[1]
     if neuron_order is not None:
         order = list(neuron_order)
         by_neuron = {n: 0.0 for n in order}
     else:
-        diff = build_diff_matrix(fmodel, patched, repair_set, target)
-        counters: SpectraCounters = accumulate_spectra(diff, outcomes)
+        counters = accumulate_spectra(comparison.diff_matrix(), outcomes)
         scores = importance_scores(counters, config.metric, config.dstar_exponent)
         order = rank_neurons(scores)
         by_neuron = {s.neuron_index: s.value for s in scores}
-    targets = order[: min(config.top_n, width)]
+    targets = order[: min(config.top_n, comparison.weights.shape[1])]
 
     for rank, n in enumerate(targets, start=1):
         t0 = time.monotonic()
         try:
-            # constraints come from the pre-repair model unless recompute_inputs
-            # asks for the progressively patched one
-            lp = build_neuron_lp(
-                fmodel, patched if config.recompute_inputs else qmodel,
-                (target, n), repair_set, epsilon=config.epsilon,
-                max_constraints=config.max_constraints,
-                big_M_bound=config.delta_bound, outcomes=outcomes,
-            )
+            lp = build_neuron_lp(comparison, n, epsilon=config.epsilon,
+                                 max_constraints=config.max_constraints,
+                                 big_M_bound=config.delta_bound)
         except EmptyLPError:
             report.records.append(
                 NeuronRecord(n, rank, by_neuron[n], "skipped", None, time.monotonic() - t0))

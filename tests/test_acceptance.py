@@ -20,6 +20,7 @@ from qrepair.localize import (
     accumulate_spectra,
     build_diff_matrix,
     classify_tests,
+    compare_at_layer,
     importance,
 )
 from qrepair.lp import LPConstraint, NeuronLP, build_neuron_lp, check_solution, \
@@ -150,15 +151,13 @@ def test_constraint_fidelity_after_repair(blobs_fixture):
         config = RepairConfig(metric="tarantula", top_n=5, patch_mode="float_patch")
         patched, report = repair(fmodel, qmodel, repair_set, val, config)
         target = report.target_layer
-        outcomes = classify_tests(fmodel, qmodel, repair_set)
+        comparison = compare_at_layer(fmodel, qmodel, repair_set, target)
         solved = [r for r in report.records if r.status == "optimal"]
         assert solved, "fixture must yield at least one repaired neuron"
         checked = 0
         for rec in solved:
-            lp = build_neuron_lp(fmodel, qmodel, (target, rec.neuron), repair_set,
-                                 epsilon=config.epsilon,
-                                 max_constraints=config.max_constraints,
-                                 outcomes=outcomes)
+            lp = build_neuron_lp(comparison, rec.neuron, epsilon=config.epsilon,
+                                 max_constraints=config.max_constraints)
             for con in lp.constraints:
                 x = repair_set.input_array(con.test_id, fmodel.input_shape)
                 (rec_q,) = capture_activations_q(patched, x, {target})

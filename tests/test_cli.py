@@ -176,6 +176,19 @@ def test_nan_row_fails_with_finite_message(artifacts, tmp_path, capsys, command,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layer", ["99", "-1"])
+@pytest.mark.parametrize("command", ["localize", "repair"])
+def test_bad_layer_fails_with_error_naming_it(artifacts, tmp_path, capsys, command, layer):
+    argv = [command, "--float", str(artifacts / "float.json"),
+            "--quant", str(artifacts / "quant.json"),
+            "--repair-set", str(artifacts / "repair.csv"), "--layer", layer]
+    if command == "repair":
+        argv += ["--val", str(artifacts / "val.csv"), "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert f"error: layer {layer} is out of range" in capsys.readouterr().err
+
+
 def _edited_quant_json(artifacts, tmp_path, edit):
     obj = json.loads((artifacts / "quant.json").read_text())
     edit(obj)

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import struct
 
@@ -81,6 +82,18 @@ def test_seeded_run_is_byte_deterministic(tmp_path):
     assert json.dumps(a) == json.dumps(b)
     assert (tmp_path / "a" / "experiment_report.json").read_bytes() == \
         (tmp_path / "b" / "experiment_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed,sha256", [
+    (42, "6f41b135c693609a3572163866070475c558428e8dd34a96dd6be0eac8654d1a"),
+    (7, "0bd4ff9b31dd0470d9027e37cf2968b1b7a320d7f06c26475d4011f6d8f16682"),
+])
+def test_default_experiment_report_fingerprint(tmp_path, seed, sha256):
+    # the default experiment's report bytes; a change that moves them must be
+    # deliberate and explained, never a side effect of a refactor
+    run_experiment(preset="mlp-blobs", seed=seed, out_dir=tmp_path)
+    raw = (tmp_path / "experiment_report.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == sha256
 
 
 def test_unknown_preset():

@@ -142,11 +142,12 @@ def test_classify_exact_quantization_no_failures():
     assert all(not o.is_failing for o in outcomes)
 
 
-def test_classify_empty_dataset():
-    model = dense_model(np.eye(2))
-    qm = quantize_model(model)
-    ds = make_dataset(np.zeros((0, 2)), labels=np.zeros(0), num_classes=2)
-    assert classify_tests(model, qm, ds) == []
+def test_classify_empty_dataset(conv3_model):
+    for model in (dense_model(np.eye(2)), conv3_model):
+        qm = quantize_model(model)
+        ds = make_dataset(np.zeros((0, math.prod(model.input_shape))), labels=np.zeros(0),
+                          num_classes=model.num_classes)
+        assert classify_tests(model, qm, ds) == []
 
 
 def test_classify_conv3_fixture_fails_on_row7(conv3_model, conv3_val):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import GOLDEN, dense_model, make_dataset, manual_qmodel
 from oracles import grid_oracle
+from qrepair.localize import compare_at_layer
 from qrepair.lp import (
     EmptyLPError,
     LPConstraint,
@@ -41,7 +42,7 @@ def fq_pair():
 def test_build_classic_case():
     fmodel, qmodel = fq_pair()
     ds = make_dataset([[1.0, 1.0]], labels=[0], num_classes=2)
-    lp = build_neuron_lp(fmodel, qmodel, (0, 0), ds, epsilon=0.0)
+    lp = build_neuron_lp(compare_at_layer(fmodel, qmodel, ds, 0), 0, epsilon=0.0)
     assert lp.m == 2
     np.testing.assert_allclose(lp.w, [1.0, -2.0])
     assert len(lp.constraints) == 1
@@ -57,7 +58,7 @@ def test_build_skips_agreeing_tests():
     # neuron 1: rows [1,1] and [1,2] disagree, [1,0] agrees (both zero -> off)
     ds = make_dataset([[1.0, 1.0], [1.0, 2.0], [1.0, 0.0]], labels=[0, 0, 0],
                       num_classes=2)
-    lp = build_neuron_lp(fmodel, qmodel, (0, 1), ds, epsilon=0.0)
+    lp = build_neuron_lp(compare_at_layer(fmodel, qmodel, ds, 0), 1, epsilon=0.0)
     assert len(lp.constraints) == 2
     assert {c.test_id for c in lp.constraints} == {0, 1}
 
@@ -71,7 +72,8 @@ def test_build_failing_first_and_cap():
 
     outcomes = classify_tests(fmodel, qmodel, ds)
     assert [o.is_failing for o in outcomes] == [False, True]
-    lp = build_neuron_lp(fmodel, qmodel, (0, 1), ds, epsilon=0.0, max_constraints=1)
+    lp = build_neuron_lp(compare_at_layer(fmodel, qmodel, ds, 0), 1, epsilon=0.0,
+                         max_constraints=1)
     assert len(lp.constraints) == 1
     assert lp.constraints[0].test_id == 1  # failing test takes priority
 
@@ -81,7 +83,7 @@ def test_build_empty_lp_signaled():
     qmodel = manual_qmodel(fmodel, [np.array([[1, 0], [0, 1]])])
     ds = make_dataset([[1.0, 1.0]], labels=[0], num_classes=2)
     with pytest.raises(EmptyLPError):
-        build_neuron_lp(fmodel, qmodel, (0, 0), ds)
+        build_neuron_lp(compare_at_layer(fmodel, qmodel, ds, 0), 0)
 
 
 def test_build_rejects_non_dense(conv3_model):
@@ -90,7 +92,7 @@ def test_build_rejects_non_dense(conv3_model):
     qm = quantize_model(conv3_model)
     ds = make_dataset(np.zeros((1, 64)), labels=[0], num_classes=10)
     with pytest.raises(ValueError):
-        build_neuron_lp(conv3_model, qm, (0, 0), ds)
+        build_neuron_lp(compare_at_layer(conv3_model, qm, ds, 0), 0)
 
 
 # --- solve ----------------------------------------------------------------

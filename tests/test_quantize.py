@@ -19,6 +19,7 @@ from qrepair.quantize import (
     quantized_forward,
     save_qmodel,
 )
+from qrepair.repair import apply_deltas
 
 
 def test_all_zero_tensor_degenerate_rule():
@@ -220,6 +221,30 @@ def test_qmodel_sidecar_bias_loads_like_inline(tmp_path, conv3_model):
             assert np.array_equal(a.bias.data, b.bias.data)
         if a.eff_weights is not None:
             assert np.array_equal(a.eff_weights, b.eff_weights)
+
+
+def test_float_patched_sidecar_weights_load_like_inline(tmp_path, conv3_model):
+    qm = quantize_model(conv3_model)
+    last = qm.last_dense_index()
+    apply_deltas(qm, (last, 1), np.full(qm.layers[last].eff_weights.shape[0], 0.01),
+                 "float_patch")
+    path = tmp_path / "q.json"
+    save_qmodel(qm, path)
+    obj = json.loads(path.read_text())
+    weights = obj["layers"][last]["weights"]
+    data = np.asarray(weights.pop("data"), dtype="<f4")
+    weights.update(data_file="w.bin", offset=8)
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "w.bin").write_bytes(bytes(8) + data.tobytes())
+    (tmp_path / "side" / "q.json").write_text(json.dumps(obj))
+    inline, sidecar = load_qmodel(path), load_qmodel(tmp_path / "side" / "q.json")
+    assert sidecar.layers[last].patched_columns
+    for a, b in zip(inline.layers, sidecar.layers):
+        assert a.patched_columns == b.patched_columns
+        if a.eff_weights is not None:
+            assert a.eff_weights.tobytes() == b.eff_weights.tobytes()
+            assert a.qweights.data.tobytes() == b.qweights.data.tobytes()
+            assert a.qweights.scale == b.qweights.scale
 
 
 @pytest.mark.parametrize("edit,message", [

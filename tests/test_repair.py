@@ -1,11 +1,14 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import qrepair.model as model_mod
+
 from conftest import GOLDEN, dense_model, grid_mlp, make_dataset, make_desk_parts, manual_qmodel
 from qrepair.experiment import PresetSpec
-from qrepair.localize import classify_tests
+from qrepair.localize import classify_tests, compare_at_layer
 from qrepair.lp import build_neuron_lp, solve_lp
 from qrepair.quantize import (
     capture_activations_q,
@@ -65,14 +68,12 @@ def test_desk_fixture_constraint_fidelity(desk_fixture):
     config = RepairConfig(metric="tarantula", top_n=5)
     patched, report = repair(fmodel, qmodel, repair_set, val, config)
     target = report.target_layer
-    outcomes = classify_tests(fmodel, qmodel, repair_set)
+    comparison = compare_at_layer(fmodel, qmodel, repair_set, target)
     solved = [r for r in report.records if r.status == "optimal"]
     assert solved, "fixture should produce at least one repaired neuron"
     for rec in solved:
-        lp = build_neuron_lp(fmodel, qmodel, (target, rec.neuron), repair_set,
-                             epsilon=config.epsilon,
-                             max_constraints=config.max_constraints,
-                             outcomes=outcomes)
+        lp = build_neuron_lp(comparison, rec.neuron, epsilon=config.epsilon,
+                             max_constraints=config.max_constraints)
         for con in lp.constraints:
             x = repair_set.input_array(con.test_id, fmodel.input_shape)
             (rec_q,) = capture_activations_q(patched, x, {target})
@@ -140,18 +141,24 @@ def test_repair_deterministic(desk_fixture):
     assert r1.to_json() == r2.to_json()
 
 
-def test_recompute_inputs_equivalent_for_single_layer(desk_fixture):
-    # under float_patch only the repaired column of the target layer changes,
-    # so no other neuron's inputs, weights or statuses drift and both modes
-    # produce the same repairs; requantize re-rounds every column, and there
-    # the two modes can differ
+def test_repair_runs_each_model_once_over_the_repair_set(desk_fixture, monkeypatch):
+    # ranking and every neuron's LP read one comparison of the pre-repair models
     fmodel, qmodel, repair_set, val = desk_fixture
-    _, r_default = repair(fmodel, qmodel, repair_set, val,
-                          RepairConfig(metric="wong3", top_n=3))
-    _, r_recompute = repair(fmodel, qmodel, repair_set, val,
-                            RepairConfig(metric="wong3", top_n=3,
-                                         recompute_inputs=True))
-    assert r_default.to_json() == r_recompute.to_json()
+    real = model_mod.forward_batch
+    seen = []
+
+    def counting(model, inputs, *args, **kwargs):
+        if inputs is repair_set.features:
+            seen.append(model)
+        return real(model, inputs, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qrepair") and getattr(module, "forward_batch", None) is real:
+            monkeypatch.setattr(module, "forward_batch", counting)
+    _, report = repair(fmodel, qmodel, repair_set, val, RepairConfig(top_n=3))
+    assert report.count("optimal") >= 2
+    assert len(seen) == 2
+    assert {id(m) for m in seen} == {id(fmodel), id(qmodel)}
 
 
 @pytest.mark.parametrize("patch_mode", ["float_patch", "requantize"])
@@ -184,11 +191,11 @@ def test_repair_after_reload_holds_constraints(tmp_path, seed):
     save_qmodel(second, tmp_path / "second.json")
     stored = load_qmodel(tmp_path / "second.json")
     target = report.target_layer
-    outcomes = classify_tests(fmodel, reloaded, repair_set)
+    comparison = compare_at_layer(fmodel, reloaded, repair_set, target)
     solved = [r.neuron for r in report.records if r.status == "optimal"]
     assert solved, "the second repair should solve at least one neuron"
     for n in solved:
-        lp = build_neuron_lp(fmodel, reloaded, (target, n), repair_set, outcomes=outcomes)
+        lp = build_neuron_lp(comparison, n)
         for con in lp.constraints:
             x = repair_set.input_array(con.test_id, fmodel.input_shape)
             (rec,) = capture_activations_q(stored, x, {target})
@@ -238,7 +245,7 @@ def test_apply_deltas_continues_analytic_example():
 
     fmodel, qmodel2 = wpair()
     ds = make_dataset([[1.0, 1.0]], labels=[0], num_classes=2)
-    lp = build_neuron_lp(fmodel, qmodel2, (0, 0), ds, epsilon=1e-3)
+    lp = build_neuron_lp(compare_at_layer(fmodel, qmodel2, ds, 0), 0, epsilon=1e-3)
     sol = solve_lp(lp, 10.0)
     assert sol.status == "optimal"
     assert sol.M == pytest.approx(0.5005, abs=1e-6)

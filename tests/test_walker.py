@@ -12,7 +12,7 @@ import pytest
 from conftest import make_dataset, make_desk_parts
 from qrepair.evaluate import accuracy, fidelity
 from qrepair.experiment import PresetSpec
-from qrepair.localize import build_diff_matrix, classify_tests
+from qrepair.localize import build_diff_matrix, classify_tests, compare_at_layer
 from qrepair.lp import EmptyLPError, build_neuron_lp
 from qrepair.model import (
     Layer,
@@ -128,11 +128,11 @@ def test_lp_constraints_match_rows(case, max_constraints):
         status_f = (row_pre(fmodel, dataset, layer) > 0).astype(int)
         status_q = (row_pre(qmodel, dataset, layer) > 0).astype(int)
         x_in = [layer_input_vector(qmodel, x, layer) for x in rows(qmodel, dataset)]
+        comparison = compare_at_layer(fmodel, qmodel, dataset, layer)
         for n in range(status_f.shape[1]):
             want = [i for i in order if status_f[i, n] != status_q[i, n]][:max_constraints]
             try:
-                lp = build_neuron_lp(fmodel, qmodel, (layer, n), dataset,
-                                     max_constraints=max_constraints)
+                lp = build_neuron_lp(comparison, n, max_constraints=max_constraints)
             except EmptyLPError:
                 assert want == [], (layer, n)
                 continue
