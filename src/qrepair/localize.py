@@ -199,11 +199,9 @@ def importance(counters: tuple[int, int, int, int], metric: str,
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def importance_scores(counters: SpectraCounters, metric: str,
-                      dstar_exponent: int = 2) -> list[ImportanceScore]:
+def importance_scores(counters: SpectraCounters, metric: str) -> list[ImportanceScore]:
     """Score every neuron; infinities become (max finite score + 1)."""
-    raw = [importance(counters.neuron(n), metric, dstar_exponent)
-           for n in range(len(counters))]
+    raw = [importance(counters.neuron(n), metric) for n in range(len(counters))]
     finite = [v for v in raw if math.isfinite(v)]
     sentinel = (max(finite) if finite else 0.0) + 1.0
     return [ImportanceScore(n, metric, v if math.isfinite(v) else sentinel)

@@ -1,8 +1,10 @@
-"""Feed-forward classifier representation and float32 inference.
+"""Feed-forward classifier structure, validation, float32 inference and JSON I/O.
 
-Models are immutable once loaded: layers hold their weight tensors and the
-forward pass never mutates them, so a single Model can be shared across
-worker threads.
+`quantize.QuantizedModel` is a `Model` with int8 weights. Both expose
+`layer_arrays()`, the (kind, weights, bias, hyperparams) view that one
+validator (`validate_topology`, run whenever a model is built or loaded)
+and one batched walker (`forward_batch`) read. Inference never mutates a
+model, so one model can be shared across threads.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ from pathlib import Path
 import numpy as np
 
 LAYER_KINDS = ("dense", "relu", "conv2d", "maxpool2d", "flatten")
+WEIGHT_RANKS = {"dense": 2, "conv2d": 4}  # the kinds that carry weights
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model file cannot be parsed."""
+    """Raised when a model file or a model's layer is malformed."""
 
 
 class ShapeMismatchError(ValueError):
-    """Raised when consecutive layer shapes do not compose."""
+    """Raised when tensor or layer shapes do not fit together."""
 
 
 @dataclass
@@ -35,12 +38,8 @@ class Tensor:
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
         self.data = np.asarray(self.data).reshape(-1)
-        if int(np.prod(self.shape)) != self.data.size:
-            raise ShapeMismatchError(
-                f"shape {self.shape} needs {int(np.prod(self.shape))} values, got {self.data.size}"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("tensor values must be finite")
+        if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
+            raise ShapeMismatchError(f"shape {self.shape} does not fit {self.data.size} values")
 
     @classmethod
     def from_array(cls, arr) -> "Tensor":
@@ -58,10 +57,6 @@ class Layer:
     bias: Tensor | None = None
     hyperparams: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ModelFormatError(f"unknown layer kind {self.kind!r}")
-
 
 @dataclass
 class Model:
@@ -71,19 +66,18 @@ class Model:
 
     def __post_init__(self):
         self.input_shape = tuple(int(d) for d in self.input_shape)
-        validate_topology(self.layers, self.input_shape, self.num_classes)
+        self.num_classes = int(self.num_classes)
+        validate_topology(self)
 
     def dense_layer_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind == "dense"]
 
     def last_dense_index(self) -> int:
-        idxs = self.dense_layer_indices()
-        if not idxs:
-            raise ShapeMismatchError("model has no dense layer")
-        return idxs[-1]
+        return self.dense_layer_indices()[-1]  # validation makes the final layer dense
 
     def layer_arrays(self) -> list[tuple]:
-        """(kind, weights, bias, hyperparams) per layer: the view inference runs on."""
+        """(kind, weights, bias, hyperparams) per layer: the view validation and
+        inference read."""
         return [(l.kind, None if l.weights is None else l.weights.array(),
                  None if l.bias is None else l.bias.array(), l.hyperparams)
                 for l in self.layers]
@@ -106,81 +100,74 @@ class ActivationRecord:
             raise ShapeMismatchError("status length must match pre-activation size")
 
 
-def _conv2d_output_shape(shape, layer: Layer):
+def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
+    """Check one layer of the `layer_arrays()` view against its input `shape`
+    and return the shape it outputs (valid padding)."""
+    if kind not in LAYER_KINDS:
+        raise ModelFormatError(f"unknown layer kind {kind!r}")
+    rank = WEIGHT_RANKS.get(kind)
+    if rank is None and (w is not None or b is not None):
+        raise ModelFormatError(f"a {kind} layer takes no weights or bias")
+    if rank is not None:
+        if w is None:
+            raise ModelFormatError(f"{kind} layer needs weights")
+        if w.ndim != rank:
+            raise ModelFormatError(f"{kind} weights need rank {rank}, got shape {w.shape}")
+        if b is not None and b.shape != w.shape[-1:]:
+            raise ShapeMismatchError(f"{kind} bias shape {b.shape} != ({w.shape[-1]},)")
+        if not np.isfinite(w).all() or (b is not None and not np.isfinite(b).all()):
+            raise ModelFormatError(f"{kind} weights and bias must be finite")
+    if kind == "relu":
+        return shape
+    if kind == "flatten":
+        return (math.prod(shape),)
+    if kind == "dense":
+        if len(shape) != 1 or shape[0] != w.shape[0]:
+            raise ShapeMismatchError(f"dense expects flat input ({w.shape[0]},), got {shape}")
+        return (w.shape[1],)
     if len(shape) != 3:
-        raise ShapeMismatchError(f"conv2d expects [h, w, c] input, got {shape}")
-    h, w, c = shape
-    kh, kw, in_ch, out_ch = layer.weights.shape
-    sh = int(layer.hyperparams.get("stride", 1))
-    if in_ch != c:
-        raise ShapeMismatchError(f"conv2d expects {in_ch} input channels, got {c}")
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sh + 1
+        raise ShapeMismatchError(f"{kind} expects [h, w, c] input, got {shape}")
+    h, wd, c = shape
+    if kind == "conv2d":
+        kh, kw, in_ch, out_ch = w.shape
+        stride = int(hyperparams.get("stride", 1))
+        if in_ch != c:
+            raise ShapeMismatchError(f"conv2d expects {in_ch} input channels, got {c}")
+    else:  # maxpool2d
+        kh = kw = int(hyperparams.get("kernel", 2))
+        stride = int(hyperparams.get("stride", kh))
+        out_ch = c
+    if min(kh, kw, stride) < 1:
+        raise ModelFormatError(f"{kind} window {kh}x{kw} and stride {stride} must be positive")
+    ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeMismatchError(f"conv2d kernel {kh}x{kw} too large for input {shape}")
+        raise ShapeMismatchError(f"{kind} window {kh}x{kw} too large for input {shape}")
     return (ho, wo, out_ch)
 
 
-def _maxpool_output_shape(shape, layer: Layer):
-    if len(shape) != 3:
-        raise ShapeMismatchError(f"maxpool2d expects [h, w, c] input, got {shape}")
-    h, w, c = shape
-    k = int(layer.hyperparams.get("kernel", 2))
-    s = int(layer.hyperparams.get("stride", k))
-    ho = (h - k) // s + 1
-    wo = (w - k) // s + 1
-    if ho < 1 or wo < 1:
-        raise ShapeMismatchError(f"maxpool2d window {k} too large for input {shape}")
-    return (ho, wo, c)
+def validate_topology(model) -> None:
+    """Check a Model or a QuantizedModel through its `layer_arrays()` view.
 
-
-def layer_output_shape(shape: tuple[int, ...], layer: Layer) -> tuple[int, ...]:
-    """Shape produced by `layer` on an input of `shape` (valid padding)."""
-    if layer.kind == "dense":
-        if len(shape) != 1:
-            raise ShapeMismatchError(f"dense expects flat input, got {shape}")
-        in_dim, out_dim = layer.weights.shape
-        if shape[0] != in_dim:
-            raise ShapeMismatchError(f"dense expects input dim {in_dim}, got {shape[0]}")
-        return (out_dim,)
-    if layer.kind == "relu":
-        return shape
-    if layer.kind == "conv2d":
-        return _conv2d_output_shape(shape, layer)
-    if layer.kind == "maxpool2d":
-        return _maxpool_output_shape(shape, layer)
-    if layer.kind == "flatten":
-        return (int(np.prod(shape)),)
-    raise ModelFormatError(f"unknown layer kind {layer.kind!r}")
-
-
-def validate_topology(layers, input_shape, num_classes):
-    if not layers:
+    Raises ModelFormatError (unknown kind, missing, misranked or non-finite
+    weights) or ShapeMismatchError (a bias or a layer input that does not
+    fit, a final layer that is not dense with `num_classes` outputs); each
+    message starts with the index of the layer at fault.
+    """
+    views = model.layer_arrays()
+    if not views:
         raise ShapeMismatchError("model needs at least one layer")
-    shape = tuple(input_shape)
-    for i, layer in enumerate(layers):
-        if layer.kind == "dense":
-            in_dim, out_dim = layer.weights.shape
-            if layer.bias is not None and layer.bias.shape != (out_dim,):
-                raise ShapeMismatchError(
-                    f"layer {i}: dense bias shape {layer.bias.shape} != ({out_dim},)"
-                )
-        if layer.kind == "conv2d" and layer.bias is not None:
-            out_ch = layer.weights.shape[3]
-            if layer.bias.shape != (out_ch,):
-                raise ShapeMismatchError(
-                    f"layer {i}: conv bias shape {layer.bias.shape} != ({out_ch},)"
-                )
+    shape = model.input_shape
+    for i, (kind, w, b, hyperparams) in enumerate(views):
         try:
-            shape = layer_output_shape(shape, layer)
+            shape = _output_shape(shape, kind, w, b, hyperparams)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"layer {i}: {e}") from None
-    last = layers[-1]
-    if last.kind != "dense":
-        raise ShapeMismatchError("final layer must be dense")
-    if shape != (num_classes,):
+        except (ValueError, TypeError, OverflowError) as e:  # e.g. a stride of "x" or 1e400
+            raise ModelFormatError(f"layer {i}: {e}") from None
+    if views[-1][0] != "dense" or shape != (model.num_classes,):
         raise ShapeMismatchError(
-            f"final dense output {shape} does not match num_classes {num_classes}"
+            f"layer {len(views) - 1}: the final layer must be dense with "
+            f"{model.num_classes} outputs, got {views[-1][0]} with output {shape}"
         )
 
 
@@ -318,15 +305,18 @@ def argmax_label(logits) -> int:
 
 # --- JSON (de)serialization ---------------------------------------------
 #
-# Format: {"input_shape": [...], "num_classes": k, "layers": [...]}. Weight
-# tensors are {"shape": [...], "data": [...]} with decimal float literals, or
-# {"shape": [...], "data_file": "blob.bin", "offset": 0} pointing at a
-# little-endian float32 sidecar blob for large tensors.
+# Format: {"input_shape": [...], "num_classes": k, "layers": [...]}. A layer
+# is {"kind": ..., "weights": ..., "bias": ..., "hyperparams": {...}}, with
+# weights and bias optional. Float tensors are {"shape": [...], "data": [...]}
+# with decimal float literals, or {"shape": [...], "data_file": "blob.bin",
+# "offset": 0} pointing at a little-endian float32 sidecar blob for large
+# tensors. The quantized format (quantize.py) shares this envelope and differs
+# only in how it encodes weights.
 
 
 def _tensor_from_json(obj, base_dir: Path) -> Tensor:
     if not isinstance(obj, dict) or "shape" not in obj:
-        raise ModelFormatError(f"bad tensor object: {obj!r}")
+        raise ModelFormatError("a tensor must be an object with a 'shape'")
     shape = tuple(int(d) for d in obj["shape"])
     count = int(np.prod(shape))
     if "data" in obj:
@@ -339,30 +329,12 @@ def _tensor_from_json(obj, base_dir: Path) -> Tensor:
             raise ModelFormatError(f"sidecar {path} has {raw.size} values, need {count}")
         data = raw
     else:
-        raise ModelFormatError("tensor needs 'data' or 'data_file'")
-    try:
-        return Tensor(shape, data)
-    except ValueError as e:
-        raise ModelFormatError(str(e)) from None
+        raise ModelFormatError("a tensor needs 'data' or 'data_file'")
+    return Tensor(shape, data)
 
 
-def _tensor_to_json(t: Tensor) -> dict:
-    return {"shape": list(t.shape), "data": [float(v) for v in t.data]}
-
-
-def _layer_from_json(obj, base_dir: Path) -> Layer:
-    if "kind" not in obj:
-        raise ModelFormatError("layer missing 'kind'")
-    kind = obj["kind"]
-    weights = _tensor_from_json(obj["weights"], base_dir) if "weights" in obj else None
-    bias = _tensor_from_json(obj["bias"], base_dir) if "bias" in obj else None
-    hyper = dict(obj.get("hyperparams", {}))
-    if kind in ("dense", "conv2d") and weights is None:
-        raise ModelFormatError(f"{kind} layer needs weights")
-    try:
-        return Layer(kind, weights, bias, hyper)
-    except ValueError as e:
-        raise ModelFormatError(str(e)) from None
+def _array_to_json(arr: np.ndarray) -> dict:
+    return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
 
 
 def read_model_json(path) -> dict:
@@ -375,12 +347,61 @@ def read_model_json(path) -> dict:
     for key in ("input_shape", "num_classes", "layers"):
         if not isinstance(obj, dict) or key not in obj:
             raise ModelFormatError(f"{path}: missing {key!r}")
+    shape = obj["input_shape"]
+    if not (isinstance(shape, list) and all(isinstance(d, int) for d in shape)
+            and isinstance(obj["num_classes"], int) and isinstance(obj["layers"], list)):
+        raise ModelFormatError(f"{path}: 'input_shape' must be a list of integers, "
+                               "'num_classes' an integer and 'layers' a list")
     return obj
 
 
+def layers_from_json(obj: dict, base_dir: Path, make_layer) -> list:
+    """Read the envelope's layers, each an object with a 'kind', an optional
+    bias and hyperparams; `make_layer(kind, weights_obj or None, bias,
+    hyperparams, base_dir)` decodes the format's own weight encoding. A
+    malformed layer raises ModelFormatError naming its index."""
+    layers = []
+    for i, lobj in enumerate(obj["layers"]):
+        try:
+            if not isinstance(lobj, dict) or "kind" not in lobj:
+                raise ModelFormatError("a layer must be an object with a 'kind'")
+            bias = _tensor_from_json(lobj["bias"], base_dir) if "bias" in lobj else None
+            hyperparams = dict(lobj.get("hyperparams", {}))
+            layers.append(make_layer(lobj["kind"], lobj.get("weights"), bias, hyperparams,
+                                     base_dir))
+        except (ValueError, TypeError, OverflowError, OSError) as e:  # OSError: a sidecar file
+            raise ModelFormatError(f"layer {i}: {e}") from None
+    return layers
+
+
+def write_model_json(model: Model, path, weights_to_json) -> None:
+    """Write `model` in the shared envelope; `weights_to_json(layer)` encodes a
+    layer's weights in the format's own way, or returns None for none."""
+    layers = []
+    for layer in model.layers:
+        lobj = {"kind": layer.kind}
+        weights = weights_to_json(layer)
+        if weights is not None:
+            lobj["weights"] = weights
+        if layer.bias is not None:
+            lobj["bias"] = _array_to_json(layer.bias.array())
+        if layer.hyperparams:
+            lobj["hyperparams"] = layer.hyperparams
+        layers.append(lobj)
+    obj = {"input_shape": list(model.input_shape), "num_classes": model.num_classes,
+           "layers": layers}
+    Path(path).write_text(json.dumps(obj))
+
+
+def _float_layer(kind, wobj, bias, hyperparams, base_dir) -> Layer:
+    weights = None if wobj is None else _tensor_from_json(wobj, base_dir)
+    return Layer(kind, weights, bias, hyperparams)
+
+
 def model_from_json(obj: dict, base_dir: Path) -> Model:
-    layers = [_layer_from_json(l, base_dir) for l in obj["layers"]]
-    return Model(layers, tuple(obj["input_shape"]), int(obj["num_classes"]))
+    """Build a float model; `base_dir` resolves sidecar (`data_file`) tensors."""
+    return Model(layers_from_json(obj, base_dir, _float_layer), obj["input_shape"],
+                 obj["num_classes"])
 
 
 def load_model(path) -> Model:
@@ -389,18 +410,5 @@ def load_model(path) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    obj = {
-        "input_shape": list(model.input_shape),
-        "num_classes": model.num_classes,
-        "layers": [],
-    }
-    for layer in model.layers:
-        lobj = {"kind": layer.kind}
-        if layer.weights is not None:
-            lobj["weights"] = _tensor_to_json(layer.weights)
-        if layer.bias is not None:
-            lobj["bias"] = _tensor_to_json(layer.bias)
-        if layer.hyperparams:
-            lobj["hyperparams"] = layer.hyperparams
-        obj["layers"].append(lobj)
-    Path(path).write_text(json.dumps(obj))
+    write_model_json(model, path, lambda layer: None if layer.weights is None
+                     else _array_to_json(layer.weights.array()))

@@ -5,29 +5,35 @@ Weights map through r = S*(q - Z) with Z fixed at 0 and q clamped to
 scheme). Quantized inference dequantizes the weights once and computes in
 float32, which is numerically identical to on-the-fly dequantization for
 this scheme.
+
+A `QuantizedModel` is a `model.Model` whose layers hold int8 codes and the
+float32 weights inference uses (`eff_weights`); it overrides only
+`layer_arrays()`, so the float model's validator, walker and JSON envelope
+serve it unchanged. Its file format differs only in the weight encoding.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
-    Layer,
     Model,
     ModelFormatError,
     ActivationRecord,
     Tensor,
+    _array_to_json,
     _capture_one,
     _forward_one,
     _one_row,
     _tensor_from_json,
     forward_batch,
+    layers_from_json,
     read_model_json,
-    validate_topology,
+    write_model_json,
 )
 from .model import apply_layer  # noqa: F401  perfbench/test_perfbench.py expects it bound here
 
@@ -44,9 +50,9 @@ class QuantizedTensor:
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
         self.data = np.asarray(self.data, dtype=np.int8).reshape(-1)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if int(np.prod(self.shape)) != self.data.size:
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
             raise ValueError(f"shape {self.shape} does not match {self.data.size} values")
         if np.any(np.abs(self.data.astype(np.int32)) > INT8_MAX):
             raise ValueError("quantized values must lie in [-127, 127]")
@@ -100,9 +106,6 @@ class QuantizedLayer:
         if self.eff_weights is None and self.qweights is not None:
             self.eff_weights = dequantize(self.qweights).array().astype(np.float32)
 
-    def weight_shape(self):
-        return None if self.eff_weights is None else self.eff_weights.shape
-
     def set_codes(self, qweights: QuantizedTensor) -> None:
         """Install new int8 weights; inference then uses what they dequantize to."""
         self.qweights = qweights
@@ -110,26 +113,12 @@ class QuantizedLayer:
         self.patched_columns.clear()
 
 
-@dataclass
-class QuantizedModel:
-    layers: list[QuantizedLayer]
-    input_shape: tuple[int, ...]
-    num_classes: int
-
-    def __post_init__(self):
-        self.input_shape = tuple(int(d) for d in self.input_shape)
-
-    def dense_layer_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.layers) if l.kind == "dense"]
-
-    def last_dense_index(self) -> int:
-        idxs = self.dense_layer_indices()
-        if not idxs:
-            raise ValueError("model has no dense layer")
-        return idxs[-1]
+class QuantizedModel(Model):
+    """A Model of QuantizedLayers: inference and validation read `eff_weights`."""
 
     def layer_arrays(self) -> list[tuple]:
-        """(kind, eff_weights, bias, hyperparams) per layer: the view inference runs on."""
+        """(kind, eff_weights, bias, hyperparams) per layer: the view validation
+        and inference read."""
         return [(l.kind, l.eff_weights, None if l.bias is None else l.bias.array(),
                  l.hyperparams) for l in self.layers]
 
@@ -180,52 +169,57 @@ def clone_quantized(qmodel: QuantizedModel) -> QuantizedModel:
 
 
 def check_same_topology(model: Model, qmodel: QuantizedModel) -> None:
-    if len(model.layers) != len(qmodel.layers):
+    """Raise ValueError unless the models have the same layer kinds and weight shapes."""
+    def structure(m):
+        return [(kind, None if w is None else w.shape) for kind, w, _, _ in m.layer_arrays()]
+
+    fs, qs = structure(model), structure(qmodel)
+    if len(fs) != len(qs):
         raise ValueError("models differ in layer count")
-    for i, (fl, ql) in enumerate(zip(model.layers, qmodel.layers)):
-        if fl.kind != ql.kind:
-            raise ValueError(f"layer {i}: kind {fl.kind} vs {ql.kind}")
-        fshape = fl.weights.shape if fl.weights is not None else None
-        if fshape != ql.weight_shape():
-            raise ValueError(f"layer {i}: weight shape {fshape} vs {ql.weight_shape()}")
+    for i, (f, q) in enumerate(zip(fs, qs)):
+        if f != q:
+            raise ValueError(f"layer {i}: {f[0]} weights {f[1]} vs {q[0]} weights {q[1]}")
 
 
 # --- JSON (de)serialization ---------------------------------------------
 #
-# Same envelope as the float format; weight tensors are
+# The float format's envelope (model.py); weight tensors are
 # {"shape": [...], "scale": s, "zero_point": 0, "data_i8": [...]}. A layer
 # that received full-precision repair patches is stored with a float "data"
-# tensor instead (mixed-precision extension).
+# tensor instead (mixed-precision extension), inline or in a sidecar.
+
+
+def _qweights_to_json(layer: QuantizedLayer) -> dict | None:
+    if layer.qweights is None:
+        return None
+    if layer.patched_columns:
+        return _array_to_json(layer.eff_weights)
+    qw = layer.qweights
+    return {"shape": list(qw.shape), "scale": qw.scale, "zero_point": qw.zero_point,
+            "data_i8": [int(v) for v in qw.data]}
+
+
+def _quantized_layer(kind, wobj, bias, hyperparams, base_dir) -> QuantizedLayer:
+    if wobj is None:
+        return QuantizedLayer(kind, None, bias, hyperparams)
+    if isinstance(wobj, dict) and "data_i8" in wobj:
+        for key in ("shape", "scale"):
+            if key not in wobj:
+                raise ModelFormatError(f"int8 weights need a {key!r}")
+        codes = np.asarray(wobj["data_i8"], dtype=np.int8)  # OverflowError past int8
+        if not np.array_equal(codes, wobj["data_i8"]):
+            raise ModelFormatError("int8 codes must be integers")
+        qw = QuantizedTensor(wobj["shape"], codes, float(wobj["scale"]),
+                             int(wobj.get("zero_point", 0)))
+        return QuantizedLayer(kind, qw, bias, hyperparams)
+    # mixed-precision layer written after float patching
+    eff = _tensor_from_json(wobj, base_dir)
+    patched = set(range(eff.shape[-1])) if eff.shape else set()
+    return QuantizedLayer(kind, quantize_tensor(eff), bias, hyperparams, eff.array(), patched)
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:
-    obj = {
-        "input_shape": list(qmodel.input_shape),
-        "num_classes": qmodel.num_classes,
-        "layers": [],
-    }
-    for layer in qmodel.layers:
-        lobj = {"kind": layer.kind}
-        if layer.qweights is not None:
-            if layer.patched_columns:
-                lobj["weights"] = {
-                    "shape": list(layer.eff_weights.shape),
-                    "data": [float(v) for v in layer.eff_weights.reshape(-1)],
-                }
-            else:
-                lobj["weights"] = {
-                    "shape": list(layer.qweights.shape),
-                    "scale": layer.qweights.scale,
-                    "zero_point": layer.qweights.zero_point,
-                    "data_i8": [int(v) for v in layer.qweights.data],
-                }
-        if layer.bias is not None:
-            lobj["bias"] = {"shape": list(layer.bias.shape),
-                            "data": [float(v) for v in layer.bias.data]}
-        if layer.hyperparams:
-            lobj["hyperparams"] = layer.hyperparams
-        obj["layers"].append(lobj)
-    Path(path).write_text(json.dumps(obj))
+    write_model_json(qmodel, path, _qweights_to_json)
 
 
 def load_qmodel(path) -> QuantizedModel:
@@ -234,44 +228,5 @@ def load_qmodel(path) -> QuantizedModel:
 
 def qmodel_from_json(obj: dict, base_dir: Path) -> QuantizedModel:
     """Build a quantized model; `base_dir` resolves sidecar (`data_file`) tensors."""
-    layers = []
-    for lobj in obj["layers"]:
-        kind = lobj.get("kind")
-        hyper = dict(lobj.get("hyperparams", {}))
-        bias = _tensor_from_json(lobj["bias"], base_dir) if "bias" in lobj else None
-        if "weights" not in lobj:
-            layers.append(QuantizedLayer(kind, None, bias, hyper))
-            continue
-        wobj = lobj["weights"]
-        if not isinstance(wobj, dict) or "shape" not in wobj:
-            raise ModelFormatError(f"{kind} layer weights need a 'shape'")
-        shape = tuple(int(d) for d in wobj["shape"])
-        if "data_i8" in wobj:
-            if "scale" not in wobj:
-                raise ModelFormatError(f"{kind} layer int8 weights need a 'scale'")
-            try:
-                qw = QuantizedTensor(shape, np.asarray(wobj["data_i8"], dtype=np.int8),
-                                     float(wobj["scale"]), int(wobj.get("zero_point", 0)))
-            except (ValueError, OverflowError) as e:  # numpy raises the latter past int8
-                raise ModelFormatError(str(e)) from None
-            layers.append(QuantizedLayer(kind, qw, bias, hyper))
-        elif "data" in wobj or "data_file" in wobj:
-            # mixed-precision layer written after float patching
-            eff = _tensor_from_json(wobj, base_dir)
-            layers.append(QuantizedLayer(kind, quantize_tensor(eff), bias, hyper,
-                                         eff.array(), set(range(shape[-1]))))
-        else:
-            raise ModelFormatError("weight tensor needs 'data_i8', 'data' or 'data_file'")
-    qm = QuantizedModel(layers, tuple(obj["input_shape"]), int(obj["num_classes"]))
-    _validate_qmodel(qm)
-    return qm
-
-
-def _validate_qmodel(qm: QuantizedModel) -> None:
-    pseudo = []
-    for l in qm.layers:
-        w = None
-        if l.eff_weights is not None:
-            w = Tensor(l.eff_weights.shape, l.eff_weights.reshape(-1))
-        pseudo.append(Layer(l.kind, w, l.bias, l.hyperparams))
-    validate_topology(pseudo, qm.input_shape, qm.num_classes)
+    return QuantizedModel(layers_from_json(obj, base_dir, _quantized_layer),
+                          obj["input_shape"], obj["num_classes"])

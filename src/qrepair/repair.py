@@ -42,7 +42,6 @@ class RepairConfig:
     time_budget: float = 60.0
     patch_mode: str = "float_patch"
     max_constraints: int = 64
-    dstar_exponent: int = 2
     delta_bound: float | None = None  # optional |delta| box fed to the LP
     lp_dir: str | None = None
 
@@ -215,7 +214,7 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         by_neuron = {n: 0.0 for n in order}
     else:
         counters = accumulate_spectra(comparison.diff_matrix(), outcomes)
-        scores = importance_scores(counters, config.metric, config.dstar_exponent)
+        scores = importance_scores(counters, config.metric)
         order = rank_neurons(scores)
         by_neuron = {s.neuron_index: s.value for s in scores}
     targets = order[: min(config.top_n, comparison.weights.shape[1])]

@@ -1,14 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import make_desk_parts
+from conftest import FIXTURES, make_desk_parts
 from qrepair.cli import cli_main
 from qrepair.data import save_dataset
 from qrepair.experiment import PresetSpec
-from qrepair.model import save_model
-from qrepair.quantize import load_qmodel, save_qmodel
+from qrepair.model import ModelFormatError, ShapeMismatchError, load_model, save_model
+from qrepair.quantize import load_qmodel, quantize_model, save_qmodel
 
 SPEC = PresetSpec(dim=8, num_classes=3, hidden=10, n_train=200, n_repair=80,
                   n_val=80, epochs=20, lr=0.15, batch=32)
@@ -227,3 +228,59 @@ def test_eval_quantized_model_without_scale_fails_cleanly(artifacts, tmp_path, c
                      str(artifacts / "val.csv")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'scale'" in err
+
+
+def _conv_weights_rank_2(layers):
+    weights = layers[0]["weights"]
+    key = "data_i8" if "data_i8" in weights else "data"
+    weights["shape"], weights[key] = [4, 4], weights[key][:16]
+
+
+def _nan_weight(layers):
+    weights = layers[4]["weights"]
+    count = int(np.prod(weights["shape"]))
+    # the quantized format carries float weights only in a float-patched layer
+    layers[4]["weights"] = {"shape": weights["shape"], "data": [math.nan] + [0.0] * (count - 1)}
+
+
+MALFORMED_LAYERS = {  # case: (index of the layer at fault, edit of the layer list)
+    "non_object_layer": (0, lambda layers: layers.__setitem__(0, 5)),
+    "dense_without_weights": (4, lambda layers: layers[4].pop("weights")),
+    "conv_without_weights": (1, lambda layers: layers[1].pop("weights")),
+    "conv_weights_rank_2": (0, _conv_weights_rank_2),
+    "nan_weight": (4, _nan_weight),
+    "nan_scale": (4, lambda layers: layers[4]["weights"].__setitem__("scale", math.nan)),
+    "infinite_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": 1e400})),
+    "missing_sidecar": (4, lambda layers: layers[4].__setitem__(
+        "weights", {"shape": layers[4]["weights"]["shape"], "data_file": "missing.bin"})),
+}
+
+
+@pytest.fixture(scope="module")
+def conv3_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("conv3")
+    save_qmodel(quantize_model(load_model(FIXTURES / "conv3.json")), root / "quant.json")
+    return {"float": FIXTURES / "conv3.json", "quant": root / "quant.json"}
+
+
+@pytest.mark.parametrize("fmt,case", [
+    (fmt, case) for fmt in ("float", "quant") for case in MALFORMED_LAYERS
+    if (fmt, case) != ("float", "nan_scale")  # a float model has no scale
+])
+def test_malformed_model_file_fails_naming_the_layer(conv3_files, tmp_path, capsys, fmt, case):
+    index, edit = MALFORMED_LAYERS[case]
+    obj = json.loads(conv3_files[fmt].read_text())
+    edit(obj["layers"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises((ModelFormatError, ShapeMismatchError), match=rf"^layer {index}: "):
+        (load_model if fmt == "float" else load_qmodel)(bad)
+
+    models = {**conv3_files, fmt: bad}
+    data = str(FIXTURES / "conv3_val.csv")
+    pair = ["--float", str(models["float"]), "--quant", str(models["quant"]), "--repair-set", data]
+    for argv in (["eval", "--model", str(bad), "--data", data], ["localize", *pair],
+                 ["repair", *pair, "--val", data, "--out", str(tmp_path / "run")]):
+        capsys.readouterr()
+        assert cli_main(argv) == 1, argv[0]
+        assert capsys.readouterr().err.startswith(f"error: layer {index}: "), argv[0]

@@ -84,16 +84,26 @@ def test_seeded_run_is_byte_deterministic(tmp_path):
         (tmp_path / "b" / "experiment_report.json").read_bytes()
 
 
+MODEL_FILE_SHA256 = {  # the bytes the model writers produce for the default experiment
+    42: {"float_model.json": "9afa3cbec844ff76b509711e65ae75b580cb45cdad1b04af4f1807e9d1137974",
+         "quantized_model.json": "1f3068d3bd639f381b4cb1e2d64e2f011dbd6da8c4b69e22b23e574941825cf4"},
+    7: {"float_model.json": "8696a07b3ac2fe831a5e7b9486a165afa3519f395e25388e84dea8d71dc30e52",
+        "quantized_model.json": "68c107bafce3c7a00357748c6a4c1a14143a28d592bcb99996ab7b454043e527"},
+}
+
+
 @pytest.mark.parametrize("seed,sha256", [
     (42, "6f41b135c693609a3572163866070475c558428e8dd34a96dd6be0eac8654d1a"),
     (7, "0bd4ff9b31dd0470d9027e37cf2968b1b7a320d7f06c26475d4011f6d8f16682"),
 ])
 def test_default_experiment_report_fingerprint(tmp_path, seed, sha256):
-    # the default experiment's report bytes; a change that moves them must be
-    # deliberate and explained, never a side effect of a refactor
+    # the default experiment's report and model-file bytes; a change that
+    # moves them must be deliberate and explained, never a side effect of a
+    # refactor
     run_experiment(preset="mlp-blobs", seed=seed, out_dir=tmp_path)
-    raw = (tmp_path / "experiment_report.json").read_bytes()
-    assert hashlib.sha256(raw).hexdigest() == sha256
+    files = {"experiment_report.json": sha256, **MODEL_FILE_SHA256[seed]}
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    assert got == files
 
 
 def test_unknown_preset():

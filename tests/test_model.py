@@ -262,8 +262,11 @@ def test_sidecar_binary_tensor(tmp_path):
 def test_tensor_invariants():
     with pytest.raises(ShapeMismatchError):
         Tensor((3,), np.zeros(2))
-    with pytest.raises(ValueError):
-        Tensor((2,), np.array([1.0, np.nan]))
+    with pytest.raises(ShapeMismatchError):
+        Tensor((-1, -2), np.zeros(2))
+    # finiteness is checked once, when a model is built, not per Tensor
+    with pytest.raises(ModelFormatError, match="layer 0: .*finite"):
+        dense_model(np.array([[1.0, np.nan]]))
 
 
 def test_concurrent_inference_safe(conv3_model):

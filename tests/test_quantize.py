@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qrepair.quantize import (
     quantized_forward,
     save_qmodel,
 )
-from qrepair.repair import apply_deltas
+from qrepair.repair import RepairConfig, apply_deltas, repair
 
 
 def test_all_zero_tensor_degenerate_rule():
@@ -251,7 +252,10 @@ def test_float_patched_sidecar_weights_load_like_inline(tmp_path, conv3_model):
     (lambda w: w.pop("scale"), "scale"),
     (lambda w: w.pop("shape"), "shape"),
     (lambda w: w["data_i8"].__setitem__(0, 200), "200"),
-], ids=["no_scale", "no_shape", "code_out_of_int8"])
+    (lambda w: w.__setitem__("scale", math.nan), "scale"),
+    (lambda w: w.__setitem__("scale", math.inf), "scale"),
+    (lambda w: w["data_i8"].__setitem__(0, 1.7), "integers"),
+], ids=["no_scale", "no_shape", "code_out_of_int8", "nan_scale", "inf_scale", "fractional_code"])
 def test_malformed_qweights_raise_model_format_error(tmp_path, conv3_model, edit, message):
     path, obj = _saved_qmodel_json(tmp_path, conv3_model)
     edit(next(l["weights"] for l in obj["layers"] if "weights" in l))
@@ -260,8 +264,24 @@ def test_malformed_qweights_raise_model_format_error(tmp_path, conv3_model, edit
         load_qmodel(path)
 
 
+def test_float_patched_qmodel_save_load_save_is_byte_identical(tmp_path, conv3_model, conv3_val):
+    # a float_patch repair stores the patched layer as float "data" (mixed
+    # precision); reading it back and writing it again changes no byte
+    qm = quantize_model(conv3_model)
+    patched, report = repair(conv3_model, qm, conv3_val, None, RepairConfig(top_n=3))
+    assert report.count("optimal") > 0
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_qmodel(patched, first)
+    assert any("data" in l.get("weights", {}) for l in json.loads(first.read_text())["layers"])
+    save_qmodel(load_qmodel(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_quantized_tensor_invariants():
     with pytest.raises(ValueError):
         QuantizedTensor((1,), np.array([1], np.int8), scale=0.0)
+    for scale in (math.nan, math.inf):  # a JSON 1e400 reads as inf
+        with pytest.raises(ValueError, match="scale"):
+            QuantizedTensor((1,), np.array([1], np.int8), scale=scale)
     with pytest.raises(ValueError):
         QuantizedTensor((2,), np.array([1], np.int8), scale=1.0)

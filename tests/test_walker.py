@@ -24,6 +24,7 @@ from qrepair.model import (
     forward_batch,
 )
 from qrepair.quantize import (
+    QuantizedModel,
     capture_activations_q,
     layer_input_vector,
     quantize_model,
@@ -67,12 +68,12 @@ def rows(model, dataset):
 
 
 def row_labels(model, dataset) -> np.ndarray:
-    run = forward if isinstance(model, Model) else quantized_forward
+    run = quantized_forward if isinstance(model, QuantizedModel) else forward
     return np.array([argmax_label(run(model, x)) for x in rows(model, dataset)])
 
 
 def row_pre(model, dataset, layer) -> np.ndarray:
-    capture = capture_activations if isinstance(model, Model) else capture_activations_q
+    capture = capture_activations_q if isinstance(model, QuantizedModel) else capture_activations
     return np.array([capture(model, x, {layer})[0].pre_activation.data
                      for x in rows(model, dataset)])
 
