@@ -3,18 +3,21 @@
 
 Each rung is one dense-neuron repair LP with m inputs and k=64
 status-disagreeing tests (`repair_lp` in tests/conftest.py, seed 1000 + m),
-solved by `lp.solve_lp`. For each rung the record holds the median seconds
-over the repeats, the pivot count and M as float.hex. Runs of different
-checkouts go under their own --label in one file, so the same LPs can be
-compared across solver versions:
+solved by `lp.solve_lp` with a 120 s budget. For each rung the record holds
+the status, the median seconds over the repeats, the pivot count and M as
+float.hex; a rung that runs past the budget is recorded as a timeout. Runs
+of different checkouts go under their own --label in one file, so the same
+LPs can be compared across solver versions:
 
-    python3 scripts/lp_ladder.py --label change --out BENCH_3.json
-    python3 scripts/lp_ladder.py --label parent --src ../parent/src --out BENCH_3.json
+    python3 scripts/lp_ladder.py --label change --out BENCH_7.json
+    python3 scripts/lp_ladder.py --label parent --src ../parent/src --out BENCH_7.json
+    python3 scripts/lp_ladder.py --label ci --rungs 24,64 --out ladder.json
 
 --src selects the qrepair sources to time (default: this checkout's src/);
 the LPs always come from this checkout's tests/conftest.py, which needs
-pytest importable. On a 2-vCPU Xeon VM the whole ladder took 35 s with a
-per-row pivot loop and 23 s with whole-array pivots. BLAS runs on one thread. Pivots are counted by wrapping `qrepair.simplex._pivot`, the
+pytest importable. --rungs picks the widths (default: all). The exit status
+is 1 when a rung is not optimal, after the record is written. BLAS runs on
+one thread. Pivots are counted by wrapping `qrepair.simplex._pivot`, the
 module global the solver pivots through.
 """
 
@@ -31,8 +34,9 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNGS = (24, 64, 128, 256)
+RUNGS = (24, 64, 128, 256, 512, 1024)
 K = 64
+BUDGET_S = 120.0
 REPEAT_S = 2.0  # repeat a rung until this much time has passed, up to 5 runs
 
 
@@ -65,7 +69,7 @@ def run_rung(m: int) -> dict:
         while len(times) < 5 and (not times or sum(times) < REPEAT_S):
             count[0] = 0
             t0 = time.perf_counter()
-            sol = qrepair.lp.solve_lp(lp, time_budget=600.0)
+            sol = qrepair.lp.solve_lp(lp, time_budget=BUDGET_S)
             times.append(time.perf_counter() - t0)
             pivots.add(count[0])
     finally:
@@ -82,17 +86,20 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="name of this run in the record")
     parser.add_argument("--src", default=str(ROOT / "src"), help="qrepair sources to time")
     parser.add_argument("--out", required=True, help="JSON record to create or update")
+    parser.add_argument("--rungs", default=",".join(map(str, RUNGS)),
+                        help="comma-separated widths m to run (default: all)")
     args = parser.parse_args(argv)
+    widths = [int(m) for m in args.rungs.split(",")]
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import numpy as np
 
     started = time.perf_counter()
     rungs = []
-    for m in RUNGS:
+    for m in widths:
         rungs.append(run_rung(m))
-        print(f"m={m:4d}  {rungs[-1]['seconds']:8.3f} s  pivots {rungs[-1]['pivots']:6d}"
-              f"  M {rungs[-1]['M']}", flush=True)
+        print(f"m={m:4d}  {rungs[-1]['status']:8s} {rungs[-1]['seconds']:8.3f} s"
+              f"  pivots {rungs[-1]['pivots']:6d}  M {rungs[-1]['M']}", flush=True)
 
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
@@ -108,12 +115,15 @@ def main(argv=None) -> int:
     runs = record["lp_ladder"]
     if len(runs) > 1:
         labels = sorted(runs)
-        print("m     " + "  ".join(f"{label:>10}" for label in labels) + "  same pivots and M")
-        for i, m in enumerate(RUNGS):
-            row = [runs[label]["rungs"][i] for label in labels]
-            same = len({(r["pivots"], r["M"]) for r in row}) == 1
-            print(f"{m:<5} " + "  ".join(f"{r['seconds']:10.3f}" for r in row) + f"  {same}")
-    return 0
+        print("m     " + "  ".join(f"{label:>10}" for label in labels) + "  M within 1e-9")
+        for m in widths:
+            row = [next((r for r in runs[label]["rungs"] if r["m"] == m), None)
+                   for label in labels]
+            ms = [float.fromhex(r["M"]) for r in row if r and r["M"]]
+            same = len(ms) == len(row) and max(ms) - min(ms) <= 1e-9 * max(ms)
+            print(f"{m:<5} " + "  ".join(f"{r['seconds']:10.3f}" if r else f"{'-':>10}"
+                                         for r in row) + f"  {same}")
+    return 0 if all(r["status"] == "optimal" for r in rungs) else 1
 
 
 if __name__ == "__main__":

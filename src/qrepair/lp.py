@@ -1,13 +1,14 @@
 """Per-neuron minimal weight-correction linear programs.
 
-For a dense-layer neuron with incoming weights w and bias b, each repair-set
-input whose activation status differs between the float and quantized models
-contributes one constraint on the correction deltas: the corrected
-pre-activation (w + delta).x + b must land strictly on the float model's side
-of zero, realized with margin epsilon. The objective minimizes the box
-radius M bounding every |delta_i|; deltas are split into positive/negative
-parts for the standard-form simplex. The statuses, x, w and b all come from
-one `localize.LayerComparison`, so building an LP runs no model.
+For a dense-layer neuron with incoming weights w and bias b, each chosen
+repair-set input gives one constraint on the correction deltas: the
+corrected pre-activation (w + delta).x + b lands strictly on the float
+model's side of zero, with margin epsilon. Rows come from the tests whose
+status at the neuron disagrees between the models (to fix), then from the
+agreeing tests nearest the boundary (not to flip). The objective minimizes
+the box radius M bounding every |delta_i|; the solver sees the
+Charnes-Cooper form u = delta/M, t = 1/M (`_solve`). Statuses, x, w and b
+come from one `localize.LayerComparison`, so building an LP runs no model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .localize import LayerComparison
 from .model import capture_activations  # noqa: F401  perfbench/test_perfbench.py expects it bound here
-from .simplex import SimplexResult, simplex_solve
+from .simplex import FEAS_TOL, simplex_solve
 
 log = logging.getLogger("qrepair")
 
@@ -34,13 +35,11 @@ class EmptyLPError(ValueError):
 class LPConstraint:
     x: np.ndarray  # float64 layer-input vector
     target_status: int  # float model's status, the one to enforce
-    current_status: int
+    current_status: int  # equal to the target on a status-preserving row
     test_id: int = -1  # originating dataset row, when built from a repair set
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        if self.target_status == self.current_status:
-            raise ValueError("constraints come only from disagreeing tests")
 
 
 @dataclass
@@ -74,25 +73,34 @@ def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1
                     max_constraints: int = 64, big_M_bound: float | None = None) -> NeuronLP:
     """Collect the correction constraints for one neuron of the compared layer.
 
-    One constraint per test whose status on this neuron differs between the
-    two models, failing tests first in dataset order, capped at
-    `max_constraints`. Raises EmptyLPError when no test disagrees.
+    First one row per test whose status on this neuron differs between the
+    two models, failing tests first in dataset order, at most
+    `max_constraints`. Then one status-preserving row (target = current =
+    float status) per agreeing test, nearest the boundary first (smallest
+    |w.x + b| on the quantized weights, ties in dataset order), again at most
+    `max_constraints`: far rows never bind. Raises EmptyLPError when no test
+    disagrees.
     """
     c = comparison
     status_f = c.status_float[:, neuron].astype(int)
     status_q = c.status_quant[:, neuron].astype(int)
-    order = np.concatenate([np.flatnonzero(c.failing), np.flatnonzero(~c.failing)])
-    chosen = order[status_f[order] != status_q[order]][: max(max_constraints, 0)]
-
     w = c.weights[:, neuron].astype(np.float64)
     bias = float(c.bias[neuron]) if c.bias is not None else 0.0
-    constraints = [LPConstraint(c.inputs[i].astype(np.float64), int(status_f[i]),
-                                int(status_q[i]), int(i)) for i in chosen]
-
-    if not constraints:
+    cap = max(max_constraints, 0)
+    agree = status_f == status_q
+    order = np.concatenate([np.flatnonzero(c.failing), np.flatnonzero(~c.failing)])
+    disagreeing = order[~agree[order]][:cap]
+    if not disagreeing.size:
         raise EmptyLPError(
             f"neuron ({c.layer_index},{neuron}) has no status-disagreeing tests"
         )
+    kept = np.flatnonzero(agree)
+    distance = np.abs(c.inputs[kept].astype(np.float64) @ w + bias)
+    preserving = kept[np.argsort(distance, kind="stable")][:cap]
+    rows = np.concatenate([disagreeing, preserving])
+    constraints = [LPConstraint(*con) for con in zip(
+        c.inputs[rows].astype(np.float64), status_f[rows].tolist(),
+        status_q[rows].tolist(), rows.tolist())]
     return NeuronLP(c.layer_index, neuron, w.size, w, bias, constraints,
                     epsilon, big_M_bound)
 
@@ -108,8 +116,9 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0, memo: dict | None = None
              ) -> LPSolution:
     """Minimize M with |delta_i| <= M and every constraint met at margin epsilon.
 
-    Statuses: optimal (minimal M found), infeasible (phase-1 certified),
-    timeout (budget exceeded).
+    Statuses: optimal (minimal M found; M = 0 with zero deltas when every row
+    already holds), infeasible (t* = 0, or M* above `big_M_bound`), timeout
+    (budget exceeded, checked before any work).
 
     `memo`, a dict the caller owns, stores optimal and infeasible results
     keyed by the LP's content; an identical LP later returns a copy of the
@@ -136,47 +145,31 @@ def _copy(sol: LPSolution) -> LPSolution:
 
 
 def _solve(lp: NeuronLP, time_budget: float) -> LPSolution:
-    m = lp.m
-    n_vars = 2 * m + 1  # [p_0..p_{m-1}, q_0..q_{m-1}, M]
-    rows, senses, rhs = [], [], []
-    for con in lp.constraints:
-        # target 1: delta.x >= eps - r ; target 0: -delta.x >= eps + r
-        r = float(lp.w @ con.x) + lp.bias
-        g = con.x if con.target_status == 1 else -con.x
-        h = lp.epsilon - r if con.target_status == 1 else lp.epsilon + r
-        row = np.zeros(n_vars)
-        row[:m] = g
-        row[m : 2 * m] = -g
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(h)
-    for i in range(m):
-        # p_i + q_i <= M: tight at vertices, equivalent to |delta_i| <= M
-        row = np.zeros(n_vars)
-        row[i] = 1.0
-        row[m + i] = 1.0
-        row[2 * m] = -1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(0.0)
-    if lp.big_M_bound is not None:
-        row = np.zeros(n_vars)
-        row[2 * m] = 1.0
-        rows.append(row)
-        senses.append("<=")
-        rhs.append(float(lp.big_M_bound))
-
-    costs = np.zeros(n_vars)
-    costs[2 * m] = 1.0
     deadline = time.monotonic() + time_budget
-    result: SimplexResult = simplex_solve(costs, np.asarray(rows), senses,
-                                          np.asarray(rhs), deadline=deadline)
-    if result.status == "optimal":
-        deltas = result.x[:m] - result.x[m : 2 * m]
-        return LPSolution("optimal", float(result.x[2 * m]), deltas)
-    if result.status in ("infeasible", "timeout"):
-        return LPSolution(result.status)
-    raise RuntimeError(f"unexpected solver status {result.status!r}")
+    m = lp.m
+    # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
+    sign = np.array([2.0 * con.target_status - 1.0 for con in lp.constraints])
+    xs = np.array([con.x for con in lp.constraints])
+    g, h = sign[:, None] * xs, lp.epsilon - sign * (xs @ lp.w + lp.bias)
+    # u = d/M = u+ - u-, t = 1/M: min -t s.t. -G u+ + G u- + h t <= 0, u+- in [0, 1]
+    costs = np.append(np.zeros(2 * m), -1.0)
+    result = simplex_solve(costs, np.hstack([-g, g, h[:, None]]),
+                           np.append(np.ones(2 * m), np.inf), deadline=deadline)
+    if result.status == "unbounded":  # only when every h <= 0: d = 0 already holds
+        sol = LPSolution("optimal", 0.0, np.zeros(m))
+    elif result.status != "optimal":
+        sol = LPSolution(result.status)
+    elif (t := result.x[-1]) <= FEAS_TOL or (lp.big_M_bound is not None
+                                             and 1.0 / t > lp.big_M_bound):
+        sol = LPSolution("infeasible")
+    else:
+        sol = LPSolution("optimal", float(1.0 / t), (result.x[:m] - result.x[m : 2 * m]) / t)
+    if log.isEnabledFor(logging.DEBUG):
+        same = sum(con.target_status == con.current_status for con in lp.constraints)
+        log.debug("layer %d neuron %d: %d disagreeing + %d preserving rows, %d columns, "
+                  "%d pivots, %d bound flips, %s, M %s", lp.layer_index, lp.neuron_index,
+                  len(xs) - same, same, 2 * m + 1, result.pivots, result.flips, sol.status, sol.M)
+    return sol
 
 
 def check_solution(lp: NeuronLP, sol: LPSolution, slack: float = 1e-9) -> bool:

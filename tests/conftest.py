@@ -10,6 +10,13 @@ from qrepair.quantize import QuantizedLayer, QuantizedModel, QuantizedTensor
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
+# Beale (1955), as (c, a, upper) for `simplex_solve`: Dantzig's rule with a
+# smallest-index ratio tie-break cycles on it from the slack basis. Optimum
+# -1/20 at x = (1/25, 0, 1, 0).
+BEALE_LP = ([-0.75, 150.0, -0.02, 6.0],
+            [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0]],
+            [np.inf, np.inf, 1.0, np.inf])
+
 
 def dense_model(w, b=None, extra_relu=False, num_classes=None):
     """Single dense layer model (optionally dense+relu+identity-dense)."""
@@ -120,3 +127,27 @@ def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
         raise ValueError(f"seed {seed} gives only {rows.size} disagreeing tests")
     cons = [LPConstraint(xs[i], int(target[i]), int(current[i]), int(i)) for i in rows]
     return NeuronLP(0, 0, m, w, bias, cons, epsilon)
+
+
+def wide_head_parts(instance: int = 0):
+    """perfbench's wide-head instance: a fixed 20-64-10 ReLU MLP (seed 2306),
+    its sign-flip-damaged quantized twin, a 300-row repair set and a 500-row
+    validation set labelled by the float model."""
+    from qrepair.experiment import damaged_quantized_model
+    from qrepair.model import forward_batch
+
+    rng = np.random.default_rng(2306)
+
+    def dense(fan_in, fan_out):
+        w = rng.normal(0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(np.float32)
+        return Layer("dense", Tensor.from_array(w),
+                     Tensor.from_array(np.zeros(fan_out, np.float32)))
+
+    fmodel = Model([dense(20, 64), Layer("relu"), dense(64, 10)], (20,), 10)
+    xs = np.random.default_rng([2306, instance]).normal(0, 1, size=(800, 20)).astype(np.float32)
+    labels = np.argmax(forward_batch(fmodel, xs)[0], axis=1)
+    both = Dataset(xs, labels, 10)
+    repair_set, val = both.subset(range(300)), both.subset(range(300, 800))
+    qmodel, _, _ = damaged_quantized_model(fmodel, val, repair_set,
+                                           np.random.SeedSequence(2306))
+    return fmodel, qmodel, repair_set, val

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -133,6 +134,22 @@ def test_repair_subcommand(artifacts, tmp_path):
     assert sum(report["counts"].values()) == report["attempts"]
     assert (out / "repaired_model.json").exists()
     assert list(lp_dir.glob("*.lp")), "lp dump directory should not be empty"
+
+
+def test_repair_reports_identical_with_debug_logging(artifacts, tmp_path, caplog):
+    argv = ["repair", "--float", str(artifacts / "float.json"),
+            "--quant", str(artifacts / "quant.json"),
+            "--repair-set", str(artifacts / "repair.csv"),
+            "--val", str(artifacts / "val.csv"), "--top", "3"]
+    assert cli_main(argv + ["--out", str(tmp_path / "quiet")]) == 0
+    with caplog.at_level(logging.DEBUG, logger="qrepair"):
+        assert cli_main(argv + ["--out", str(tmp_path / "loud")]) == 0
+    report = json.loads((tmp_path / "loud" / "repair_report.json").read_text())
+    solves = [r for r in caplog.records if "bound flips" in r.getMessage()]
+    assert len(solves) == report["attempts"] - report["counts"]["skipped"] > 0
+    for name in ("repair_report.json", "repaired_model.json"):
+        assert (tmp_path / "loud" / name).read_bytes() == \
+            (tmp_path / "quiet" / name).read_bytes()
 
 
 def test_repair_zero_solved_exit_code(artifacts, tmp_path):

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -53,14 +56,23 @@ def test_build_classic_case():
 
 
 def test_build_skips_agreeing_tests():
-    fmodel = dense_model(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    qmodel = manual_qmodel(fmodel, [np.array([[1, 0], [0, -1]])])
-    # neuron 1: rows [1,1] and [1,2] disagree, [1,0] agrees (both zero -> off)
-    ds = make_dataset([[1.0, 1.0], [1.0, 2.0], [1.0, 0.0]], labels=[0, 0, 0],
-                      num_classes=2)
-    lp = build_neuron_lp(compare_at_layer(fmodel, qmodel, ds, 0), 1, epsilon=0.0)
-    assert len(lp.constraints) == 2
-    assert {c.test_id for c in lp.constraints} == {0, 1}
+    # neuron 0 reads x0 + x1 in the float model and x0 - x1 quantized
+    fmodel = dense_model(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    qmodel = manual_qmodel(fmodel, [np.array([[1, 0], [-1, 0]])])
+    ds = make_dataset([[1.0, 2.0], [3.0, 0.5], [-1.0, 2.0], [0.5, 0.25], [-2.0, -1.5],
+                       [0.25, 0.0]], labels=[0] * 6, num_classes=2)
+    comparison = compare_at_layer(fmodel, qmodel, ds, 0)
+    # rows 0 and 2 disagree; the agreeing rows 1, 3, 4, 5 lie 2.5, 0.25, 0.5
+    # and 0.25 from the quantized boundary: nearest first, ties in dataset order
+    lp = build_neuron_lp(comparison, 0, epsilon=0.0)
+    assert [c.test_id for c in lp.constraints] == [0, 2, 3, 5, 4, 1]
+    assert [(c.target_status, c.current_status) for c in lp.constraints] == \
+        [(1, 0), (1, 0), (1, 1), (1, 1), (0, 0), (1, 1)]
+    # max_constraints caps each kind of row
+    capped = build_neuron_lp(comparison, 0, epsilon=0.0, max_constraints=1)
+    assert [c.test_id for c in capped.constraints] == [0, 3]
+    sol = solve_lp(lp, 10.0)
+    assert sol.status == "optimal" and check_solution(lp, sol)
 
 
 def test_build_failing_first_and_cap():
@@ -114,6 +126,17 @@ def test_solve_already_satisfied_gives_zero():
     assert sol.status == "optimal"
     assert sol.M == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(sol.deltas, [0.0, 0.0], atol=1e-9)
+
+
+def test_solve_logs_one_debug_line(caplog):
+    lp = classic_lp(epsilon=0.0)
+    lp.constraints.append(LPConstraint(np.array([2.0, 0.0]), 1, 1))  # a preserving row
+    with caplog.at_level(logging.DEBUG, logger="qrepair"):
+        sol = solve_lp(lp, 10.0)
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert re.fullmatch(r"layer 0 neuron 0: 1 disagreeing \+ 1 preserving rows, 5 columns, "
+                        r"\d+ pivots, \d+ bound flips, optimal, M 0\.[45]\d*", line), line
+    assert sol.M == pytest.approx(0.5)
 
 
 def test_solve_contradictory_infeasible():

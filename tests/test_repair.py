@@ -182,9 +182,10 @@ def test_desk_repair_matches_golden(desk_fixture, patch_mode):
 def test_repair_after_reload_holds_constraints(tmp_path, seed):
     # a float_patch layer reloads with int8 codes re-derived at a fresh scale,
     # so its codes no longer dequantize to the weights inference uses; a
-    # second repair must patch the weights its LPs were solved for
+    # second repair must patch the weights its LPs were solved for; the first
+    # repairs one neuron, so the second still finds disagreements to fix
     fmodel, qmodel, repair_set, _ = make_desk_parts(SPEC, seed=seed)
-    first, _ = repair(fmodel, qmodel, repair_set, None, RepairConfig())
+    first, _ = repair(fmodel, qmodel, repair_set, None, RepairConfig(top_n=1))
     save_qmodel(first, tmp_path / "first.json")
     reloaded = load_qmodel(tmp_path / "first.json")
     second, report = repair(fmodel, reloaded, repair_set, None, RepairConfig(top_n=3))

@@ -1,32 +1,36 @@
-"""Bland's rule pivot path, pinned bit for bit against a golden file.
+"""LP optima, pinned against a golden file.
 
-Each LP's status, pivot count, the sha256 of its (row, col) pivot sequence
-and the solution x (as float.hex) must match `tests/golden/simplex_pivots.json`.
-A solver change that alters the rounding of any pivot, or breaks a near-tie
-in the ratio test differently, moves the path and with it the chosen vertex.
-The sequence is recorded by rebinding `qrepair.simplex._pivot`, the module
-global through which the solver makes every pivot; perfbench's tracer counts
-pivots the same way.
+Each LP's status and optimum must match `tests/golden/simplex_optima.json`,
+the optimum stored as float.hex and compared to 1e-9 relative. The pivot
+path is not pinned: a degenerate vertex may be left by several pivots, and
+which one a solver takes is its own business. (The test function keeps the
+name it had when the file pinned a pivot path, so its ids stay stable.)
 
-Regenerate (only when the path is meant to change, and say why):
+The cases:
+- general-form LPs, min c.x s.t. A x (<=|>=|=) b, x >= 0, posed to
+  `simplex_solve` in homogeneous form (`homogenize`); the optimum is c.x;
+- Beale's cycling LP, posed directly;
+- seeded repair LPs solved by `lp.solve_lp`; the optimum is M.
+
+Regenerate (only when an optimum is meant to change, and say why):
     PYTHONPATH=src python tests/test_simplex_pivots.py
 """
 
-import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-import qrepair.lp
-import qrepair.simplex
-from conftest import GOLDEN, repair_lp
+from conftest import BEALE_LP, GOLDEN, repair_lp
+from qrepair.lp import solve_lp
+from qrepair.simplex import simplex_solve
 
-GOLDEN_FILE = GOLDEN / "simplex_pivots.json"
+GOLDEN_FILE = GOLDEN / "simplex_optima.json"
+PENALTY = 1e6
 
 
 def _random_instances():
-    # the draws of tests/test_simplex.py::test_random_instances_against_scipy_free_check
     rng = np.random.default_rng(99)
     for t in range(60):
         m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -38,7 +42,7 @@ def _random_instances():
 
 
 def simplex_cases():
-    """name -> (c, a, senses, b) for a direct simplex_solve call."""
+    """name -> (c, a, senses, b) of a general-form LP."""
     cases = {
         "textbook_max": ([-3.0, -5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
                          ["<=", "<=", "<="], [4.0, 12.0, 18.0]),
@@ -49,21 +53,15 @@ def simplex_cases():
         "negative_rhs": ([1.0, 1.0], [[1.0, -1.0]], ["<="], [-1.0]),
         "redundant_rows": ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
                            ["=", "=", "="], [2.0, 2.0, 4.0]),
-        # duplicate rows with zero right-hand sides: phase-1 pivots are degenerate
-        # and phase 1 must drop the rows its artificials cannot leave
         "degenerate_zero_rhs": ([1.0, -1.0, 0.5],
                                 [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [2.0, -2.0, 0.0],
                                  [0.0, 1.0, -1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0]],
                                 ["=", "=", "=", ">=", ">=", "<="],
                                 [0.0, 0.0, 0.0, 0.0, 0.0, 3.0]),
-        # duplicate rows, zero right-hand sides, and a solution whose first
-        # component is -0.0: a pivot that touches rows with a zero factor
-        # turns it into +0.0
         "duplicate_rows_signed_zero": ([0.0, -1.0], [[2.0, 2.0], [0.0, 2.0], [0.0, 2.0]],
                                        ["=", "=", "="], [0.0, 0.0, 0.0]),
-        # ratios 1 + 1.2e-9, 1 + 0.6e-9 and 1 chain within PIVOT_TOL of their
-        # neighbours but not of each other: the sequential Bland scan and a
-        # min-then-tie-break choose different leaving rows
+        # right-hand sides 1 + 1.2e-9, 1 + 0.6e-9 and 1: ratios within 1e-9
+        # of their neighbours but not of each other
         "near_tie_ratios": ([-1.0, -1.0, -0.5],
                             [[1.0, 1.0, 0.0], [1.0, 0.5, 1.0], [1.0, 0.25, 2.0],
                              [0.0, 1.0, 1.0]],
@@ -77,44 +75,41 @@ def simplex_cases():
 REPAIR_CASES = {f"repair_m{m}_k64": (m, 64, 1000 + m) for m in (8, 24, 64)}
 
 
-def _record(solve):
-    """Run `solve()`, which calls the solver as `qrepair.lp.simplex_solve`,
-    with its pivots and its result recorded."""
-    path, results = [], []
-    pivot, solve_fn = qrepair.simplex._pivot, qrepair.lp.simplex_solve
+def homogenize(c, a, senses, b):
+    """(c', a', upper) for `simplex_solve` from a general-form LP.
 
-    def recording_pivot(tableau, row, col):
-        path.append(f"{int(row)},{int(col)}")
-        pivot(tableau, row, col)
-
-    def recording_solve(*args, **kwargs):
-        results.append(solve_fn(*args, **kwargs))
-        return results[-1]
-
-    qrepair.simplex._pivot, qrepair.lp.simplex_solve = recording_pivot, recording_solve
-    try:
-        solve()
-    finally:
-        qrepair.simplex._pivot, qrepair.lp.simplex_solve = pivot, solve_fn
-    (res,) = results
-    return {
-        "status": res.status,
-        "pivots": len(path),
-        "path_sha256": hashlib.sha256(";".join(path).encode()).hexdigest(),
-        "x": None if res.x is None else [float(v).hex() for v in res.x],
-    }
+    A column s in [0, 1] scales every right-hand side: each row becomes
+    a.x - b s <= 0 (a >= row is negated, an = row is both), and s costs
+    -PENALTY, which drives it to 1 whenever the LP is feasible. s < 1 at the
+    optimum means the LP is infeasible.
+    """
+    rows = []
+    for row, sense, rhs in zip(np.asarray(a, dtype=float), senses, b):
+        row = np.append(row, -rhs)
+        rows += [row] * (sense != ">=") + [-row] * (sense != "<=")
+    n = len(c)
+    return np.append(c, -PENALTY), np.array(rows), np.append(np.full(n, np.inf), 1.0)
 
 
 def run_case(name):
+    """(status, optimum) of one case."""
     if name in REPAIR_CASES:
-        lp = repair_lp(*REPAIR_CASES[name])
-        return _record(lambda: qrepair.lp.solve_lp(lp, time_budget=600.0))
+        sol = solve_lp(repair_lp(*REPAIR_CASES[name]), time_budget=600.0)
+        return sol.status, sol.M
+    if name == "beale_1955":
+        res = simplex_solve(*BEALE_LP)
+        return res.status, res.objective
     c, a, senses, b = simplex_cases()[name]
-    return _record(lambda: qrepair.lp.simplex_solve(c, a, senses, b))
+    res = simplex_solve(*homogenize(c, a, senses, b))
+    if res.status != "optimal":
+        return res.status, None
+    if res.x[-1] < 1.0 - 1e-9:
+        return "infeasible", None
+    return "optimal", float(np.dot(c, res.x[:-1]))
 
 
 def all_case_names():
-    return list(simplex_cases()) + list(REPAIR_CASES)
+    return list(simplex_cases()) + ["beale_1955"] + list(REPAIR_CASES)
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +123,21 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("name", all_case_names())
 def test_pivot_path_matches_golden(golden, name):
-    assert run_case(name) == golden[name]
+    status, optimum = run_case(name)
+    want = golden[name]
+    assert status == want["status"]
+    if want["objective"] is None:
+        assert optimum is None
+    else:
+        assert math.isclose(optimum, float.fromhex(want["objective"]), rel_tol=1e-9,
+                            abs_tol=1e-12)
 
 
 if __name__ == "__main__":
-    GOLDEN_FILE.write_text(json.dumps({n: run_case(n) for n in all_case_names()},
-                                      indent=1, sort_keys=True) + "\n")
+    record = {}
+    for name in all_case_names():
+        status, optimum = run_case(name)
+        record[name] = {"status": status,
+                        "objective": None if optimum is None else float(optimum).hex()}
+    GOLDEN_FILE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_FILE}")

@@ -130,8 +130,14 @@ def test_lp_constraints_match_rows(case, max_constraints):
         status_q = (row_pre(qmodel, dataset, layer) > 0).astype(int)
         x_in = [layer_input_vector(qmodel, x, layer) for x in rows(qmodel, dataset)]
         comparison = compare_at_layer(fmodel, qmodel, dataset, layer)
+        w = qmodel.layers[layer].eff_weights.astype(np.float64)
+        bias = qmodel.layers[layer].bias.array().astype(np.float64)
         for n in range(status_f.shape[1]):
             want = [i for i in order if status_f[i, n] != status_q[i, n]][:max_constraints]
+            # then the agreeing rows, nearest the quantized boundary first
+            near = sorted((abs(float(np.dot(x_in[i].astype(np.float64), w[:, n])) + bias[n]), i)
+                          for i in range(len(dataset)) if status_f[i, n] == status_q[i, n])
+            want += [i for _, i in near[:max_constraints]] if want else []
             try:
                 lp = build_neuron_lp(comparison, n, max_constraints=max_constraints)
             except EmptyLPError:
