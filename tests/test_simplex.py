@@ -26,6 +26,39 @@ def test_textbook_maximization_as_min():
     assert res.objective == pytest.approx(-36.0)
 
 
+def test_min_with_ge_rows_needs_phase1():
+    # min x + y s.t. x + y >= 2, x >= 0.5 -> value 2 with x >= 0.5. The >= rows
+    # are negated and their right-hand sides scaled by s in [0, 1], priced at
+    # -1e6 so s = 1: x = 0 is feasible, so no phase 1 is needed to start
+    res = simplex_solve(
+        c=[1.0, 1.0, -1e6],
+        a=[[-1.0, -1.0, 2.0], [-1.0, 0.0, 0.5]],
+        upper=[INF, INF, 1.0],
+    )
+    assert res.status == "optimal"
+    assert res.x[2] == pytest.approx(1.0)
+    assert res.x[0] + res.x[1] == pytest.approx(2.0)
+    assert res.x[0] >= 0.5 - 1e-9
+
+
+def test_infeasible_certified_by_phase1():
+    # x <= 1 and x >= 2: homogenized, x - s <= 0 and 2s - x <= 0 hold only at
+    # s = 0, so the optimum leaves the right-hand-side scale at 0 however much
+    # s is rewarded; s < 1 there certifies that the LP is infeasible
+    res = simplex_solve(c=[1.0, -1e6], a=[[1.0, -1.0], [-1.0, 2.0]], upper=[INF, 1.0])
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [0.0, 0.0], atol=1e-9)
+
+
+def test_negative_rhs_normalization():
+    # x - y <= -1 with min x + y -> x = 0, y = 1; the negative right-hand side
+    # becomes +s in the homogeneous row x - y + s <= 0, with s driven to 1
+    res = simplex_solve(c=[1.0, 1.0, -1e6], a=[[1.0, -1.0, 1.0]], upper=[INF, INF, 1.0])
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [0.0, 1.0, 1.0], atol=1e-9)
+    assert res.objective == pytest.approx(1.0 - 1e6)
+
+
 def test_bounds_alone_flip_without_pivots():
     # min -x - 2y with x <= 3, y <= 0.5 and a row that never binds
     res = simplex_solve(c=[-1.0, -2.0], a=[[-1.0, -1.0]], upper=[3.0, 0.5])
