@@ -47,6 +47,6 @@ from .quantize import (
     quantized_forward,
     save_qmodel,
 )
-from .repair import RepairConfig, RepairReport, apply_deltas, repair
+from .repair import Prepared, RepairConfig, RepairReport, apply_deltas, prepare, repair
 
 __version__ = "0.1.0"

@@ -66,24 +66,23 @@ def load_dataset(path, fmt: str | None = None, num_classes: int | None = None) -
 
 
 def _load_csv(path: Path, num_classes: int | None) -> Dataset:
-    labels, rows = [], []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                labels.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as e:
-                raise DatasetError(f"{path}:{lineno}: {e}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise DatasetError(f"{path}:{lineno}: inconsistent feature count")
-    if not rows:
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    if not lines:
         return Dataset(np.zeros((0, 0), np.float32), np.zeros(0, np.int64),
                        num_classes or 1)
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                          dtype=_row_dtype("<i8", lines[0].count(",")))
+    except ValueError as e:
+        raise DatasetError(f"{path}: {e}") from None
     if num_classes is None:
-        num_classes = max(labels) + 1
-    return Dataset(np.asarray(rows, np.float32), np.asarray(labels, np.int64), num_classes)
+        num_classes = int(rows["label"].max()) + 1
+    return Dataset(rows["x"].copy(), rows["label"].copy(), num_classes)
+
+
+def _row_dtype(label: str, n_feat: int) -> np.dtype:
+    """One dataset row: the label, then the features."""
+    return np.dtype([("label", label), ("x", "<f4", (n_feat,))])
 
 
 def _load_bin(path: Path, num_classes: int | None) -> Dataset:
@@ -93,18 +92,12 @@ def _load_bin(path: Path, num_classes: int | None) -> Dataset:
     n_rows, n_feat, n_classes = struct.unpack_from("<III", raw, 4)
     if num_classes is not None and num_classes != n_classes:
         raise DatasetError(f"{path}: file says {n_classes} classes, expected {num_classes}")
-    row_bytes = 4 + 4 * n_feat
-    expected = 16 + n_rows * row_bytes
+    row = _row_dtype("<u4", n_feat)
+    expected = 16 + n_rows * row.itemsize
     if len(raw) != expected:
         raise DatasetError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    labels = np.zeros(n_rows, np.int64)
-    feats = np.zeros((n_rows, n_feat), np.float32)
-    off = 16
-    for i in range(n_rows):
-        (labels[i],) = struct.unpack_from("<I", raw, off)
-        feats[i] = np.frombuffer(raw, dtype="<f4", count=n_feat, offset=off + 4)
-        off += row_bytes
-    return Dataset(feats, labels, n_classes)
+    rows = np.frombuffer(raw, dtype=row, count=n_rows, offset=16)
+    return Dataset(rows["x"].copy(), rows["label"].astype(np.int64), n_classes)
 
 
 def load_cifar10_batch(path, num_rows: int | None = None) -> Dataset:
@@ -136,10 +129,9 @@ def save_dataset(ds: Dataset, path, fmt: str | None = None) -> None:
             for i in range(len(ds)):
                 writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])
     elif fmt == "bin":
-        parts = [MAGIC, struct.pack("<III", len(ds), ds.features.shape[1], ds.num_classes)]
-        for i in range(len(ds)):
-            parts.append(struct.pack("<I", int(ds.labels[i])))
-            parts.append(ds.features[i].astype("<f4").tobytes())
-        path.write_bytes(b"".join(parts))
+        rows = np.empty(len(ds), _row_dtype("<u4", ds.features.shape[1]))
+        rows["label"], rows["x"] = ds.labels, ds.features
+        header = struct.pack("<III", len(ds), ds.features.shape[1], ds.num_classes)
+        path.write_bytes(MAGIC + header + rows.tobytes())
     else:
         raise DatasetError(f"unknown dataset format {fmt!r}")

@@ -32,7 +32,7 @@ from .quantize import (
     quantize_model,
     save_qmodel,
 )
-from .repair import RepairConfig, repair, round6
+from .repair import RepairConfig, prepare, repair, round6
 
 log = logging.getLogger("qrepair")
 
@@ -206,16 +206,15 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
 
     fmodel = train_mlp(np.random.default_rng(ss_train), train, spec)
     qmodel, acc_f, acc_q = damaged_quantized_model(fmodel, val, repair_set, ss_damage)
-    fid_before = fidelity(fmodel, qmodel, val)
+    # every repair below starts from the same models, sets and config, so they
+    # share one comparison, one before-repair evaluation and each neuron's LP
+    shared = prepare(fmodel, qmodel, repair_set, val, config)
 
     strategies = {}
     reports = {}
-    # every repair below starts from the same model, repair set and config, so
-    # they keep meeting the same LPs; each distinct one is solved once
-    memo = {}
     for metric in METRICS:
         cfg = RepairConfig(**{**config.__dict__, "metric": metric})
-        patched, rep = repair(fmodel, qmodel, repair_set, val, cfg, memo=memo)
+        _, rep = repair(fmodel, qmodel, repair_set, val, cfg, shared=shared)
         reports[metric] = rep
         strategies[metric] = {
             "accuracy_after": round6(rep.accuracy_after),
@@ -231,7 +230,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     for _ in range(trials):
         order = [int(v) for v in rng_rand.permutation(width)]
         _, rep = repair(fmodel, qmodel, repair_set, val, config, neuron_order=order,
-                        memo=memo)
+                        shared=shared)
         rand_accs.append(rep.accuracy_after)
     strategies["random"] = {
         "accuracy_after": round6(float(np.mean(rand_accs))),
@@ -245,7 +244,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
         "float_accuracy": round6(acc_f),
         "quantized_accuracy": round6(acc_q),
         "gap_points": round6(100.0 * (acc_f - acc_q)),
-        "fidelity_before": round6(fid_before),
+        "fidelity_before": round6(shared.fidelity_before),
         "n_repair": len(repair_set),
         "n_val": len(val),
         "strategies": strategies,

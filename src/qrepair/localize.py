@@ -157,8 +157,7 @@ def _safe_div(num: float, den: float) -> float:
     return 0.0 if num == 0 else num / den
 
 
-def importance(counters: tuple[int, int, int, int], metric: str,
-               dstar_exponent: int = 2) -> float:
+def importance(counters: tuple[int, int, int, int], metric: str) -> float:
     """Suspiciousness of one neuron from its four counters.
 
     Every 0/0 evaluates to 0. The only reachable nonzero/0 case is dstar with
@@ -181,7 +180,7 @@ def importance(counters: tuple[int, int, int, int], metric: str,
             return 0.0
         if c_as + c_nf == 0:
             return math.inf
-        return c_af**dstar_exponent / (c_as + c_nf)
+        return c_af**2 / (c_as + c_nf)
     if metric == "jaccard":
         return _safe_div(c_af, c_af + c_nf + c_as)
     if metric == "ample":

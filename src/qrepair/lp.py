@@ -7,7 +7,7 @@ model's side of zero, with margin epsilon. Rows come from the tests whose
 status at the neuron disagrees between the models (to fix), then from the
 agreeing tests nearest the boundary (not to flip). The objective minimizes
 the box radius M bounding every |delta_i|; the solver sees the
-Charnes-Cooper form u = delta/M, t = 1/M (`_solve`). Statuses, x, w and b
+Charnes-Cooper form u = delta/M, t = 1/M (`solve_lp`). Statuses, x, w and b
 come from one `localize.LayerComparison`, so building an LP runs no model.
 """
 
@@ -105,46 +105,15 @@ def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1
                     epsilon, big_M_bound)
 
 
-def _memo_key(lp: NeuronLP) -> tuple:
-    """Everything the solver reads from `lp`; floats by their bits, so -0.0 is not 0.0."""
-    bound = None if lp.big_M_bound is None else float(lp.big_M_bound).hex()
-    return (lp.m, lp.w.tobytes(), float(lp.bias).hex(), float(lp.epsilon).hex(), bound,
-            tuple((con.x.tobytes(), con.target_status) for con in lp.constraints))
-
-
-def solve_lp(lp: NeuronLP, time_budget: float = 60.0, memo: dict | None = None
-             ) -> LPSolution:
+def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     """Minimize M with |delta_i| <= M and every constraint met at margin epsilon.
 
     Statuses: optimal (minimal M found; M = 0 with zero deltas when every row
     already holds), infeasible (t* = 0, or M* above `big_M_bound`), timeout
     (budget exceeded, checked before any work).
-
-    `memo`, a dict the caller owns, stores optimal and infeasible results
-    keyed by the LP's content; an identical LP later returns a copy of the
-    stored result without solving. The simplex is deterministic, so the copy
-    holds the bits a solve would compute, whatever `time_budget` is.
-    Timeouts are never stored.
     """
     if not lp.constraints:
         raise EmptyLPError("cannot solve an LP with no constraints")
-    if memo is None:
-        return _solve(lp, time_budget)
-    key = _memo_key(lp)
-    if key in memo:
-        log.debug("layer %d neuron %d: LP solution reused", lp.layer_index, lp.neuron_index)
-        return _copy(memo[key])
-    sol = _solve(lp, time_budget)
-    if sol.status != "timeout":
-        memo[key] = _copy(sol)  # the caller may mutate the deltas it gets back
-    return sol
-
-
-def _copy(sol: LPSolution) -> LPSolution:
-    return LPSolution(sol.status, sol.M, None if sol.deltas is None else sol.deltas.copy())
-
-
-def _solve(lp: NeuronLP, time_budget: float) -> LPSolution:
     deadline = time.monotonic() + time_budget
     m = lp.m
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h

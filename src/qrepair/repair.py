@@ -1,30 +1,32 @@
 """End-to-end repair: spectra, ranking, per-neuron LP solve, weight patching.
 
-The pipeline compares the float and the pre-repair quantized model on the
-repair set once, at the target dense layer (`localize.compare_at_layer`:
-one forward pass per model). That comparison classifies the tests, gives
-the activation-difference spectra the configured metric ranks neurons by,
-and supplies every top-N neuron's correction LP, so each LP is built from
-the pre-repair model. The solved deltas are patched into a copy.
+`prepare` compares the float and the pre-repair quantized model on the
+repair set once, at the target dense layer (`localize.compare_at_layer`),
+and measures the quantized model on the validation set. The comparison
+classifies the tests, gives the spectra the metric ranks neurons by, and
+supplies each top-N neuron's correction LP, solved once for all repairs that
+share the prepared record. The solved deltas are patched into a copy.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .evaluate import accuracy, fidelity
 from .localize import (
+    LayerComparison,
     accumulate_spectra,
     compare_at_layer,
     importance_scores,
     rank_neurons,
 )
-from .lp import EmptyLPError, build_neuron_lp, export_lp, solve_lp
+from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
 from .model import Model, Tensor
 from .quantize import QuantizedModel, clone_quantized, quantize_tensor
 
@@ -48,8 +50,14 @@ class RepairConfig:
     def __post_init__(self):
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:  # written so that NaN fails each check
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not self.time_budget >= 0:  # inf means no deadline
+            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
+        if self.max_constraints < 1:
+            raise ValueError("max_constraints must be >= 1")
+        if self.delta_bound is not None and not 0 < self.delta_bound < math.inf:
+            raise ValueError(f"delta_bound must be finite and > 0, got {self.delta_bound}")
         if self.patch_mode not in PATCH_MODES:
             raise ValueError(f"patch_mode must be one of {PATCH_MODES}")
 
@@ -181,27 +189,70 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
         raise ValueError(f"unknown patch_mode {patch_mode!r}")
 
 
+@dataclass
+class Prepared:
+    """What every repair of one model pair, repair set and config shares."""
+
+    config: RepairConfig
+    comparison: LayerComparison
+    accuracy_before: float | None = None
+    fidelity_before: float | None = None
+    solutions: dict[int, LPSolution | None] = field(default_factory=dict)
+
+    def solution(self, n: int) -> LPSolution | None:
+        """Neuron n's LP solution, solved on first use; None if no test disagrees there."""
+        if n in self.solutions:
+            if self.solutions[n] is not None:
+                log.debug("layer %d neuron %d: LP solution reused", self.comparison.layer_index, n)
+            return self.solutions[n]
+        c = self.config
+        try:
+            lp = build_neuron_lp(self.comparison, n, epsilon=c.epsilon,
+                                 max_constraints=c.max_constraints, big_M_bound=c.delta_bound)
+        except EmptyLPError:
+            sol = None
+        else:
+            if c.lp_dir is not None:
+                export_lp(lp, f"{c.lp_dir}/neuron_L{lp.layer_index}_N{n}.lp")
+            sol = solve_lp(lp, c.time_budget)
+        if sol is None or sol.status != "timeout":
+            self.solutions[n] = sol
+        return sol
+
+
+def prepare(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
+            config: RepairConfig) -> Prepared:
+    """Compare the models once and measure the unrepaired model on validation."""
+    target = config.target_layer if config.target_layer is not None else fmodel.last_dense_index()
+    prepared = Prepared(config, compare_at_layer(fmodel, qmodel, repair_set, target))
+    if validation_set is not None and len(validation_set):
+        prepared.accuracy_before = accuracy(qmodel, validation_set).accuracy
+        prepared.fidelity_before = fidelity(fmodel, qmodel, validation_set)
+    return prepared
+
+
 def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
            config: RepairConfig, neuron_order: list[int] | None = None,
-           memo: dict | None = None) -> tuple[QuantizedModel, RepairReport]:
+           shared: Prepared | None = None) -> tuple[QuantizedModel, RepairReport]:
     """Run the repair pipeline; returns the patched model and its report.
 
     `neuron_order` overrides the metric ranking (used by the random-selection
-    baseline); importance values are then reported as 0. `memo` is passed to
-    `solve_lp`, so repairs that share it solve each distinct LP once.
+    baseline); importance values are then reported as 0. `shared`, from `prepare`
+    on the same models and sets, serves repairs that differ in metric or order.
     """
-    target = config.target_layer if config.target_layer is not None else fmodel.last_dense_index()
-    comparison = compare_at_layer(fmodel, qmodel, repair_set, target)
+    if shared is None:
+        shared = prepare(fmodel, qmodel, repair_set, validation_set, config)
+    elif replace(config, metric=shared.config.metric) != shared.config:
+        raise ValueError("the shared record was prepared for another repair config")
+    comparison = shared.comparison
+    target = comparison.layer_index
     patched = clone_quantized(qmodel)
-    report = RepairReport(target_layer=target, metric=config.metric)
+    report = RepairReport(target_layer=target, metric=config.metric,
+                          accuracy_before=shared.accuracy_before,
+                          fidelity_before=shared.fidelity_before)
 
-    if validation_set is not None and len(validation_set):
-        report.accuracy_before = accuracy(patched, validation_set).accuracy
-        report.fidelity_before = fidelity(fmodel, patched, validation_set)
-
-    outcomes = comparison.outcomes
-    report.n_failing = sum(1 for o in outcomes if o.is_failing)
-    report.n_passing = len(outcomes) - report.n_failing
+    report.n_failing = int(comparison.failing.sum())
+    report.n_passing = len(comparison.outcomes) - report.n_failing
     if report.n_failing == 0:
         report.warning = "no failing tests in the repair set; nothing to repair"
         log.warning(report.warning)
@@ -213,7 +264,7 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         order = list(neuron_order)
         by_neuron = {n: 0.0 for n in order}
     else:
-        counters = accumulate_spectra(comparison.diff_matrix(), outcomes)
+        counters = accumulate_spectra(comparison.diff_matrix(), comparison.outcomes)
         scores = importance_scores(counters, config.metric)
         order = rank_neurons(scores)
         by_neuron = {s.neuron_index: s.value for s in scores}
@@ -221,24 +272,13 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
 
     for rank, n in enumerate(targets, start=1):
         t0 = time.monotonic()
-        try:
-            lp = build_neuron_lp(comparison, n, epsilon=config.epsilon,
-                                 max_constraints=config.max_constraints,
-                                 big_M_bound=config.delta_bound)
-        except EmptyLPError:
-            report.records.append(
-                NeuronRecord(n, rank, by_neuron[n], "skipped", None, time.monotonic() - t0))
-            continue
-        if config.lp_dir is not None:
-            export_lp(lp, f"{config.lp_dir}/neuron_L{target}_N{n}.lp")
-        sol = solve_lp(lp, config.time_budget, memo=memo)
-        if sol.status == "optimal":
+        sol = shared.solution(n)
+        status, M = ("skipped", None) if sol is None else (sol.status, sol.M)
+        if status == "optimal":
             apply_deltas(patched, (target, n), sol.deltas, config.patch_mode)
-        report.records.append(
-            NeuronRecord(n, rank, by_neuron[n], sol.status, sol.M, time.monotonic() - t0))
+        report.records.append(NeuronRecord(n, rank, by_neuron[n], status, M, time.monotonic() - t0))
 
     if validation_set is not None and len(validation_set):
         report.accuracy_after = accuracy(patched, validation_set).accuracy
         report.fidelity_after = fidelity(fmodel, patched, validation_set)
     return patched, report
-

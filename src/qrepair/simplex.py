@@ -1,7 +1,7 @@
 """Bounded-variable primal simplex for homogeneous linear programs.
 
 Minimizes c.x s.t. A x <= 0, 0 <= x <= upper (a bound may be inf), the form
-of a repair LP after the Charnes-Cooper substitution (`lp._solve`). x = 0 is
+of a repair LP after the Charnes-Cooper substitution (`lp.solve_lp`). x = 0 is
 feasible, so the slack basis starts: no phase 1, no artificials. Dantzig's
 rule picks the entering column, which flips to its other bound without a
 pivot when it gets there first. The ratio test sees the zero right-hand side

@@ -301,3 +301,20 @@ def test_malformed_model_file_fails_naming_the_layer(conv3_files, tmp_path, caps
         capsys.readouterr()
         assert cli_main(argv) == 1, argv[0]
         assert capsys.readouterr().err.startswith(f"error: layer {index}: "), argv[0]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--delta-bound", "nan"),
+    ("--delta-bound", "-1"), ("--max-constraints", "0"), ("--max-constraints", "-3"),
+    ("--time-budget", "nan"),
+])
+def test_malformed_repair_option_fails_before_repairing(conv3_files, tmp_path, capsys,
+                                                        option, value):
+    data = str(FIXTURES / "conv3_val.csv")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli_main(["repair", "--float", str(conv3_files["float"]),
+                     "--quant", str(conv3_files["quant"]), "--repair-set", data,
+                     "--val", data, "--out", str(out), option, value]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,41 @@ def test_csv_inconsistent_width(tmp_path):
         load_dataset(path)
 
 
+def test_csv_whitespace_only_lines_are_skipped(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\n0,1.5,-2.0\n   \n\t\n1,0.25,3.0\n \n")
+    ds = load_dataset(path)
+    assert ds.labels.tolist() == [0, 1]
+    np.testing.assert_allclose(ds.features, [[1.5, -2.0], [0.25, 3.0]])
+    empty = tmp_path / "e.csv"
+    empty.write_text(" \n\n")
+    assert len(load_dataset(empty)) == 0
+
+
+@pytest.mark.parametrize("label", ["1.5", "nan", "1e400", "1.0"])
+def test_csv_non_integer_label(tmp_path, label):
+    path = tmp_path / "d.csv"
+    path.write_text(f"0,1.0\n{label},2.0\n")
+    with pytest.raises(DatasetError, match=str(path)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("rows,n_feat", [(20, 3), (0, 4), (5, 0)])
+def test_bin_bytes_match_hand_packed_rows(tmp_path, rows, n_feat):
+    rng = np.random.default_rng(rows + n_feat)
+    ds = Dataset(rng.normal(size=(rows, n_feat)).astype(np.float32),
+                 rng.integers(0, 3, size=rows), 3)
+    want = [b"QNRD", struct.pack("<III", rows, n_feat, 3)]
+    for label, x in zip(ds.labels, ds.features):
+        want.append(struct.pack(f"<I{n_feat}f", int(label), *x.tolist()))
+    save_dataset(ds, tmp_path / "d.bin")
+    assert (tmp_path / "d.bin").read_bytes() == b"".join(want)
+    back = load_dataset(tmp_path / "d.bin")
+    assert back.features.shape == (rows, n_feat)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+
+
 def test_bin_bad_magic(tmp_path):
     path = tmp_path / "d.bin"
     path.write_bytes(b"XXXX" + b"\0" * 12)
@@ -44,8 +81,6 @@ def test_bin_bad_magic(tmp_path):
 
 
 def test_bin_truncated(tmp_path):
-    import struct
-
     path = tmp_path / "d.bin"
     path.write_bytes(b"QNRD" + struct.pack("<III", 2, 3, 4) + b"\0" * 4)
     with pytest.raises(DatasetError):

@@ -53,7 +53,8 @@ def test_importance_unknown_metric():
 
 
 def test_dstar_exponent():
-    assert importance((3, 1, 1, 0), "dstar", dstar_exponent=3) == pytest.approx(27 / 2)
+    # D* with the exponent fixed at 2: c_af^2 / (c_as + c_nf)
+    assert importance((3, 1, 1, 0), "dstar") == pytest.approx(9 / 2)
 
 
 def test_dstar_infinite_case_gets_sentinel():
