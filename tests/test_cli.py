@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -301,6 +302,28 @@ def test_malformed_model_file_fails_naming_the_layer(conv3_files, tmp_path, caps
         capsys.readouterr()
         assert cli_main(argv) == 1, argv[0]
         assert capsys.readouterr().err.startswith(f"error: layer {index}: "), argv[0]
+
+
+LOCALIZE_CSV_SHA256 = {  # `qrepair localize` on the quantized conv3 fixture and conv3_val.csv
+    "tarantula": "8901bce963c5521d33c851cf28c3936bd454f1f6a0febd565e1cc40c784d0cf2",
+    "ochiai": "9ef4d0791089601ef14e08624919efae4dd3a3c2b3dc8f22e8504cd386e214f0",
+    "dstar": "1d98b7418f41176bec13a4c2b587b170c3d20f0a674a95b49e432c5b87e33604",
+    "jaccard": "7922211c2538db4547bbcd23bc8b2dfaf563267e202d5b6a5721e30a50e79376",
+    "ample": "428e54bf7426576c5607e9db655a9f140f2feef224c96f4dd5e317037815cf3b",
+    "euclid": "5b56cbb10a636c4a57071e616046a7ab140783c072995979ab352aee34725eb2",
+    "wong3": "16461aab454a3f85b7a46a441b696020713def67f6e6444186071bd8eba8bbd1",
+}
+
+
+@pytest.mark.parametrize("metric", sorted(LOCALIZE_CSV_SHA256))
+def test_localize_csv_fingerprint(conv3_files, tmp_path, metric):
+    # counters, scores and neuron order, byte for byte
+    out = tmp_path / "spectra.csv"
+    assert cli_main(["localize", "--float", str(conv3_files["float"]),
+                     "--quant", str(conv3_files["quant"]),
+                     "--repair-set", str(FIXTURES / "conv3_val.csv"),
+                     "--metric", metric, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LOCALIZE_CSV_SHA256[metric]
 
 
 @pytest.mark.parametrize("option,value", [

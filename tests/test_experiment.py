@@ -84,11 +84,25 @@ def test_seeded_run_is_byte_deterministic(tmp_path):
         (tmp_path / "b" / "experiment_report.json").read_bytes()
 
 
-MODEL_FILE_SHA256 = {  # the bytes the model writers produce for the default experiment
+MODEL_FILE_SHA256 = {  # the model files and per-metric repair reports of the default experiment
     42: {"float_model.json": "9afa3cbec844ff76b509711e65ae75b580cb45cdad1b04af4f1807e9d1137974",
-         "quantized_model.json": "1f3068d3bd639f381b4cb1e2d64e2f011dbd6da8c4b69e22b23e574941825cf4"},
+         "quantized_model.json": "1f3068d3bd639f381b4cb1e2d64e2f011dbd6da8c4b69e22b23e574941825cf4",
+         "repair_ample.json": "d6ee7fc1064c94b7b1452b2add2484e7f72cf05b0640827a3b13162e8f81e859",
+         "repair_dstar.json": "ced60b245fc332c371a214d50b0de0fab6f20ed2181602671658cb24d038eac5",
+         "repair_euclid.json": "f658eb4eaebb503035bd606c2f9bd6cd4cb69248ef54cd5dd4a27b3c28b761b8",
+         "repair_jaccard.json": "8bdc428550ea3f6fece9c49bf71d32a5f2f20ca775cf61c14c0729a5bbb15c9b",
+         "repair_ochiai.json": "a79a2fdef1077c8770d58e3ca669b3803d0429c1affc94568d1935ff82a041f3",
+         "repair_tarantula.json": "61417da2dde3708636fe855bb55217edbcbdd9114ac75f507ca4a4eec45427a1",
+         "repair_wong3.json": "7d92d135706fcf4f59475aff7e84fcef12742a434c32e39a9a433ec8179ac0ee"},
     7: {"float_model.json": "8696a07b3ac2fe831a5e7b9486a165afa3519f395e25388e84dea8d71dc30e52",
-        "quantized_model.json": "68c107bafce3c7a00357748c6a4c1a14143a28d592bcb99996ab7b454043e527"},
+        "quantized_model.json": "68c107bafce3c7a00357748c6a4c1a14143a28d592bcb99996ab7b454043e527",
+        "repair_ample.json": "152c565769d31ed2622241813b3a5ceb23f56b39abe7f9eaf451aca233a4b6ed",
+        "repair_dstar.json": "70ea46f314fbb33373fc29b45d2c3942133d084c8228a8afef10c3ba60473b8b",
+        "repair_euclid.json": "8747e83180a855a2bf526c6f87ee9709e1e96d0d851920032925eb08ab08adb8",
+        "repair_jaccard.json": "7c452cb4dd4a720583a217fc97f5b7236e754bf30f7303f714fb15a1734d0fa8",
+        "repair_ochiai.json": "e5740affe620091619e0f107b36466f5c24355ba2457740fc90160f7dbbe5947",
+        "repair_tarantula.json": "eaa135bf353dd9ef005638cfb54ed8e91b6b5d30a8da25777fdb087ba5f746dc",
+        "repair_wong3.json": "9314af370af77444212599aa5d6306aca0525010cc89d4b17dfd097683407264"},
 }
 
 
@@ -100,7 +114,7 @@ REPORT_SHA256 = {  # the default experiment's report bytes
 
 @pytest.mark.parametrize("seed", sorted(REPORT_SHA256, reverse=True))
 def test_default_experiment_report_fingerprint(tmp_path, seed):
-    # the default experiment's report and model-file bytes; a change that
+    # the default experiment's report, model-file and repair-report bytes; a change that
     # moves them must be deliberate and explained, never a side effect of a
     # refactor
     run_experiment(preset="mlp-blobs", seed=seed, out_dir=tmp_path)
