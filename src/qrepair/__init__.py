@@ -10,8 +10,6 @@ from .data import Dataset, load_dataset, save_dataset
 from .evaluate import EvalResult, accuracy, fidelity
 from .localize import (
     METRICS,
-    DiffMatrix,
-    ImportanceScore,
     LayerComparison,
     SpectraCounters,
     TestOutcome,

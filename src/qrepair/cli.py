@@ -17,8 +17,7 @@ from pathlib import Path
 from . import experiment as exp
 from .data import load_dataset
 from .evaluate import accuracy
-from .localize import METRICS, accumulate_spectra, compare_at_layer, importance_scores, \
-    spectra_csv
+from .localize import METRICS, compare_at_layer, importance_scores, spectra_csv
 from .model import load_model, model_from_json, read_model_json
 from .quantize import load_qmodel, qmodel_from_json, quantize_model, save_qmodel
 from .repair import RepairConfig, repair
@@ -137,10 +136,8 @@ def cmd_localize(args) -> int:
     qmodel = load_qmodel(args.quant)
     dataset = load_dataset(args.repair_set, num_classes=fmodel.num_classes)
     layer = args.layer if args.layer is not None else fmodel.last_dense_index()
-    comparison = compare_at_layer(fmodel, qmodel, dataset, layer)
-    counters = accumulate_spectra(comparison.diff_matrix(), comparison.outcomes)
-    scores = importance_scores(counters, args.metric)
-    csv_text = spectra_csv(counters, scores)
+    counters = compare_at_layer(fmodel, qmodel, dataset, layer).spectra()
+    csv_text = spectra_csv(counters, importance_scores(counters, args.metric), args.metric)
     if args.out:
         Path(args.out).write_text(csv_text)
     print(csv_text, end="")

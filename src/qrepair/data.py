@@ -8,6 +8,7 @@ row a u32 label followed by f32 features.
 from __future__ import annotations
 
 import csv
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,31 +54,43 @@ class Dataset:
                        [self.ids[i] for i in idx])
 
 
-def load_dataset(path, fmt: str | None = None, num_classes: int | None = None) -> Dataset:
-    """Load a dataset; `fmt` is inferred from the suffix when omitted."""
+def load_dataset(path, *, num_classes: int | None = None) -> Dataset:
+    """Load a `.bin` dataset, or a CSV one for any other suffix."""
     path = Path(path)
-    if fmt is None:
-        fmt = "bin" if path.suffix == ".bin" else "csv"
-    if fmt == "csv":
-        return _load_csv(path, num_classes)
-    if fmt == "bin":
-        return _load_bin(path, num_classes)
-    raise DatasetError(f"unknown dataset format {fmt!r}")
+    return _load_bin(path, num_classes) if path.suffix == ".bin" else _load_csv(path, num_classes)
 
 
 def _load_csv(path: Path, num_classes: int | None) -> Dataset:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
+    if not numbered:
         return Dataset(np.zeros((0, 0), np.float32), np.zeros(0, np.int64),
                        num_classes or 1)
+    row = _row_dtype("<i8", numbered[0][1].count(","))
     try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                          dtype=_row_dtype("<i8", lines[0].count(",")))
+        rows = _parse_csv([ln for _, ln in numbered], row)
     except ValueError as e:
-        raise DatasetError(f"{path}: {e}") from None
+        raise DatasetError(_csv_error(path, numbered, row, e)) from None
     if num_classes is None:
         num_classes = int(rows["label"].max()) + 1
     return Dataset(rows["x"].copy(), rows["label"].copy(), num_classes)
+
+
+def _parse_csv(lines: list[str], row: np.dtype) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=row)
+
+
+def _csv_error(path: Path, numbered: list, row: np.dtype, error: ValueError) -> str:
+    """Name the first file line that does not parse; runs only on the error path."""
+    fields = 1 + row["x"].shape[0]
+    for lineno, line in numbered:
+        got = line.count(",") + 1
+        if got != fields:
+            return f"{path}:{lineno}: expected {fields} fields, got {got}"
+        try:
+            _parse_csv([line], row)
+        except ValueError as e:  # numpy's row number counts within this one line
+            return f"{path}:{lineno}: " + re.sub(r" at row \d+,", " in", str(e))
+    return f"{path}: {error}"
 
 
 def _row_dtype(label: str, n_feat: int) -> np.dtype:
@@ -100,38 +113,16 @@ def _load_bin(path: Path, num_classes: int | None) -> Dataset:
     return Dataset(rows["x"].copy(), rows["label"].astype(np.int64), n_classes)
 
 
-def load_cifar10_batch(path, num_rows: int | None = None) -> Dataset:
-    """Consume a user-supplied CIFAR-10 binary batch (not bundled here).
-
-    Standard batch layout: 3073 bytes per row, u8 label then 3072 u8 pixels
-    (3x32x32, channel-major). Pixels are scaled to [0, 1] floats.
-    """
-    raw = Path(path).read_bytes()
-    row_bytes = 3073
-    if len(raw) % row_bytes != 0:
-        raise DatasetError(f"{path}: size {len(raw)} is not a multiple of {row_bytes}")
-    n = len(raw) // row_bytes
-    if num_rows is not None:
-        n = min(n, num_rows)
-    arr = np.frombuffer(raw, dtype=np.uint8, count=n * row_bytes).reshape(n, row_bytes)
-    labels = arr[:, 0].astype(np.int64)
-    feats = arr[:, 1:].astype(np.float32) / 255.0
-    return Dataset(feats, labels, 10)
-
-
-def save_dataset(ds: Dataset, path, fmt: str | None = None) -> None:
+def save_dataset(ds: Dataset, path) -> None:
+    """Write a `.bin` dataset, or a CSV one for any other suffix."""
     path = Path(path)
-    if fmt is None:
-        fmt = "bin" if path.suffix == ".bin" else "csv"
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for i in range(len(ds)):
-                writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])
-    elif fmt == "bin":
+    if path.suffix == ".bin":
         rows = np.empty(len(ds), _row_dtype("<u4", ds.features.shape[1]))
         rows["label"], rows["x"] = ds.labels, ds.features
         header = struct.pack("<III", len(ds), ds.features.shape[1], ds.num_classes)
         path.write_bytes(MAGIC + header + rows.tobytes())
-    else:
-        raise DatasetError(f"unknown dataset format {fmt!r}")
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for i in range(len(ds)):
+            writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])

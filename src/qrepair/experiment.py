@@ -123,8 +123,7 @@ def damage_layer(qmodel: QuantizedModel, layer_index: int,
     else:
         mask = rng.random(codes.shape) < flip_fraction
     damaged = np.where(mask, -codes, codes).astype(np.int8)
-    layer.set_codes(QuantizedTensor(layer.qweights.shape, damaged,
-                                    layer.qweights.scale, layer.qweights.zero_point))
+    layer.set_codes(QuantizedTensor(layer.qweights.shape, damaged, layer.qweights.scale))
 
 
 def damaged_quantized_model(fmodel: Model, val: Dataset, repair_set: Dataset,

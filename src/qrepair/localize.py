@@ -11,8 +11,10 @@ ranking below consumes).
 Counter naming: c_af / c_as count status differences on failing / passing
 tests, c_nf / c_ns the complements, so c_af + c_nf == #failing and
 c_as + c_ns == #passing for every neuron. Labels and statuses both come from
-`compare_at_layer`, one forward pass per model.
-"""
+`compare_at_layer`, one forward pass per model. The stage runs on arrays:
+the labels give the failing mask, the statuses the [tests, neurons] diff
+matrix, `accumulate_spectra` the counters, `importance_scores` one float64
+score per neuron and `rank_neurons` the order."""
 
 from __future__ import annotations
 
@@ -41,21 +43,6 @@ class TestOutcome:
 
 
 @dataclass
-class DiffMatrix:
-    """0/1 entries: rows are tests, columns the neurons of one dense layer."""
-
-    layer_index: int
-    entries: np.ndarray  # uint8 [tests, neurons]
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.uint8)
-        if self.entries.ndim != 2:
-            raise ValueError("diff matrix must be 2-D")
-        if np.any(self.entries > 1):
-            raise ValueError("diff matrix entries must be 0 or 1")
-
-
-@dataclass
 class SpectraCounters:
     """Per-neuron counters over a repair set."""
 
@@ -79,28 +66,26 @@ class SpectraCounters:
 
 
 @dataclass(frozen=True)
-class ImportanceScore:
-    neuron_index: int
-    metric: str
-    value: float
-
-
-@dataclass(frozen=True)
 class LayerComparison:
     """Two models compared on one dataset at one dense layer; the quantized
     layer's weights and bias are copies, so later patches leave them be."""
 
     layer_index: int
-    outcomes: list[TestOutcome]
-    failing: np.ndarray  # bool [tests]
+    float_labels: np.ndarray  # int [tests]: each model's predicted label
+    quant_labels: np.ndarray  # int [tests]
     status_float: np.ndarray  # bool [tests, neurons]: pre-activation > 0
     status_quant: np.ndarray  # bool [tests, neurons]
     inputs: np.ndarray  # float32 [tests, in_dim], the quantized layer's input rows
     weights: np.ndarray  # float32 [in_dim, neurons], the weights inference uses
     bias: np.ndarray | None  # [neurons]
 
-    def diff_matrix(self) -> DiffMatrix:
-        return DiffMatrix(self.layer_index, self.status_float != self.status_quant)
+    @property
+    def failing(self) -> np.ndarray:
+        """bool [tests]: the models disagree on the label."""
+        return self.float_labels != self.quant_labels
+
+    def spectra(self) -> SpectraCounters:
+        return accumulate_spectra(self.status_float != self.status_quant, self.failing)
 
 
 def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
@@ -118,39 +103,35 @@ def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
     logits_f, pre_f, _ = forward_batch(fmodel, dataset.features, {layer_index})
     logits_q, pre_q, inputs = forward_batch(qmodel, dataset.features, {layer_index},
                                             input_of=layer_index)
-    float_labels, quant_labels = logits_f.argmax(axis=1), logits_q.argmax(axis=1)
-    outcomes = [TestOutcome(test_id, int(fl), int(ql))
-                for test_id, fl, ql in zip(dataset.ids, float_labels, quant_labels)]
     qlayer = qmodel.layers[layer_index]
     bias = None if qlayer.bias is None else qlayer.bias.data.copy()
-    return LayerComparison(layer_index, outcomes, float_labels != quant_labels,
+    return LayerComparison(layer_index, logits_f.argmax(axis=1), logits_q.argmax(axis=1),
                            pre_f[layer_index] > 0, pre_q[layer_index] > 0, inputs,
                            qlayer.eff_weights.copy(), bias)
 
 
 def classify_tests(fmodel: Model, qmodel: QuantizedModel, dataset) -> list[TestOutcome]:
     """Label every repair-set input passing or failing by model agreement."""
-    return compare_at_layer(fmodel, qmodel, dataset, fmodel.last_dense_index()).outcomes
+    c = compare_at_layer(fmodel, qmodel, dataset, fmodel.last_dense_index())
+    return [TestOutcome(test_id, int(fl), int(ql))
+            for test_id, fl, ql in zip(dataset.ids, c.float_labels, c.quant_labels)]
 
 
 def build_diff_matrix(fmodel: Model, qmodel: QuantizedModel, dataset,
-                      layer_index: int) -> DiffMatrix:
-    """entry[t][n] = |status_float(t,n) - status_quant(t,n)| on a dense layer."""
-    return compare_at_layer(fmodel, qmodel, dataset, layer_index).diff_matrix()
+                      layer_index: int) -> np.ndarray:
+    """bool [tests, neurons]: status_float(t, n) != status_quant(t, n) on a dense layer."""
+    c = compare_at_layer(fmodel, qmodel, dataset, layer_index)
+    return c.status_float != c.status_quant
 
 
-def accumulate_spectra(diff: DiffMatrix, outcomes: list[TestOutcome]) -> SpectraCounters:
-    if diff.entries.shape[0] != len(outcomes):
-        raise ValueError(
-            f"diff matrix has {diff.entries.shape[0]} rows, got {len(outcomes)} outcomes"
-        )
-    failing = np.array([o.is_failing for o in outcomes], dtype=bool)
+def accumulate_spectra(diff: np.ndarray, failing: np.ndarray) -> SpectraCounters:
+    """Counters from a 0/1 [tests, neurons] diff matrix and a bool [tests] failing mask."""
+    diff, failing = np.asarray(diff, dtype=np.int64), np.asarray(failing, dtype=bool)
+    if diff.ndim != 2 or diff.shape[0] != failing.size:
+        raise ValueError(f"diff matrix of shape {diff.shape} for {failing.size} tests")
     n_fail = int(failing.sum())
-    n_pass = len(outcomes) - n_fail
-    ent = diff.entries.astype(np.int64)
-    c_af = ent[failing].sum(axis=0) if n_fail else np.zeros(ent.shape[1], np.int64)
-    c_as = ent[~failing].sum(axis=0) if n_pass else np.zeros(ent.shape[1], np.int64)
-    return SpectraCounters(c_af, n_fail - c_af, c_as, n_pass - c_as)
+    c_af, c_as = diff[failing].sum(axis=0), diff[~failing].sum(axis=0)
+    return SpectraCounters(c_af, n_fail - c_af, c_as, failing.size - n_fail - c_as)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -198,33 +179,21 @@ def importance(counters: tuple[int, int, int, int], metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def importance_scores(counters: SpectraCounters, metric: str) -> list[ImportanceScore]:
-    """Score every neuron; infinities become (max finite score + 1)."""
-    raw = [importance(counters.neuron(n), metric) for n in range(len(counters))]
-    finite = [v for v in raw if math.isfinite(v)]
-    sentinel = (max(finite) if finite else 0.0) + 1.0
-    return [ImportanceScore(n, metric, v if math.isfinite(v) else sentinel)
-            for n, v in enumerate(raw)]
+def importance_scores(counters: SpectraCounters, metric: str) -> np.ndarray:
+    """float64 [neurons]; infinities become (max finite score + 1)."""
+    raw = np.array([importance(counters.neuron(n), metric) for n in range(len(counters))],
+                   dtype=np.float64)
+    finite = raw[np.isfinite(raw)]
+    return np.where(np.isfinite(raw), raw, (finite.max() if finite.size else 0.0) + 1.0)
 
 
-def rank_neurons(scores: list[ImportanceScore]) -> list[int]:
+def rank_neurons(scores: np.ndarray) -> list[int]:
     """Neuron indices by descending score; ties break to the lower index."""
-    if not scores:
-        return []
-    metrics = {s.metric for s in scores}
-    if len(metrics) > 1:
-        raise ValueError(f"mixed metrics in one ranking: {sorted(metrics)}")
-    return [s.neuron_index for s in sorted(scores, key=lambda s: (-s.value, s.neuron_index))]
+    return np.argsort(-np.asarray(scores), kind="stable").tolist()
 
 
-def spectra_csv(counters: SpectraCounters, scores: list[ImportanceScore]) -> str:
+def spectra_csv(counters: SpectraCounters, scores: np.ndarray, metric: str) -> str:
     """CSV rows `neuron_index,C_af,C_nf,C_as,C_ns,<metric>=score,rank`."""
-    order = rank_neurons(scores)
-    rank_of = {n: r + 1 for r, n in enumerate(order)}
-    by_neuron = {s.neuron_index: s for s in scores}
-    lines = []
-    for n in order:
-        c_af, c_nf, c_as, c_ns = counters.neuron(n)
-        s = by_neuron[n]
-        lines.append(f"{n},{c_af},{c_nf},{c_as},{c_ns},{s.metric}={s.value:.6g},{rank_of[n]}")
+    lines = [f"{n},{','.join(map(str, counters.neuron(n)))},{metric}={scores[n]:.6g},{rank}"
+             for rank, n in enumerate(rank_neurons(scores), start=1)]
     return "\n".join(lines) + "\n"

@@ -44,8 +44,7 @@ INT8_MAX = 127
 class QuantizedTensor:
     shape: tuple[int, ...]
     data: np.ndarray  # int8, flat
-    scale: float
-    zero_point: int = 0
+    scale: float  # the zero point is fixed at 0
 
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
@@ -66,9 +65,9 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def quantize_values(values: np.ndarray, scale: float, zero_point: int = 0) -> np.ndarray:
-    """q = round(r/S + Z), clamped to the int8 range."""
-    q = round_half_away(np.asarray(values, dtype=np.float64) / scale + zero_point)
+def quantize_values(values: np.ndarray, scale: float) -> np.ndarray:
+    """q = round(r/S), clamped to the int8 range."""
+    q = round_half_away(np.asarray(values, dtype=np.float64) / scale)
     return np.clip(q, -INT8_MAX, INT8_MAX).astype(np.int8)
 
 
@@ -86,8 +85,8 @@ def quantize_tensor(t: Tensor) -> QuantizedTensor:
 
 
 def dequantize(qt: QuantizedTensor) -> Tensor:
-    """r = S*(q - Z), computed in float64."""
-    values = qt.scale * (qt.data.astype(np.float64) - qt.zero_point)
+    """r = S*q, computed in float64."""
+    values = qt.scale * qt.data.astype(np.float64)
     return Tensor(qt.shape, values)
 
 
@@ -159,8 +158,7 @@ def clone_quantized(qmodel: QuantizedModel) -> QuantizedModel:
     for l in qmodel.layers:
         qw = None
         if l.qweights is not None:
-            qw = QuantizedTensor(l.qweights.shape, l.qweights.data.copy(),
-                                 l.qweights.scale, l.qweights.zero_point)
+            qw = QuantizedTensor(l.qweights.shape, l.qweights.data.copy(), l.qweights.scale)
         bias = Tensor(l.bias.shape, l.bias.data.copy()) if l.bias is not None else None
         eff = l.eff_weights.copy() if l.eff_weights is not None else None
         layers.append(QuantizedLayer(l.kind, qw, bias, dict(l.hyperparams), eff,
@@ -195,7 +193,7 @@ def _qweights_to_json(layer: QuantizedLayer) -> dict | None:
     if layer.patched_columns:
         return _array_to_json(layer.eff_weights)
     qw = layer.qweights
-    return {"shape": list(qw.shape), "scale": qw.scale, "zero_point": qw.zero_point,
+    return {"shape": list(qw.shape), "scale": qw.scale, "zero_point": 0,
             "data_i8": [int(v) for v in qw.data]}
 
 
@@ -209,8 +207,9 @@ def _quantized_layer(kind, wobj, bias, hyperparams, base_dir) -> QuantizedLayer:
         codes = np.asarray(wobj["data_i8"], dtype=np.int8)  # OverflowError past int8
         if not np.array_equal(codes, wobj["data_i8"]):
             raise ModelFormatError("int8 codes must be integers")
-        qw = QuantizedTensor(wobj["shape"], codes, float(wobj["scale"]),
-                             int(wobj.get("zero_point", 0)))
+        if wobj.get("zero_point", 0) != 0:
+            raise ModelFormatError(f"zero_point must be 0, got {wobj['zero_point']!r}")
+        qw = QuantizedTensor(wobj["shape"], codes, float(wobj["scale"]))
         return QuantizedLayer(kind, qw, bias, hyperparams)
     # mixed-precision layer written after float patching
     eff = _tensor_from_json(wobj, base_dir)

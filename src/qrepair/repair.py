@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .evaluate import accuracy, fidelity
-from .localize import (
-    LayerComparison,
-    accumulate_spectra,
-    compare_at_layer,
-    importance_scores,
-    rank_neurons,
-)
+from .localize import LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
 from .model import Model, Tensor
 from .quantize import QuantizedModel, clone_quantized, quantize_tensor
@@ -251,8 +245,9 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
                           accuracy_before=shared.accuracy_before,
                           fidelity_before=shared.fidelity_before)
 
-    report.n_failing = int(comparison.failing.sum())
-    report.n_passing = len(comparison.outcomes) - report.n_failing
+    failing = comparison.failing
+    report.n_failing = int(failing.sum())
+    report.n_passing = failing.size - report.n_failing
     if report.n_failing == 0:
         report.warning = "no failing tests in the repair set; nothing to repair"
         log.warning(report.warning)
@@ -260,15 +255,13 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         report.fidelity_after = report.fidelity_before
         return patched, report
 
+    width = comparison.weights.shape[1]
     if neuron_order is not None:
-        order = list(neuron_order)
-        by_neuron = {n: 0.0 for n in order}
+        order, scores = list(neuron_order), np.zeros(width)
     else:
-        counters = accumulate_spectra(comparison.diff_matrix(), comparison.outcomes)
-        scores = importance_scores(counters, config.metric)
+        scores = importance_scores(comparison.spectra(), config.metric)
         order = rank_neurons(scores)
-        by_neuron = {s.neuron_index: s.value for s in scores}
-    targets = order[: min(config.top_n, comparison.weights.shape[1])]
+    targets = order[: min(config.top_n, width)]
 
     for rank, n in enumerate(targets, start=1):
         t0 = time.monotonic()
@@ -276,7 +269,8 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         status, M = ("skipped", None) if sol is None else (sol.status, sol.M)
         if status == "optimal":
             apply_deltas(patched, (target, n), sol.deltas, config.patch_mode)
-        report.records.append(NeuronRecord(n, rank, by_neuron[n], status, M, time.monotonic() - t0))
+        report.records.append(NeuronRecord(n, rank, float(scores[n]), status, M,
+                                           time.monotonic() - t0))
 
     if validation_set is not None and len(validation_set):
         report.accuracy_after = accuracy(patched, validation_set).accuracy

@@ -22,6 +22,7 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 PERTURBATION = 1e-7
+MAX_STEPS = 50000  # primal and dual steps per solve before it reports a timeout
 
 
 @dataclass
@@ -128,7 +129,7 @@ class _Tableau:
         return res
 
 
-def simplex_solve(c, a, upper, deadline=None, max_iter=50000) -> SimplexResult:
+def simplex_solve(c, a, upper, deadline=None) -> SimplexResult:
     """Minimize c.x s.t. a x <= 0, 0 <= x <= upper.
 
     `deadline` is a time.monotonic() timestamp, checked before any work and
@@ -141,7 +142,7 @@ def simplex_solve(c, a, upper, deadline=None, max_iter=50000) -> SimplexResult:
     if c.shape != (n,) or upper.shape != (n,) or np.any(upper < 0):
         raise ValueError("inconsistent LP dimensions or bounds")
     tab = _Tableau(c, a, upper)
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         if deadline is not None and time.monotonic() >= deadline:
             break
         if tab.perturbed or not tab.dual_step():

@@ -181,9 +181,10 @@ def test_spectra_invariants(blobs_fixture):
         target = fmodel.last_dense_index()
         for ds in (repair_set, val):
             outcomes = classify_tests(fmodel, qmodel, ds)
-            n_fail = sum(o.is_failing for o in outcomes)
+            failing = np.array([o.is_failing for o in outcomes], dtype=bool)
+            n_fail = int(failing.sum())
             diff = build_diff_matrix(fmodel, qmodel, ds, target)
-            counters = accumulate_spectra(diff, outcomes)
+            counters = accumulate_spectra(diff, failing)
             assert np.all(counters.c_af + counters.c_nf == n_fail)
             assert np.all(counters.c_as + counters.c_ns == len(ds) - n_fail)
             fid = fidelity(fmodel, qmodel, ds)

@@ -1,10 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from qrepair.data import Dataset, DatasetError, load_cifar10_batch, load_dataset, \
-    save_dataset
+from qrepair.data import Dataset, DatasetError, load_dataset, save_dataset
 
 
 def test_csv_two_rows(tmp_path):
@@ -54,6 +54,17 @@ def test_csv_non_integer_label(tmp_path, label):
     path = tmp_path / "d.csv"
     path.write_text(f"0,1.0\n{label},2.0\n")
     with pytest.raises(DatasetError, match=str(path)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("text,lineno,reason", [
+    ("0,1\n\nx,2\n", 3, "could not convert string 'x' to int64 in column 1"),
+    ("1,2\n0,1,2\n", 2, "expected 2 fields, got 3"),
+], ids=["bad_value_after_blank_line", "extra_field"])
+def test_csv_error_names_the_file_line(tmp_path, text, lineno, reason):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:{lineno}: {reason}')}"):
         load_dataset(path)
 
 
@@ -129,21 +140,3 @@ def test_subset_keeps_ids():
 def test_dataset_label_validation():
     with pytest.raises(DatasetError):
         Dataset(np.zeros((2, 2), np.float32), np.array([0, 7]), 3)
-
-
-def test_cifar10_batch_hook(tmp_path):
-    rng = np.random.default_rng(55)
-    rows = []
-    labels = [3, 9]
-    for lab in labels:
-        rows.append(bytes([lab]) + rng.integers(0, 256, 3072, dtype=np.uint8).tobytes())
-    path = tmp_path / "data_batch_1.bin"
-    path.write_bytes(b"".join(rows))
-    ds = load_cifar10_batch(path)
-    assert len(ds) == 2
-    assert ds.labels.tolist() == labels
-    assert ds.features.shape == (2, 3072)
-    assert float(ds.features.max()) <= 1.0
-    (tmp_path / "short.bin").write_bytes(b"xx")
-    with pytest.raises(DatasetError):
-        load_cifar10_batch(tmp_path / "short.bin")

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from conftest import dense_model, grid_mlp, make_dataset, manual_qmodel
 from qrepair.localize import (
     METRICS,
-    DiffMatrix,
-    ImportanceScore,
     SpectraCounters,
-    TestOutcome,
     accumulate_spectra,
     build_diff_matrix,
     classify_tests,
@@ -61,8 +58,9 @@ def test_dstar_infinite_case_gets_sentinel():
     assert importance((2, 0, 0, 5), "dstar") == math.inf
     counters = SpectraCounters([2, 1], [0, 1], [0, 1], [5, 4])
     scores = importance_scores(counters, "dstar")
-    assert all(math.isfinite(s.value) for s in scores)
-    assert scores[0].value > scores[1].value  # sentinel outranks every finite score
+    assert scores.dtype == np.float64
+    assert np.all(np.isfinite(scores))
+    assert scores[0] > scores[1]  # sentinel outranks every finite score
 
 
 def test_wong3_piecewise():
@@ -100,21 +98,11 @@ def test_identical_counters_identical_scores(c):
 
 
 def test_rank_neurons_tie_break():
-    scores = [ImportanceScore(0, "euclid", 0.2),
-              ImportanceScore(1, "euclid", 0.9),
-              ImportanceScore(2, "euclid", 0.9)]
-    assert rank_neurons(scores) == [1, 2, 0]
+    assert rank_neurons(np.array([0.2, 0.9, 0.9])) == [1, 2, 0]
 
 
 def test_rank_all_equal_is_identity():
-    scores = [ImportanceScore(i, "euclid", 1.0) for i in range(5)]
-    assert rank_neurons(scores) == [0, 1, 2, 3, 4]
-
-
-def test_rank_rejects_mixed_metrics():
-    scores = [ImportanceScore(0, "euclid", 0.2), ImportanceScore(1, "ochiai", 0.3)]
-    with pytest.raises(ValueError):
-        rank_neurons(scores)
+    assert rank_neurons(np.ones(5)) == [0, 1, 2, 3, 4]
 
 
 def test_rank_deterministic_with_dominant_neurons():
@@ -168,8 +156,8 @@ def test_diff_matrix_zero_when_statuses_match():
                       labels=np.zeros(8), num_classes=model.num_classes)
     layer = model.last_dense_index()
     diff = build_diff_matrix(model, qm, ds, layer)
-    assert diff.entries.shape == (8, model.layers[layer].weights.shape[1])
-    assert not diff.entries.any()
+    assert diff.shape == (8, model.layers[layer].weights.shape[1])
+    assert not diff.any()
 
 
 def test_diff_matrix_single_flip():
@@ -183,8 +171,8 @@ def test_diff_matrix_single_flip():
     (rec_f0,) = capture_activations(fmodel, np.array([1.0, 1.0], np.float32), {0})
     (rec_q0,) = capture_activations_q(qmodel, np.array([1.0, 1.0], np.float32), {0})
     expect0 = np.abs(rec_f0.status.astype(int) - rec_q0.status.astype(int))
-    assert np.array_equal(diff.entries[0], expect0.astype(np.uint8))
-    assert diff.entries[0, 1] == 1  # the flipped neuron
+    assert np.array_equal(diff[0], expect0)
+    assert diff[0, 1]  # the flipped neuron
 
 
 def test_diff_matrix_rejects_non_dense(conv3_model):
@@ -204,31 +192,27 @@ def test_diff_matrix_entries_rederivable(conv3_model, conv3_val):
         (rf,) = capture_activations(conv3_model, x, {layer})
         (rq,) = capture_activations_q(qm, x, {layer})
         assert np.array_equal(
-            diff.entries[t], np.abs(rf.status.astype(int) - rq.status.astype(int))
+            diff[t], np.abs(rf.status.astype(int) - rq.status.astype(int))
         )
 
 
 def test_accumulate_zero_diff():
-    diff = DiffMatrix(0, np.zeros((10, 4), np.uint8))
-    outcomes = [TestOutcome(i, 0, 1 if i < 5 else 0) for i in range(10)]  # 5 fail
-    c = accumulate_spectra(diff, outcomes)
+    failing = np.arange(10) < 5  # 5 fail
+    c = accumulate_spectra(np.zeros((10, 4), np.uint8), failing)
     for n in range(4):
         assert c.neuron(n) == (0, 5, 0, 5)
 
 
 def test_accumulate_single_failing_diff():
-    diff = DiffMatrix(0, np.array([[0, 0, 1]], np.uint8))
-    outcomes = [TestOutcome(0, 0, 1)]  # failing
-    c = accumulate_spectra(diff, outcomes)
+    c = accumulate_spectra(np.array([[0, 0, 1]], np.uint8), np.array([True]))
     assert c.neuron(2) == (1, 0, 0, 0)
     assert c.neuron(0) == (0, 1, 0, 0)
     assert c.neuron(1) == (0, 1, 0, 0)
 
 
 def test_accumulate_length_mismatch():
-    diff = DiffMatrix(0, np.zeros((2, 3), np.uint8))
     with pytest.raises(ValueError):
-        accumulate_spectra(diff, [TestOutcome(0, 0, 0)])
+        accumulate_spectra(np.zeros((2, 3), np.uint8), np.array([False]))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -236,10 +220,10 @@ def test_accumulate_length_mismatch():
 def test_accumulate_invariants_random(seed):
     rng = np.random.default_rng(seed)
     t, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))
-    diff = DiffMatrix(0, rng.integers(0, 2, size=(t, n)).astype(np.uint8))
-    outcomes = [TestOutcome(i, 0, int(rng.integers(0, 2))) for i in range(t)]
-    c = accumulate_spectra(diff, outcomes)
-    n_fail = sum(o.is_failing for o in outcomes)
+    diff = rng.integers(0, 2, size=(t, n)).astype(np.uint8)
+    failing = rng.integers(0, 2, size=t).astype(bool)
+    c = accumulate_spectra(diff, failing)
+    n_fail = int(failing.sum())
     assert np.all(c.c_af + c.c_nf == n_fail)
     assert np.all(c.c_as + c.c_ns == t - n_fail)
 
@@ -247,7 +231,7 @@ def test_accumulate_invariants_random(seed):
 def test_spectra_csv_format():
     counters = SpectraCounters([2, 0], [3, 5], [1, 0], [4, 5])
     scores = importance_scores(counters, "dstar")
-    text = spectra_csv(counters, scores)
+    text = spectra_csv(counters, scores, "dstar")
     lines = text.strip().split("\n")
     assert lines[0] == "0,2,3,1,4,dstar=1,1"
     assert lines[1] == "1,0,5,0,5,dstar=0,2"

@@ -26,7 +26,6 @@ from qrepair.repair import RepairConfig, apply_deltas, repair
 def test_all_zero_tensor_degenerate_rule():
     qt = quantize_tensor(Tensor.from_array(np.zeros(3)))
     assert qt.scale == 1.0
-    assert qt.zero_point == 0
     assert qt.data.tolist() == [0, 0, 0]
 
 
@@ -255,7 +254,9 @@ def test_float_patched_sidecar_weights_load_like_inline(tmp_path, conv3_model):
     (lambda w: w.__setitem__("scale", math.nan), "scale"),
     (lambda w: w.__setitem__("scale", math.inf), "scale"),
     (lambda w: w["data_i8"].__setitem__(0, 1.7), "integers"),
-], ids=["no_scale", "no_shape", "code_out_of_int8", "nan_scale", "inf_scale", "fractional_code"])
+    (lambda w: w.__setitem__("zero_point", 3), "^layer 0: zero_point must be 0"),
+], ids=["no_scale", "no_shape", "code_out_of_int8", "nan_scale", "inf_scale", "fractional_code",
+        "nonzero_zero_point"])
 def test_malformed_qweights_raise_model_format_error(tmp_path, conv3_model, edit, message):
     path, obj = _saved_qmodel_json(tmp_path, conv3_model)
     edit(next(l["weights"] for l in obj["layers"] if "weights" in l))

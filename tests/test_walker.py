@@ -116,7 +116,7 @@ def test_classify_and_diff_match_rows(case):
     for layer in fmodel.dense_layer_indices():
         diff = build_diff_matrix(fmodel, qmodel, dataset, layer)
         want = (row_pre(fmodel, dataset, layer) > 0) != (row_pre(qmodel, dataset, layer) > 0)
-        assert np.array_equal(diff.entries, want.astype(np.uint8)), layer
+        assert np.array_equal(diff, want), layer
 
 
 @pytest.mark.parametrize("max_constraints", [3, 64])
