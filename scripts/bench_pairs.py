@@ -30,7 +30,9 @@ from pathlib import Path
 
 TRACE_KEYS = ("lp.solve_lp.calls", "simplex.simplex_solve.calls", "simplex.pivots",
               "lp.optimal", "lp.infeasible", "lp.timeout",
-              "repair.constraints_held", "repair.constraints_total")
+              "repair.constraints_held", "repair.constraints_total",
+              "model.apply_layer.conv2d.calls", "model.apply_layer.dense.calls",
+              "evaluate.accuracy.calls")
 
 
 def run(args) -> None:

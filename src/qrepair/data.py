@@ -7,7 +7,6 @@ row a u32 label followed by f32 features.
 
 from __future__ import annotations
 
-import csv
 import re
 import struct
 from dataclasses import dataclass, field
@@ -122,7 +121,9 @@ def save_dataset(ds: Dataset, path) -> None:
         header = struct.pack("<III", len(ds), ds.features.shape[1], ds.num_classes)
         path.write_bytes(MAGIC + header + rows.tobytes())
         return
+    # the bytes csv.writer would write, a row at a time so neither the file's
+    # text nor its values as Python floats are ever held whole; float32 ->
+    # Python float is exact, so repr round-trips
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(len(ds)):
-            writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])
+        fh.writelines(",".join([str(label), *map(repr, row.tolist())]) + "\r\n"
+                      for label, row in zip(ds.labels.tolist(), ds.features))

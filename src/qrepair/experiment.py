@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, DatasetError, save_dataset
-from .evaluate import accuracy, fidelity
+from .evaluate import accuracy, predict
 from .localize import METRICS
 from .model import Layer, Model, Tensor, save_model
 from .quantize import (
@@ -132,15 +132,17 @@ def damaged_quantized_model(fmodel: Model, val: Dataset, repair_set: Dataset,
     """Quantize and perturb until the float-vs-quantized val gap is >= 2 points.
 
     Also requires a handful of failing tests in the repair set, so the
-    localization stage has evidence to work with.
+    localization stage has evidence to work with. The float model runs once
+    over each set; each damage level runs only the damaged quantized model.
     """
     target = fmodel.last_dense_index()
     acc_f = accuracy(fmodel, val).accuracy
+    float_repair_labels = predict(fmodel, repair_set)
     for level, child in zip(DAMAGE_LEVELS, seed_seq.spawn(len(DAMAGE_LEVELS))):
         qmodel = quantize_model(fmodel)
         damage_layer(qmodel, target, np.random.default_rng(child), level)
         acc_q = accuracy(qmodel, val).accuracy
-        failing = round((1.0 - fidelity(fmodel, qmodel, repair_set)) * len(repair_set))
+        failing = int(np.sum(predict(qmodel, repair_set) != float_repair_labels))
         if acc_f - acc_q >= GAP_TARGET and failing >= 3:
             log.info("damage fraction %.2f: gap %.4f, %d failing repair tests",
                      level, acc_f - acc_q, failing)

@@ -179,15 +179,27 @@ def _dense(x, w, b):
 
 
 def _conv2d(x, w, b, stride):
-    kh, kw, _, out_ch = w.shape
+    kh, kw, in_ch, out_ch = w.shape
     n, h, wd, _ = x.shape
     ho = (h - kh) // stride + 1
     wo = (wd - kw) // stride + 1
-    out = np.zeros((n, ho, wo, out_ch), dtype=x.dtype)
-    for a in range(kh):
-        for bb in range(kw):
-            patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
-            out += patch @ w[a, bb]
+    if in_ch == 1:
+        # a tap's `patch @ w[a, bb]` is then a plain product; accumulating it
+        # channel-major gives the same bits without a matmul per tap
+        out = np.zeros((out_ch, n, ho, wo), dtype=x.dtype)
+        for a in range(kh):
+            for bb in range(kw):
+                patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, 0]
+                out += w[a, bb, 0][:, None, None, None] * patch
+        # contiguous, so the next layer's matmul computes the same bits as on
+        # a batch-major output
+        out = np.ascontiguousarray(out.transpose(1, 2, 3, 0))
+    else:
+        out = np.zeros((n, ho, wo, out_ch), dtype=x.dtype)
+        for a in range(kh):
+            for bb in range(kw):
+                patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
+                out += patch @ w[a, bb]
     if b is not None:
         out = out + b
     return out
@@ -222,26 +234,33 @@ def apply_layer(layer_kind: str, x: np.ndarray, weights: np.ndarray | None,
     raise ModelFormatError(f"unknown layer kind {layer_kind!r}")
 
 
-def forward_batch(model, inputs, capture=(), input_of: int | None = None):
+def forward_batch(model, inputs, capture=(), input_of: int | None = None, start: int = 0):
     """Run a batch of inputs [N, ...] through a Model or a QuantizedModel.
 
     Returns the logits [N, num_classes], a dict from every layer index in
     `capture` to that layer's output [N, ...] (the pre-activation, for a
     dense or conv2d layer), and, when `input_of` is a layer index, the flat
-    input [N, d] of that layer (else None). Raises ValueError when an input
-    row or a logit is not finite.
+    input [N, d] of that layer (else None). With `start`, the rows are the
+    input of layer `start` (flat, as `input_of` returns them) and only the
+    layers from `start` on run. Raises ValueError when an input row or a
+    logit is not finite.
     """
+    views = model.layer_arrays()
+    if not 0 <= start < len(views):
+        raise IndexError(f"start layer {start} out of range 0..{len(views) - 1}")
+    shape = model.input_shape
+    for kind, w, b, hyperparams in views[:start]:
+        shape = _output_shape(shape, kind, w, b, hyperparams)
     x = np.asarray(inputs, dtype=np.float32)
     n = len(x)
-    if x.size != n * math.prod(model.input_shape):
-        raise ShapeMismatchError(
-            f"input rows of shape {x.shape[1:]} do not fit model input {model.input_shape}"
-        )
-    x = x.reshape((n,) + model.input_shape)
+    if x.size != n * math.prod(shape):
+        what = "model input" if start == 0 else f"layer {start} input"
+        raise ShapeMismatchError(f"input rows of shape {x.shape[1:]} do not fit {what} {shape}")
+    x = x.reshape((n,) + shape)
     if not np.isfinite(x).all():
         raise ValueError("input values must be finite")
     captured, layer_input = {}, None
-    for i, (kind, w, b, hyperparams) in enumerate(model.layer_arrays()):
+    for i, (kind, w, b, hyperparams) in enumerate(views[start:], start):
         if i == input_of:
             layer_input = x.reshape(n, math.prod(x.shape[1:]))
         x = apply_layer(kind, x, w, b, hyperparams)

@@ -1,11 +1,15 @@
 """End-to-end repair: spectra, ranking, per-neuron LP solve, weight patching.
 
 `prepare` compares the float and the pre-repair quantized model on the
-repair set once, at the target dense layer (`localize.compare_at_layer`),
-and measures the quantized model on the validation set. The comparison
-classifies the tests, gives the spectra the metric ranks neurons by, and
-supplies each top-N neuron's correction LP, solved once for all repairs that
-share the prepared record. The solved deltas are patched into a copy.
+repair set once, at the target dense layer (`localize.compare_at_layer`).
+It runs each model once over the validation set, keeping the float model's
+labels and the quantized target layer's input rows; the before-repair
+accuracy and fidelity come from those two passes. The comparison classifies
+the tests, gives the spectra the metric ranks neurons by, and supplies each
+top-N neuron's correction LP, solved once for all repairs that share the
+prepared record. The solved deltas are patched into a copy. A patch leaves
+every layer before the target as it was, so the repaired model is measured
+by running only the kept rows from the target layer on.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evaluate import accuracy, fidelity
+from .data import Dataset
+from .evaluate import evaluate, predict
 from .localize import LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
-from .model import Model, Tensor
+from .model import Model, Tensor, forward_batch
 from .quantize import QuantizedModel, clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
@@ -185,10 +190,14 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
 
 @dataclass
 class Prepared:
-    """What every repair of one model pair, repair set and config shares."""
+    """What every repair of one model pair, repair set, validation set and
+    config shares."""
 
     config: RepairConfig
     comparison: LayerComparison
+    validation: Dataset | None = None  # the validation set measured
+    val_float_labels: np.ndarray | None = None  # the float model's validation labels
+    val_rows: np.ndarray | None = None  # validation input rows of the target layer
     accuracy_before: float | None = None
     fidelity_before: float | None = None
     solutions: dict[int, LPSolution | None] = field(default_factory=dict)
@@ -218,10 +227,14 @@ def prepare(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
             config: RepairConfig) -> Prepared:
     """Compare the models once and measure the unrepaired model on validation."""
     target = config.target_layer if config.target_layer is not None else fmodel.last_dense_index()
-    prepared = Prepared(config, compare_at_layer(fmodel, qmodel, repair_set, target))
+    prepared = Prepared(config, compare_at_layer(fmodel, qmodel, repair_set, target),
+                        validation_set)
     if validation_set is not None and len(validation_set):
-        prepared.accuracy_before = accuracy(qmodel, validation_set).accuracy
-        prepared.fidelity_before = fidelity(fmodel, qmodel, validation_set)
+        prepared.val_float_labels = predict(fmodel, validation_set)
+        logits, _, prepared.val_rows = forward_batch(qmodel, validation_set.features,
+                                                     input_of=target)
+        before = evaluate(logits.argmax(axis=1), validation_set, prepared.val_float_labels)
+        prepared.accuracy_before, prepared.fidelity_before = before.accuracy, before.fidelity
     return prepared
 
 
@@ -238,6 +251,8 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         shared = prepare(fmodel, qmodel, repair_set, validation_set, config)
     elif replace(config, metric=shared.config.metric) != shared.config:
         raise ValueError("the shared record was prepared for another repair config")
+    elif validation_set is not shared.validation:
+        raise ValueError("the shared record was prepared for another validation set")
     comparison = shared.comparison
     target = comparison.layer_index
     patched = clone_quantized(qmodel)
@@ -272,7 +287,8 @@ def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
         report.records.append(NeuronRecord(n, rank, float(scores[n]), status, M,
                                            time.monotonic() - t0))
 
-    if validation_set is not None and len(validation_set):
-        report.accuracy_after = accuracy(patched, validation_set).accuracy
-        report.fidelity_after = fidelity(fmodel, patched, validation_set)
+    if shared.val_rows is not None:
+        logits = forward_batch(patched, shared.val_rows, start=target)[0]
+        after = evaluate(logits.argmax(axis=1), validation_set, shared.val_float_labels)
+        report.accuracy_after, report.fidelity_after = after.accuracy, after.fidelity
     return patched, report

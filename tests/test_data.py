@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import struct
 
@@ -140,3 +142,24 @@ def test_subset_keeps_ids():
 def test_dataset_label_validation():
     with pytest.raises(DatasetError):
         Dataset(np.zeros((2, 2), np.float32), np.array([0, 7]), 3)
+
+
+def _csv_writer_bytes(ds: Dataset) -> bytes:
+    """The CSV bytes the standard library's csv.writer gives for a dataset."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    for i in range(len(ds)):
+        writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("features", [
+    [[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-45], [3.4e38, -1.5, 0.1]],
+    np.zeros((4, 0)),
+    np.zeros((0, 3)),
+], ids=["specials", "zero-width", "empty"])
+def test_csv_bytes_match_csv_writer(tmp_path, features):
+    features = np.asarray(features, dtype=np.float32)
+    ds = Dataset(features, np.arange(len(features)) % 3, 3)
+    save_dataset(ds, tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == _csv_writer_bytes(ds)

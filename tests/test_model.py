@@ -279,3 +279,30 @@ def test_concurrent_inference_safe(conv3_model):
         got = list(pool.map(lambda x: forward(conv3_model, x).data, xs))
     for e, g in zip(expected, got):
         assert np.array_equal(e, g)
+
+
+def test_single_channel_conv_matches_stacked_matmul_bits():
+    # a one-channel conv takes its own path; each tap must still add the
+    # bits of `patch @ w[a, bb]`, the formula every other conv uses
+    from qrepair.model import _conv2d
+
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        kh, kw = rng.integers(1, 4, size=2)
+        stride = int(rng.integers(1, 3))
+        h, wd = kh + rng.integers(0, 6), kw + rng.integers(0, 6)
+        n, out_ch = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        x = rng.normal(size=(n, h, wd, 1)).astype(np.float32)
+        w = rng.normal(size=(kh, kw, 1, out_ch)).astype(np.float32)
+        b = rng.normal(size=out_ch).astype(np.float32) if rng.random() < 0.5 else None
+        ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
+        want = np.zeros((n, ho, wo, out_ch), np.float32)
+        for a in range(kh):
+            for bb in range(kw):
+                patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
+                want += patch @ w[a, bb]
+        if b is not None:
+            want = want + b
+        got = _conv2d(x, w, b, stride)
+        assert got.flags.c_contiguous and got.dtype == np.float32
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -288,3 +288,62 @@ def test_float_patch_survives_save_load(tmp_path, desk_fixture):
         x = rng.normal(size=fmodel.input_shape[0]).astype(np.float32)
         assert np.array_equal(quantized_forward(again, x).data,
                               quantized_forward(patched, x).data)
+
+
+def test_repair_runs_each_model_once_over_the_validation_set(desk_fixture, monkeypatch):
+    # the unrepaired models run once each over the validation set; the
+    # repaired one runs only its kept rows, from the patched layer on
+    fmodel, qmodel, repair_set, val = desk_fixture
+    real = model_mod.forward_batch
+    seen = []
+
+    def counting(model, inputs, *args, **kwargs):
+        seen.append((model, inputs, kwargs.get("start", 0)))
+        return real(model, inputs, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qrepair") and getattr(module, "forward_batch", None) is real:
+            monkeypatch.setattr(module, "forward_batch", counting)
+    patched, report = repair(fmodel, qmodel, repair_set, val, RepairConfig(top_n=3))
+    assert report.count("optimal") >= 2
+    assert {id(m) for m, x, _ in seen if x is val.features} == {id(fmodel), id(qmodel)}
+    assert len([1 for _, x, _ in seen if x is val.features]) == 2
+    assert [(m, start) for m, _, start in seen if start] == [(patched, report.target_layer)]
+    assert len(seen) == 5
+
+
+def _conv3_parts(conv3_model, conv3_val):
+    """conv3 and its quantized twin, the fixture rows as the repair set and
+    200 random rows labelled by the float model as the validation set."""
+    x = np.random.default_rng(12).normal(size=(200, 64)).astype(np.float32)
+    labels = model_mod.forward_batch(conv3_model, x)[0].argmax(axis=1)
+    val = make_dataset(x, labels=labels, num_classes=conv3_model.num_classes)
+    return conv3_model, quantize_model(conv3_model), conv3_val, val
+
+
+@pytest.mark.parametrize("case,config", [
+    ("conv3", RepairConfig(top_n=10)),
+    ("conv3", RepairConfig(top_n=10, patch_mode="requantize")),
+    ("conv3", RepairConfig(top_n=10, target_layer=4)),
+    ("desk", RepairConfig(top_n=3)),
+    ("desk", RepairConfig(top_n=3, patch_mode="requantize")),
+], ids=["conv3-float_patch", "conv3-requantize", "conv3-hidden", "desk-float_patch",
+        "desk-requantize"])
+def test_after_repair_scores_equal_a_full_forward(case, config, conv3_model, conv3_val,
+                                                  desk_fixture, tmp_path):
+    from qrepair.evaluate import accuracy, fidelity
+    from qrepair.repair import prepare
+
+    fmodel, qmodel, repair_set, val = (_conv3_parts(conv3_model, conv3_val) if case == "conv3"
+                                       else desk_fixture)
+    shared = prepare(fmodel, qmodel, repair_set, val, config)
+    patched, report = repair(fmodel, qmodel, repair_set, val, config, shared=shared)
+    assert report.count("optimal") >= 1
+    save_qmodel(patched, tmp_path / "patched.json")
+    for model in (patched, load_qmodel(tmp_path / "patched.json")):
+        part = model_mod.forward_batch(model, shared.val_rows, start=report.target_layer)[0]
+        assert part.tobytes() == model_mod.forward_batch(model, val.features)[0].tobytes()
+    assert report.accuracy_before == accuracy(qmodel, val).accuracy
+    assert report.fidelity_before == fidelity(fmodel, qmodel, val)
+    assert report.accuracy_after == accuracy(patched, val).accuracy
+    assert report.fidelity_after == fidelity(fmodel, patched, val)

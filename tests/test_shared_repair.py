@@ -178,3 +178,17 @@ def test_reuse_logs_one_debug_line_per_solved_neuron(desk, caplog):
     assert [r.getMessage() for r in caplog.records if "reused" in r.getMessage()] == \
         [f"layer {report.target_layer} neuron {n}: LP solution reused" for n in solved]
     assert all(r.levelno == logging.DEBUG for r in caplog.records if "reused" in r.getMessage())
+
+
+@pytest.mark.parametrize("prepared_on,given", [("val", "copy"), ("val", None), (None, "val")])
+def test_shared_record_for_another_validation_set_is_rejected(desk, prepared_on, given,
+                                                              counted):
+    # the record holds the validation rows and float labels it measured, so
+    # a repair scored on another set would report that set's numbers wrongly
+    fmodel, qmodel, repair_set, val = desk
+    sets = {"val": val, "copy": val.subset(range(len(val))), None: None}
+    config = RepairConfig(top_n=3)
+    shared = prepare(fmodel, qmodel, repair_set, sets[prepared_on], config)
+    with pytest.raises(ValueError, match="another validation set"):
+        repair_mod.repair(fmodel, qmodel, repair_set, sets[given], config, shared=shared)
+    assert counted["solve"] == 0 and not shared.solutions

@@ -168,3 +168,24 @@ def test_forward_batch_rejects_non_finite_rows_and_logits(conv3_model):
     huge = Model([Layer("dense", Tensor.from_array(np.full((2, 2), 3e38, np.float32)))], (2,), 2)
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
         forward_batch(huge, np.ones((4, 2), dtype=np.float32))
+
+
+def test_forward_batch_from_any_layer_equals_a_full_pass(case):
+    # the rows `input_of` returns, run from that layer on, give the bits of a
+    # full pass, for every layer kind a walk can start at
+    for model in case[:2]:
+        full = forward_batch(model, case[2].features)[0]
+        for start in range(len(model.layers)):
+            _, _, rows_in = forward_batch(model, case[2].features, input_of=start)
+            logits, _, again = forward_batch(model, rows_in, input_of=start, start=start)
+            assert logits.tobytes() == full.tobytes(), start
+            assert again.tobytes() == rows_in.tobytes()
+
+
+def test_forward_batch_start_is_checked(conv3_model):
+    with pytest.raises(IndexError, match="start layer"):
+        forward_batch(conv3_model, np.zeros((2, 32), np.float32), start=len(conv3_model.layers))
+    with pytest.raises(ValueError, match="layer 4 input"):
+        forward_batch(conv3_model, np.zeros((2, 31), np.float32), start=4)
+    with pytest.raises(ValueError, match="finite"):
+        forward_batch(conv3_model, np.full((2, 32), np.inf, np.float32), start=4)
