@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qrepair.lp import LPConstraint, NeuronLP, export_lp
+from qrepair.lp import NeuronLP, export_lp
 from qrepair.model import Layer, Model, Tensor, argmax_label, forward, save_model
 from qrepair.quantize import quantize_model, quantized_forward
 
@@ -67,12 +67,10 @@ def make_dataset(model: Model):
 def write_goldens():
     golden = ROOT / "tests" / "golden"
     golden.mkdir(parents=True, exist_ok=True)
-    lp_a = NeuronLP(0, 0, 2, np.array([1.0, -2.0]), 0.0,
-                    [LPConstraint(np.array([1.0, 1.0]), 1, 0)], 1e-3)
+    lp_a = NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, [[1.0, 1.0]], [1], [0], 1e-3)
     export_lp(lp_a, golden / "neuron_a.lp")
-    lp_b = NeuronLP(5, 3, 3, np.array([0.25, -0.75, 1.5]), 0.125,
-                    [LPConstraint(np.array([1.5, -2.25, 0.5]), 0, 1),
-                     LPConstraint(np.array([-0.5, 0.125, 2.0]), 1, 0)],
+    lp_b = NeuronLP(5, 3, np.array([0.25, -0.75, 1.5]), 0.125,
+                    [[1.5, -2.25, 0.5], [-0.5, 0.125, 2.0]], [0, 1], [1, 0],
                     0.01, big_M_bound=2.0)
     export_lp(lp_b, golden / "neuron_b.lp")
 

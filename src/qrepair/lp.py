@@ -8,7 +8,8 @@ status at the neuron disagrees between the models (to fix), then from the
 agreeing tests nearest the boundary (not to flip). The objective minimizes
 the box radius M bounding every |delta_i|; the solver sees the
 Charnes-Cooper form u = delta/M, t = 1/M (`solve_lp`). Statuses, x, w and b
-come from one `localize.LayerComparison`, so building an LP runs no model.
+come from one `localize.LayerComparison`, so building an LP runs no model,
+and a `NeuronLP` keeps its rows as one matrix `x` plus per-row arrays.
 """
 
 from __future__ import annotations
@@ -32,34 +33,48 @@ class EmptyLPError(ValueError):
 
 
 @dataclass
-class LPConstraint:
-    x: np.ndarray  # float64 layer-input vector
-    target_status: int  # float model's status, the one to enforce
-    current_status: int  # equal to the target on a status-preserving row
-    test_id: int = -1  # originating dataset row, when built from a repair set
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
+class LPConstraint:  # one row of NeuronLP.constraints
+    x: np.ndarray  # float64 layer-input vector, a read-only view into NeuronLP.x
+    target_status: int
+    current_status: int
+    test_id: int
 
 
 @dataclass
 class NeuronLP:
     layer_index: int
     neuron_index: int
-    m: int
-    w: np.ndarray  # dequantized incoming weights, float64
+    w: np.ndarray  # dequantized incoming weights, float64 [m]
     bias: float
-    constraints: list[LPConstraint]
+    x: np.ndarray  # layer-input rows, float64 [rows, m]
+    target_status: np.ndarray  # int [rows]: float model's status, the one to enforce
+    current_status: np.ndarray  # int [rows]: equal to the target on a preserving row
     epsilon: float
     big_M_bound: float | None = None
+    test_id: np.ndarray | None = None  # int [rows]: dataset row, -1 when not from one
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.shape != (self.m,):
-            raise ValueError(f"w must have length {self.m}")
-        for con in self.constraints:
-            if con.x.shape != (self.m,):
-                raise ValueError(f"constraint x must have length {self.m}")
+        self.w, self.x = np.asarray(self.w, np.float64), np.asarray(self.x, np.float64)
+        if self.w.ndim != 1 or self.x.ndim != 2 or self.x.shape[1] != self.m:
+            raise ValueError(f"need w [m] and x [rows, m], got {self.w.shape}, {self.x.shape}")
+        for name in ("target_status", "current_status", "test_id"):
+            value = getattr(self, name)
+            value = np.full(len(self.x), -1) if value is None else np.asarray(value, np.int64)
+            if value.shape != self.x.shape[:1]:
+                raise ValueError(f"{name} needs one entry per row of x, got {value.shape}")
+            setattr(self, name, value)
+
+    @property
+    def m(self) -> int:
+        return self.w.size
+
+    @property
+    def constraints(self) -> tuple[LPConstraint, ...]:
+        """The rows as objects, built per read; statuses and ids are Python ints."""
+        xs = self.x.view()
+        xs.flags.writeable = False
+        return tuple(map(LPConstraint, xs, self.target_status.tolist(),
+                         self.current_status.tolist(), self.test_id.tolist()))
 
 
 @dataclass
@@ -82,8 +97,7 @@ def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1
     disagrees.
     """
     c = comparison
-    status_f = c.status_float[:, neuron].astype(int)
-    status_q = c.status_quant[:, neuron].astype(int)
+    status_f, status_q = c.status_float[:, neuron], c.status_quant[:, neuron]
     w = c.weights[:, neuron].astype(np.float64)
     bias = float(c.bias[neuron]) if c.bias is not None else 0.0
     cap = max(max_constraints, 0)
@@ -91,18 +105,13 @@ def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1
     order = np.concatenate([np.flatnonzero(c.failing), np.flatnonzero(~c.failing)])
     disagreeing = order[~agree[order]][:cap]
     if not disagreeing.size:
-        raise EmptyLPError(
-            f"neuron ({c.layer_index},{neuron}) has no status-disagreeing tests"
-        )
+        raise EmptyLPError(f"neuron ({c.layer_index},{neuron}) has no status-disagreeing tests")
     kept = np.flatnonzero(agree)
     distance = np.abs(c.inputs[kept].astype(np.float64) @ w + bias)
     preserving = kept[np.argsort(distance, kind="stable")][:cap]
     rows = np.concatenate([disagreeing, preserving])
-    constraints = [LPConstraint(*con) for con in zip(
-        c.inputs[rows].astype(np.float64), status_f[rows].tolist(),
-        status_q[rows].tolist(), rows.tolist())]
-    return NeuronLP(c.layer_index, neuron, w.size, w, bias, constraints,
-                    epsilon, big_M_bound)
+    return NeuronLP(c.layer_index, neuron, w, bias, c.inputs[rows].astype(np.float64),
+                    status_f[rows], status_q[rows], epsilon, big_M_bound, rows)
 
 
 def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
@@ -112,14 +121,13 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     already holds), infeasible (t* = 0, or M* above `big_M_bound`), timeout
     (budget exceeded, checked before any work).
     """
-    if not lp.constraints:
+    if not len(lp.x):
         raise EmptyLPError("cannot solve an LP with no constraints")
     deadline = time.monotonic() + time_budget
     m = lp.m
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
-    sign = np.array([2.0 * con.target_status - 1.0 for con in lp.constraints])
-    xs = np.array([con.x for con in lp.constraints])
-    g, h = sign[:, None] * xs, lp.epsilon - sign * (xs @ lp.w + lp.bias)
+    sign = 2.0 * lp.target_status - 1.0
+    g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
     # u = d/M = u+ - u-, t = 1/M: min -t s.t. -G u+ + G u- + h t <= 0, u+- in [0, 1]
     costs = np.append(np.zeros(2 * m), -1.0)
     result = simplex_solve(costs, np.hstack([-g, g, h[:, None]]),
@@ -134,10 +142,10 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     else:
         sol = LPSolution("optimal", float(1.0 / t), (result.x[:m] - result.x[m : 2 * m]) / t)
     if log.isEnabledFor(logging.DEBUG):
-        same = sum(con.target_status == con.current_status for con in lp.constraints)
+        same = int(np.sum(lp.target_status == lp.current_status))
         log.debug("layer %d neuron %d: %d disagreeing + %d preserving rows, %d columns, "
                   "%d pivots, %d bound flips, %s, M %s", lp.layer_index, lp.neuron_index,
-                  len(xs) - same, same, 2 * m + 1, result.pivots, result.flips, sol.status, sol.M)
+                  len(g) - same, same, 2 * m + 1, result.pivots, result.flips, sol.status, sol.M)
     return sol
 
 
@@ -147,13 +155,9 @@ def check_solution(lp: NeuronLP, sol: LPSolution, slack: float = 1e-9) -> bool:
         return False
     if np.any(np.abs(sol.deltas) > sol.M + slack):
         return False
-    for con in lp.constraints:
-        pre = float((lp.w + sol.deltas) @ con.x) + lp.bias
-        if con.target_status == 1 and pre < lp.epsilon - slack:
-            return False
-        if con.target_status == 0 and pre > -lp.epsilon + slack:
-            return False
-    return True
+    # target 1 needs pre >= eps - slack, target 0 needs -pre >= eps - slack
+    signed = (2.0 * lp.target_status - 1.0) * (lp.x @ (lp.w + sol.deltas) + lp.bias)
+    return bool(np.all(signed >= lp.epsilon - slack))
 
 
 # --- CPLEX LP text export -------------------------------------------------
@@ -184,12 +188,9 @@ def format_lp(lp: NeuronLP) -> str:
     """
     names = [f"d_{i}" for i in range(lp.m)]
     lines = ["Minimize", " obj: M", "Subject To"]
-    for k, con in enumerate(lp.constraints):
-        r = float(lp.w @ con.x) + lp.bias
-        if con.target_status == 1:
-            lines.append(f" c{k}: {_terms(con.x, names)} >= {_coef(lp.epsilon - r)}")
-        else:
-            lines.append(f" c{k}: {_terms(con.x, names)} <= {_coef(-lp.epsilon - r)}")
+    for k, (x, target, r) in enumerate(zip(lp.x, lp.target_status, lp.x @ lp.w + lp.bias)):
+        sense, rhs = (">=", lp.epsilon - r) if target == 1 else ("<=", -lp.epsilon - r)
+        lines.append(f" c{k}: {_terms(x, names)} {sense} {_coef(rhs)}")
     for i in range(lp.m):
         lines.append(f" b{i}u: 1 d_{i} - 1 M <= 0")
         lines.append(f" b{i}l: 1 d_{i} + 1 M >= 0")

@@ -7,7 +7,8 @@ float32, which is numerically identical to on-the-fly dequantization for
 this scheme.
 
 A `QuantizedModel` is a `model.Model` whose layers hold int8 codes and the
-float32 weights inference uses (`eff_weights`); it overrides only
+float32 weights inference uses (`eff_weights`); a layer a `float_patch`
+repair patched holds those weights alone (`qweights` None). It overrides only
 `layer_arrays()`, so the float model's validator, walker and JSON envelope
 serve it unchanged. Its file format differs only in the weight encoding.
 """
@@ -96,10 +97,10 @@ class QuantizedLayer:
     qweights: QuantizedTensor | None = None
     bias: Tensor | None = None
     hyperparams: dict = field(default_factory=dict)
-    # float32 weights actually used in inference: dequantized int8 codes,
-    # with repair patches overwriting individual columns at full precision
+    # float32 weights actually used in inference: what the int8 codes
+    # dequantize to, or, once a repair patched columns at full precision
+    # (qweights then None), the mixed-precision weights themselves
     eff_weights: np.ndarray | None = None
-    patched_columns: set = field(default_factory=set)
 
     def __post_init__(self):
         if self.eff_weights is None and self.qweights is not None:
@@ -109,7 +110,6 @@ class QuantizedLayer:
         """Install new int8 weights; inference then uses what they dequantize to."""
         self.qweights = qweights
         self.eff_weights = dequantize(qweights).array().astype(np.float32)
-        self.patched_columns.clear()
 
 
 class QuantizedModel(Model):
@@ -161,8 +161,7 @@ def clone_quantized(qmodel: QuantizedModel) -> QuantizedModel:
             qw = QuantizedTensor(l.qweights.shape, l.qweights.data.copy(), l.qweights.scale)
         bias = Tensor(l.bias.shape, l.bias.data.copy()) if l.bias is not None else None
         eff = l.eff_weights.copy() if l.eff_weights is not None else None
-        layers.append(QuantizedLayer(l.kind, qw, bias, dict(l.hyperparams), eff,
-                                     set(l.patched_columns)))
+        layers.append(QuantizedLayer(l.kind, qw, bias, dict(l.hyperparams), eff))
     return QuantizedModel(layers, qmodel.input_shape, qmodel.num_classes)
 
 
@@ -188,9 +187,9 @@ def check_same_topology(model: Model, qmodel: QuantizedModel) -> None:
 
 
 def _qweights_to_json(layer: QuantizedLayer) -> dict | None:
-    if layer.qweights is None:
+    if layer.eff_weights is None:
         return None
-    if layer.patched_columns:
+    if layer.qweights is None:  # float-patched
         return _array_to_json(layer.eff_weights)
     qw = layer.qweights
     return {"shape": list(qw.shape), "scale": qw.scale, "zero_point": 0,
@@ -213,8 +212,7 @@ def _quantized_layer(kind, wobj, bias, hyperparams, base_dir) -> QuantizedLayer:
         return QuantizedLayer(kind, qw, bias, hyperparams)
     # mixed-precision layer written after float patching
     eff = _tensor_from_json(wobj, base_dir)
-    patched = set(range(eff.shape[-1])) if eff.shape else set()
-    return QuantizedLayer(kind, quantize_tensor(eff), bias, hyperparams, eff.array(), patched)
+    return QuantizedLayer(kind, None, bias, hyperparams, eff.array())
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:

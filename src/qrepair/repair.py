@@ -179,7 +179,7 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
     corrected = layer.eff_weights[:, neuron_index].astype(np.float64) + deltas
     if patch_mode == "float_patch":
         layer.eff_weights[:, neuron_index] = corrected.astype(np.float32)
-        layer.patched_columns.add(neuron_index)
+        layer.qweights = None  # the codes no longer describe the layer
     elif patch_mode == "requantize":
         full = layer.eff_weights.astype(np.float64)
         full[:, neuron_index] = corrected

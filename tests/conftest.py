@@ -113,7 +113,7 @@ def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
     and the layer inputs are ReLU outputs, so the LP rows carry exact zeros
     (and negated zeros on target-0 rows) as real repair LPs do.
     """
-    from qrepair.lp import LPConstraint, NeuronLP
+    from qrepair.lp import NeuronLP
 
     rng = np.random.default_rng(seed)
     w_float = rng.normal(0.0, 1.0 / np.sqrt(m), m)
@@ -125,8 +125,8 @@ def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
     rows = np.flatnonzero(target != current)[:k]
     if rows.size < k:
         raise ValueError(f"seed {seed} gives only {rows.size} disagreeing tests")
-    cons = [LPConstraint(xs[i], int(target[i]), int(current[i]), int(i)) for i in rows]
-    return NeuronLP(0, 0, m, w, bias, cons, epsilon)
+    return NeuronLP(0, 0, w, bias, xs[rows], target[rows], current[rows], epsilon,
+                    test_id=rows)
 
 
 def wide_head_parts(instance: int = 0):

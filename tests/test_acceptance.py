@@ -23,8 +23,7 @@ from qrepair.localize import (
     compare_at_layer,
     importance,
 )
-from qrepair.lp import LPConstraint, NeuronLP, build_neuron_lp, check_solution, \
-    export_lp, solve_lp
+from qrepair.lp import NeuronLP, build_neuron_lp, check_solution, export_lp, solve_lp
 from qrepair.model import Tensor
 from qrepair.quantize import capture_activations_q, dequantize, quantize_tensor
 from qrepair.repair import RepairConfig, repair
@@ -110,8 +109,7 @@ def test_quantization_round_trip():
 
 def test_lp_solver_oracle_equivalence():
     with criterion("lp solver oracle equivalence", budget=30.0):
-        analytic = NeuronLP(0, 0, 2, np.array([1.0, -2.0]), 0.0,
-                            [LPConstraint(np.array([1.0, 1.0]), 1, 0)], 0.0)
+        analytic = NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, [[1.0, 1.0]], [1], [0], 0.0)
         sol = solve_lp(analytic, 10.0)
         assert sol.status == "optimal"
         assert abs(sol.M - 0.5) <= 1e-6
@@ -124,12 +122,12 @@ def test_lp_solver_oracle_equivalence():
             w = rng.uniform(-1, 1, m)
             bias = float(rng.uniform(-0.3, 0.3))
             eps = float(rng.choice([0.0, 1e-3]))
-            cons = []
+            xs, ts = [], []
             for _ in range(k):
-                x = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
-                t = int(rng.integers(0, 2))
-                cons.append(LPConstraint(x, t, 1 - t))
-            lp = NeuronLP(0, 0, m, w, bias, cons, eps)
+                xs.append(rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m))
+                ts.append(int(rng.integers(0, 2)))
+            ts = np.array(ts)
+            lp = NeuronLP(0, 0, w, bias, xs, ts, 1 - ts, eps)
             oracle = grid_oracle(lp, bound=0.25, step=5e-4)
             sol = solve_lp(lp, 30.0)
             if oracle is None:
@@ -202,13 +200,11 @@ def test_determinism_byte_identical_reports(blobs_fixture):
 
 def test_lp_export_golden_files(tmp_path):
     with criterion("lp export golden files", budget=None):
-        lp_a = NeuronLP(0, 0, 2, np.array([1.0, -2.0]), 0.0,
-                        [LPConstraint(np.array([1.0, 1.0]), 1, 0)], 1e-3)
+        lp_a = NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, [[1.0, 1.0]], [1], [0], 1e-3)
         export_lp(lp_a, tmp_path / "a.lp")
         assert (tmp_path / "a.lp").read_bytes() == (GOLDEN / "neuron_a.lp").read_bytes()
-        lp_b = NeuronLP(5, 3, 3, np.array([0.25, -0.75, 1.5]), 0.125,
-                        [LPConstraint(np.array([1.5, -2.25, 0.5]), 0, 1),
-                         LPConstraint(np.array([-0.5, 0.125, 2.0]), 1, 0)],
+        lp_b = NeuronLP(5, 3, np.array([0.25, -0.75, 1.5]), 0.125,
+                        [[1.5, -2.25, 0.5], [-0.5, 0.125, 2.0]], [0, 1], [1, 0],
                         0.01, big_M_bound=2.0)
         export_lp(lp_b, tmp_path / "b.lp")
         assert (tmp_path / "b.lp").read_bytes() == (GOLDEN / "neuron_b.lp").read_bytes()

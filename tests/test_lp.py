@@ -1,15 +1,17 @@
+import json
 import logging
 import re
 
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, dense_model, make_dataset, manual_qmodel
+from conftest import GOLDEN, dense_model, make_dataset, manual_qmodel, repair_lp
 from oracles import grid_oracle
 from qrepair.localize import compare_at_layer
 from qrepair.lp import (
     EmptyLPError,
     LPConstraint,
+    LPSolution,
     NeuronLP,
     build_neuron_lp,
     check_solution,
@@ -21,15 +23,83 @@ from qrepair.lp import (
 
 def classic_lp(epsilon=0.0, bound=None):
     """w=[1,-2], one test x=[1,1] where the float status is 1."""
-    return NeuronLP(0, 0, 2, np.array([1.0, -2.0]), 0.0,
-                    [LPConstraint(np.array([1.0, 1.0]), 1, 0)], epsilon, bound)
+    return NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, [[1.0, 1.0]], [1], [0], epsilon, bound)
 
 
 def golden_b_lp():
-    return NeuronLP(5, 3, 3, np.array([0.25, -0.75, 1.5]), 0.125,
-                    [LPConstraint(np.array([1.5, -2.25, 0.5]), 0, 1),
-                     LPConstraint(np.array([-0.5, 0.125, 2.0]), 1, 0)],
+    return NeuronLP(5, 3, np.array([0.25, -0.75, 1.5]), 0.125,
+                    [[1.5, -2.25, 0.5], [-0.5, 0.125, 2.0]], [0, 1], [1, 0],
                     0.01, big_M_bound=2.0)
+
+
+# --- rows -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("w,x,target,current", [
+    (np.ones((2, 1)), [[1.0, 1.0]], [1], [0]),  # w not 1-D
+    (np.ones(2), [[1.0, 1.0, 1.0]], [1], [0]),  # rows wider than w
+    (np.ones(2), [[1.0], [1.0]], [1, 1], [0, 0]),  # rows narrower than w
+    (np.ones(2), [1.0, 1.0], [1], [0]),  # x not 2-D
+    (np.ones(2), [[1.0, 1.0]], [1, 0], [0]),  # target_status too long
+    (np.ones(2), [[1.0, 1.0]], [1], []),  # current_status too short
+], ids=["w_2d", "x_too_wide", "x_too_narrow", "x_1d", "target_len", "current_len"])
+def test_neuron_lp_rejects_inconsistent_shapes(w, x, target, current):
+    with pytest.raises(ValueError):
+        NeuronLP(0, 0, w, 0.0, x, target, current, 0.0)
+
+
+def test_neuron_lp_rejects_test_ids_of_another_length():
+    with pytest.raises(ValueError):
+        NeuronLP(0, 0, np.ones(2), 0.0, [[1.0, 1.0]], [1], [0], 0.0, test_id=[3, 4])
+
+
+def test_constraints_list_the_rows_with_python_ints():
+    lp = repair_lp(8, 6, 1008)
+    cons = lp.constraints
+    assert len(cons) == len(lp.x) == 6
+    for k, con in enumerate(cons):
+        assert isinstance(con, LPConstraint)
+        assert np.array_equal(con.x, lp.x[k])
+        assert (con.target_status, con.current_status, con.test_id) == \
+            (lp.target_status[k], lp.current_status[k], lp.test_id[k])
+        for value in (con.target_status, con.current_status, con.test_id):
+            assert type(value) is int
+        with pytest.raises(ValueError):
+            con.x[0] = 1.0  # a view of the LP's rows, not a copy to edit
+    # what a trace consumer does with them: a JSON count of target-1 rows
+    assert json.loads(json.dumps(sum(con.target_status for con in cons))) == \
+        int(lp.target_status.sum())
+    with pytest.raises(AttributeError):
+        lp.constraints = []
+    # an LP built without test ids marks every row -1
+    assert [con.test_id for con in classic_lp().constraints] == [-1]
+
+
+def substitution_verdict(lp, sol, slack=1e-9):
+    """check_solution written out one row at a time."""
+    if np.any(np.abs(sol.deltas) > sol.M + slack):
+        return False
+    for x, target in zip(lp.x, lp.target_status):
+        pre = float((lp.w + sol.deltas) @ x) + lp.bias
+        if target == 1 and not pre >= lp.epsilon - slack:
+            return False
+        if target == 0 and not pre <= -lp.epsilon + slack:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m", [8, 64, 256])
+def test_check_solution_matches_row_by_row_substitution(m):
+    lp = repair_lp(m, 32, 1000 + m)
+    sol = solve_lp(lp, 60.0)
+    assert sol.status == "optimal"
+    verdicts = []
+    for scale in (1.0, 0.999, 0.9, 0.5, 0.0):
+        trial = LPSolution("optimal", sol.M * scale, sol.deltas * scale)
+        verdict = check_solution(lp, trial)
+        assert verdict == substitution_verdict(lp, trial), scale
+        verdicts.append(verdict)
+    assert verdicts[0] and not verdicts[-1]
 
 
 # --- build ----------------------------------------------------------------
@@ -119,8 +189,7 @@ def test_solve_analytic_minimax():
 
 
 def test_solve_already_satisfied_gives_zero():
-    lp = NeuronLP(0, 0, 2, np.array([1.0, 1.0]), 0.0,
-                  [LPConstraint(np.array([1.0, 1.0]), 1, 0)], epsilon=1.0)
+    lp = NeuronLP(0, 0, np.array([1.0, 1.0]), 0.0, [[1.0, 1.0]], [1], [0], epsilon=1.0)
     # w.x = 2 already exceeds the epsilon=1 margin, so deltas stay zero
     sol = solve_lp(lp, 10.0)
     assert sol.status == "optimal"
@@ -129,8 +198,9 @@ def test_solve_already_satisfied_gives_zero():
 
 
 def test_solve_logs_one_debug_line(caplog):
-    lp = classic_lp(epsilon=0.0)
-    lp.constraints.append(LPConstraint(np.array([2.0, 0.0]), 1, 1))  # a preserving row
+    # classic_lp plus a preserving row
+    lp = NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, [[1.0, 1.0], [2.0, 0.0]], [1, 1], [0, 1],
+                  epsilon=0.0)
     with caplog.at_level(logging.DEBUG, logger="qrepair"):
         sol = solve_lp(lp, 10.0)
     (line,) = [r.getMessage() for r in caplog.records]
@@ -140,9 +210,7 @@ def test_solve_logs_one_debug_line(caplog):
 
 
 def test_solve_contradictory_infeasible():
-    lp = NeuronLP(0, 0, 1, np.array([1.0]), 0.0,
-                  [LPConstraint(np.array([1.0]), 1, 0),
-                   LPConstraint(np.array([1.0]), 0, 1)], epsilon=1e-3)
+    lp = NeuronLP(0, 0, np.array([1.0]), 0.0, [[1.0], [1.0]], [1, 0], [0, 1], epsilon=1e-3)
     sol = solve_lp(lp, 10.0)
     assert sol.status == "infeasible"
 
@@ -159,8 +227,7 @@ def test_solve_respects_box_bound():
 
 
 def test_solve_empty_rejected():
-    lp = classic_lp()
-    lp.constraints = []
+    lp = NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, np.empty((0, 2)), [], [], 0.0)
     with pytest.raises(EmptyLPError):
         solve_lp(lp, 10.0)
 
@@ -170,16 +237,14 @@ def test_scaling_covariance_at_zero_epsilon():
     for _ in range(20):
         m = int(rng.integers(1, 3))
         w = rng.uniform(-1, 1, m)
-        cons = []
+        xs, ts = [], []
         for _ in range(int(rng.integers(1, 3))):
-            x = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
-            t = int(rng.integers(0, 2))
-            cons.append(LPConstraint(x, t, 1 - t))
-        lp = NeuronLP(0, 0, m, w, 0.0, cons, 0.0)
+            xs.append(rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m))
+            ts.append(int(rng.integers(0, 2)))
+        ts = np.array(ts)
+        lp = NeuronLP(0, 0, w, 0.0, xs, ts, 1 - ts, 0.0)
         base = solve_lp(lp, 10.0)
-        scaled = NeuronLP(0, 0, m, w, 0.0,
-                          [LPConstraint(3.0 * c.x, c.target_status, c.current_status)
-                           for c in cons], 0.0)
+        scaled = NeuronLP(0, 0, w, 0.0, 3.0 * lp.x, ts, 1 - ts, 0.0)
         other = solve_lp(scaled, 10.0)
         assert base.status == other.status
         if base.status == "optimal":
@@ -197,7 +262,7 @@ def test_single_constraint_closed_form_at_scale():
         target = int(rng.integers(0, 2))
         x = g if target == 1 else -g
         eps = float(rng.uniform(0.0, 0.5))
-        lp = NeuronLP(0, 0, m, w, 0.0, [LPConstraint(x, target, 1 - target)], eps)
+        lp = NeuronLP(0, 0, w, 0.0, [x], [target], [1 - target], eps)
         # with w = 0 and bias 0 the rhs is eps for either branch
         expected = eps / np.abs(g).sum()
         sol = solve_lp(lp, 30.0)
@@ -216,12 +281,12 @@ def test_multi_constraint_soundness_and_dual_bound_at_scale():
         k = int(rng.integers(2, 41))
         w = rng.normal(size=m)
         bias = float(rng.normal())
-        cons = []
+        xs, ts = [], []
         for _ in range(k):
-            x = rng.normal(size=m)
-            t = int(rng.integers(0, 2))
-            cons.append(LPConstraint(x, t, 1 - t))
-        lp = NeuronLP(0, 0, m, w, bias, cons, epsilon=1e-3)
+            xs.append(rng.normal(size=m))
+            ts.append(int(rng.integers(0, 2)))
+        ts = np.array(ts)
+        lp = NeuronLP(0, 0, w, bias, xs, ts, 1 - ts, epsilon=1e-3)
         sol = solve_lp(lp, 30.0)
         assert sol.status in ("optimal", "infeasible")
         if sol.status != "optimal":
@@ -245,12 +310,12 @@ def test_solver_against_grid_oracle():
         w = rng.uniform(-1, 1, m)
         bias = float(rng.uniform(-0.3, 0.3))
         eps = float(rng.choice([0.0, 1e-3]))
-        cons = []
+        xs, ts = [], []
         for _ in range(k):
-            x = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
-            t = int(rng.integers(0, 2))
-            cons.append(LPConstraint(x, t, 1 - t))
-        lp = NeuronLP(0, 0, m, w, bias, cons, eps)
+            xs.append(rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m))
+            ts.append(int(rng.integers(0, 2)))
+        ts = np.array(ts)
+        lp = NeuronLP(0, 0, w, bias, xs, ts, 1 - ts, eps)
         oracle = grid_oracle(lp)
         sol = solve_lp(lp, 30.0)
         if oracle is None:
@@ -295,7 +360,6 @@ def test_export_m_bound_lines():
 
 
 def test_export_twelve_significant_digits():
-    lp = NeuronLP(0, 0, 1, np.array([1.0 / 3.0]), 0.0,
-                  [LPConstraint(np.array([2.0 / 3.0]), 1, 0)], 0.0)
+    lp = NeuronLP(0, 0, np.array([1.0 / 3.0]), 0.0, [[2.0 / 3.0]], [1], [0], 0.0)
     text = format_lp(lp)
     assert "0.666666666667 d_0" in text

@@ -228,6 +228,7 @@ def test_float_patched_sidecar_weights_load_like_inline(tmp_path, conv3_model):
     last = qm.last_dense_index()
     apply_deltas(qm, (last, 1), np.full(qm.layers[last].eff_weights.shape[0], 0.01),
                  "float_patch")
+    assert qm.layers[last].qweights is None
     path = tmp_path / "q.json"
     save_qmodel(qm, path)
     obj = json.loads(path.read_text())
@@ -238,11 +239,12 @@ def test_float_patched_sidecar_weights_load_like_inline(tmp_path, conv3_model):
     (tmp_path / "side" / "w.bin").write_bytes(bytes(8) + data.tobytes())
     (tmp_path / "side" / "q.json").write_text(json.dumps(obj))
     inline, sidecar = load_qmodel(path), load_qmodel(tmp_path / "side" / "q.json")
-    assert sidecar.layers[last].patched_columns
+    assert sidecar.layers[last].qweights is None  # float-patched: no int8 codes
     for a, b in zip(inline.layers, sidecar.layers):
-        assert a.patched_columns == b.patched_columns
+        assert (a.qweights is None) == (b.qweights is None)
         if a.eff_weights is not None:
             assert a.eff_weights.tobytes() == b.eff_weights.tobytes()
+        if a.qweights is not None:
             assert a.qweights.data.tobytes() == b.qweights.data.tobytes()
             assert a.qweights.scale == b.qweights.scale
 

@@ -12,6 +12,7 @@ from qrepair.localize import classify_tests, compare_at_layer
 from qrepair.lp import build_neuron_lp, solve_lp
 from qrepair.quantize import (
     capture_activations_q,
+    dequantize,
     load_qmodel,
     quantize_model,
     quantized_forward,
@@ -273,7 +274,8 @@ def test_requantize_bounds_other_columns():
     # patched column lands within half a step of the corrected values
     corrected = np.array([1.5, -1.5])
     assert np.all(np.abs(after[:, 0] - corrected) <= new_s / 2 + 1e-9)
-    assert not layer.patched_columns  # pure int8 again
+    assert layer.qweights is not None  # pure int8 again
+    assert np.array_equal(layer.eff_weights, dequantize(layer.qweights).array().astype(np.float32))
 
 
 def test_float_patch_survives_save_load(tmp_path, desk_fixture):
