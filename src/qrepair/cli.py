@@ -18,9 +18,9 @@ from . import experiment as exp
 from .data import load_dataset
 from .evaluate import accuracy
 from .localize import METRICS, compare_at_layer, importance_scores, spectra_csv
-from .model import load_model, model_from_json, read_model_json
-from .quantize import load_qmodel, qmodel_from_json, quantize_model, save_qmodel
-from .repair import RepairConfig, repair
+from .model import load_model
+from .quantize import load_qmodel, quantize_model, save_qmodel
+from .repair import PATCH_MODES, RepairConfig, repair
 
 log = logging.getLogger("qrepair")
 
@@ -44,121 +44,109 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_any_model(path):
-    """A model file is quantized iff any layer's weight tensor carries int8 codes."""
-    obj = read_model_json(path)
-    base_dir = Path(path).parent
-    if any(isinstance(layer, dict) and isinstance(layer.get("weights"), dict)
-           and "data_i8" in layer["weights"] for layer in obj["layers"]):
-        return qmodel_from_json(obj, base_dir)
-    return model_from_json(obj, base_dir)
-
-
 def build_parser() -> _Parser:
+    """The parser. A repair, localize or experiment option left out is absent
+    from the parsed namespace, so `RepairConfig` and `run_experiment` supply
+    its default; those options are named after the fields they set."""
     parser = _Parser(prog="qrepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    leave_out = {"argument_default": argparse.SUPPRESS}  # a flag left out stays absent
 
     p_quant = sub.add_parser("quantize", help="quantize a float model to int8")
+    p_quant.set_defaults(func=cmd_quantize)
     p_quant.add_argument("--model", required=True)
     p_quant.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="accuracy (and fidelity) on a dataset")
-    p_eval.add_argument("--model", required=True)
+    p_eval.set_defaults(func=cmd_eval)
+    p_eval.add_argument("--model", required=True, help="a float or a quantized model")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--ref-model", help="second model for fidelity")
-    p_eval.add_argument("--out", help="write the result JSON here")
+    p_eval.add_argument("--out", help="write the result JSON (or, for *.csv, CSV) here")
 
-    p_loc = sub.add_parser("localize", help="rank neurons by suspiciousness")
-    p_loc.add_argument("--float", dest="float_model", required=True)
-    p_loc.add_argument("--quant", required=True)
-    p_loc.add_argument("--repair-set", required=True)
-    p_loc.add_argument("--layer", type=int, help="dense layer index (default: last)")
-    p_loc.add_argument("--metric", choices=METRICS, default="dstar")
-    p_loc.add_argument("--out", help="write the spectra CSV here")
+    p_loc = sub.add_parser("localize", help="rank neurons by suspiciousness", **leave_out)
+    p_loc.set_defaults(func=cmd_localize)
+    p_rep = sub.add_parser("repair", help="repair a quantized model", **leave_out)
+    p_rep.set_defaults(func=cmd_repair)
+    for p in (p_loc, p_rep):
+        p.add_argument("--float", dest="float_model", required=True)
+        p.add_argument("--quant", required=True)
+        p.add_argument("--repair-set", required=True)
+        p.add_argument("--layer", dest="target_layer", type=int,
+                       help="dense layer index (default: last)")
+        p.add_argument("--metric", choices=METRICS)
+    p_loc.add_argument("--out", default=None, help="write the spectra CSV here")
 
-    p_rep = sub.add_parser("repair", help="repair a quantized model")
-    p_rep.add_argument("--float", dest="float_model", required=True)
-    p_rep.add_argument("--quant", required=True)
-    p_rep.add_argument("--repair-set", required=True)
     p_rep.add_argument("--val", required=True)
-    p_rep.add_argument("--metric", choices=METRICS, default="dstar")
-    p_rep.add_argument("--top", type=int, default=10)
-    p_rep.add_argument("--layer", type=int)
-    p_rep.add_argument("--epsilon", type=float, default=1e-3)
-    p_rep.add_argument("--time-budget", type=float, default=60.0)
-    p_rep.add_argument("--patch-mode", choices=("float_patch", "requantize"),
-                       default="float_patch")
-    p_rep.add_argument("--max-constraints", type=int, default=64)
+    p_rep.add_argument("--top", dest="top_n", type=int)
+    p_rep.add_argument("--epsilon", type=float)
+    p_rep.add_argument("--time-budget", type=float)
+    p_rep.add_argument("--patch-mode", choices=PATCH_MODES)
+    p_rep.add_argument("--max-constraints", type=int)
     p_rep.add_argument("--delta-bound", type=float)
     p_rep.add_argument("--lp-dir", help="dump every generated LP file here")
-    p_rep.add_argument("--out", required=True, help="output directory")
+    p_rep.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
-    p_exp = sub.add_parser("experiment", help="train/quantize/repair harness")
-    p_exp.add_argument("--preset", choices=exp.PRESETS, default="mlp-blobs")
-    p_exp.add_argument("--seed", type=int, default=42)
-    p_exp.add_argument("--trials", type=int, default=10,
-                       help="random-selection baseline repetitions")
+    p_exp = sub.add_parser("experiment", help="train/quantize/repair harness", **leave_out)
+    p_exp.set_defaults(func=cmd_experiment)
+    p_exp.add_argument("--preset", choices=exp.PRESETS)
+    p_exp.add_argument("--seed", type=int)
+    p_exp.add_argument("--trials", type=int, help="random-selection baseline repetitions")
     p_exp.add_argument("--data-dir", help="IDX files for the mnist-mini preset")
-    p_exp.add_argument("--out", required=True, help="output directory")
+    p_exp.add_argument("--out", dest="out_dir", required=True, help="output directory")
     return parser
 
 
-def cmd_quantize(args) -> int:
-    save_qmodel(quantize_model(load_model(args.model)), args.out)
-    print(f"wrote {args.out}")
+def cmd_quantize(model, out) -> int:
+    save_qmodel(quantize_model(load_model(model)), out)
+    print(f"wrote {out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    model = _load_any_model(args.model)
-    dataset = load_dataset(args.data, num_classes=model.num_classes)
-    ref = _load_any_model(args.ref_model) if args.ref_model else None
-    result = accuracy(model, dataset, dataset_id=str(args.data), reference=ref)
-    obj = {"dataset": result.dataset_id, "n": result.n, "correct": result.correct,
+def cmd_eval(model, data, ref_model, out) -> int:
+    net = load_qmodel(model)
+    dataset = load_dataset(data, num_classes=net.num_classes)
+    ref = load_qmodel(ref_model) if ref_model else None
+    result = accuracy(net, dataset, reference=ref)
+    obj = {"dataset": str(data), "n": result.n, "correct": result.correct,
            "accuracy": result.accuracy, "fidelity": result.fidelity}
     text = json.dumps(obj, indent=2) + "\n"
-    if args.out:
-        if str(args.out).endswith(".csv"):
+    if out:
+        if str(out).endswith(".csv"):
             fid = "" if result.fidelity is None else f"{result.fidelity:.6g}"
-            Path(args.out).write_text(
+            Path(out).write_text(
                 "dataset,n,correct,accuracy,fidelity\n"
-                f"{result.dataset_id},{result.n},{result.correct},"
-                f"{result.accuracy:.6g},{fid}\n"
+                f"{data},{result.n},{result.correct},{result.accuracy:.6g},{fid}\n"
             )
         else:
-            Path(args.out).write_text(text)
+            Path(out).write_text(text)
     print(text, end="")
     return 0
 
 
-def cmd_localize(args) -> int:
-    fmodel = load_model(args.float_model)
-    qmodel = load_qmodel(args.quant)
-    dataset = load_dataset(args.repair_set, num_classes=fmodel.num_classes)
-    layer = args.layer if args.layer is not None else fmodel.last_dense_index()
-    counters = compare_at_layer(fmodel, qmodel, dataset, layer).spectra()
-    csv_text = spectra_csv(counters, importance_scores(counters, args.metric), args.metric)
-    if args.out:
-        Path(args.out).write_text(csv_text)
+def cmd_localize(float_model, quant, repair_set, out, **options) -> int:
+    config = RepairConfig(**options)
+    fmodel = load_model(float_model)
+    qmodel = load_qmodel(quant)
+    dataset = load_dataset(repair_set, num_classes=fmodel.num_classes)
+    counters = compare_at_layer(fmodel, qmodel, dataset, config.target_layer).spectra()
+    csv_text = spectra_csv(counters, importance_scores(counters, config.metric), config.metric)
+    if out:
+        Path(out).write_text(csv_text)
     print(csv_text, end="")
     return 0
 
 
-def cmd_repair(args) -> int:
-    config = RepairConfig(
-        target_layer=args.layer, metric=args.metric, top_n=args.top,
-        epsilon=args.epsilon, time_budget=args.time_budget,
-        patch_mode=args.patch_mode, max_constraints=args.max_constraints,
-        delta_bound=args.delta_bound, lp_dir=args.lp_dir,
-    )
-    fmodel = load_model(args.float_model)
-    qmodel = load_qmodel(args.quant)
-    repair_set = load_dataset(args.repair_set, num_classes=fmodel.num_classes)
-    val = load_dataset(args.val, num_classes=fmodel.num_classes)
+def cmd_repair(float_model, quant, repair_set, val, out_dir, **options) -> int:
+    config = RepairConfig(**options)
+    fmodel = load_model(float_model)
+    qmodel = load_qmodel(quant)
+    repair_rows = load_dataset(repair_set, num_classes=fmodel.num_classes)
+    val_rows = load_dataset(val, num_classes=fmodel.num_classes)
     if config.lp_dir:
         Path(config.lp_dir).mkdir(parents=True, exist_ok=True)
-    patched, report = repair(fmodel, qmodel, repair_set, val, config)
-    out = Path(args.out)
+    patched, report = repair(fmodel, qmodel, repair_rows, val_rows, config)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "repair_report.json").write_text(report.to_json())
     save_qmodel(patched, out / "repaired_model.json")
@@ -166,30 +154,22 @@ def cmd_repair(args) -> int:
     return 0 if report.count("optimal") > 0 else ZERO_REPAIRS
 
 
-def cmd_experiment(args) -> int:
-    report = exp.run_experiment(preset=args.preset, seed=args.seed, out_dir=args.out,
-                                trials=args.trials, data_dir=args.data_dir)
-    print(exp.comparison_table(report), end="")
+def cmd_experiment(**options) -> int:
+    print(exp.comparison_table(exp.run_experiment(**options)), end="")
     return 0
 
 
 def cli_main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = vars(build_parser().parse_args(argv))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    handlers = {
-        "quantize": cmd_quantize,
-        "eval": cmd_eval,
-        "localize": cmd_localize,
-        "repair": cmd_repair,
-        "experiment": cmd_experiment,
-    }
+    del options["command"]
+    handler = options.pop("func")
     try:
-        return handlers[args.command](args)
+        return handler(**options)
     except (OSError, ValueError, RuntimeError) as e:
         log.error("%s", e)
         print(f"error: {e}", file=sys.stderr)

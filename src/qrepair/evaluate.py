@@ -17,7 +17,6 @@ from .model import forward_batch
 
 @dataclass
 class EvalResult:
-    dataset_id: str
     n: int
     correct: int
     accuracy: float
@@ -29,8 +28,7 @@ def predict(model, dataset) -> np.ndarray:
     return forward_batch(model, dataset.features)[0].argmax(axis=1)
 
 
-def evaluate(predicted: np.ndarray, dataset, reference: np.ndarray | None = None,
-             dataset_id: str = "") -> EvalResult:
+def evaluate(predicted: np.ndarray, dataset, reference: np.ndarray | None = None) -> EvalResult:
     """Score one model's labels of the dataset rows against the stored labels.
 
     When `reference` holds another model's labels of the same rows, the
@@ -41,17 +39,17 @@ def evaluate(predicted: np.ndarray, dataset, reference: np.ndarray | None = None
         raise ValueError("cannot evaluate on an empty dataset")
     correct = int(np.sum(predicted == dataset.labels))
     fid = None if reference is None else (n - int(np.sum(predicted != reference))) / n
-    return EvalResult(dataset_id, n, correct, correct / n, fid)
+    return EvalResult(n, correct, correct / n, fid)
 
 
-def accuracy(model, dataset, dataset_id: str = "", reference=None) -> EvalResult:
+def accuracy(model, dataset, reference=None) -> EvalResult:
     """Fraction of dataset rows whose predicted label matches the stored label.
 
     When `reference` is given, the result also carries the fidelity between
     `model` and the reference on the same inputs.
     """
     ref = None if reference is None else predict(reference, dataset)
-    return evaluate(predict(model, dataset), dataset, ref, dataset_id)
+    return evaluate(predict(model, dataset), dataset, ref)
 
 
 def fidelity(model_a, model_b, dataset) -> float:

@@ -189,6 +189,8 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     """Full train/quantize/damage/repair cycle; returns the comparison report."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
+    if trials < 1:  # the random baseline's mean would be NaN
+        raise ValueError(f"trials must be >= 1, got {trials}")
     spec = spec or (MLP_BLOBS if preset == "mlp-blobs" else MNIST_MINI)
     config = config or RepairConfig()
 
@@ -225,7 +227,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
         log.info("metric %-10s accuracy %.4f -> %.4f", metric,
                  rep.accuracy_before, rep.accuracy_after)
 
-    width = fmodel.layers[fmodel.last_dense_index()].weights.shape[1]
+    width = shared.comparison.weights.shape[1]  # the target layer's neurons
     rng_rand = np.random.default_rng(ss_random)
     rand_accs = []
     for _ in range(trials):

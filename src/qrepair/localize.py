@@ -89,13 +89,16 @@ class LayerComparison:
 
 
 def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
-                     layer_index: int) -> LayerComparison:
-    """Run `dataset` once through each model and compare them at a dense layer.
+                     layer_index: int | None = None) -> LayerComparison:
+    """Run `dataset` once through each model and compare them at a dense layer,
+    by default the last one.
 
     Raises ValueError for models of different topology, or a layer index
     out of range or not of a dense layer.
     """
     check_same_topology(fmodel, qmodel)
+    if layer_index is None:
+        layer_index = fmodel.last_dense_index()
     if not 0 <= layer_index < len(fmodel.layers):
         raise ValueError(f"layer {layer_index} is out of range 0..{len(fmodel.layers) - 1}")
     if fmodel.layers[layer_index].kind != "dense":
@@ -112,7 +115,7 @@ def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
 
 def classify_tests(fmodel: Model, qmodel: QuantizedModel, dataset) -> list[TestOutcome]:
     """Label every repair-set input passing or failing by model agreement."""
-    c = compare_at_layer(fmodel, qmodel, dataset, fmodel.last_dense_index())
+    c = compare_at_layer(fmodel, qmodel, dataset)
     return [TestOutcome(test_id, int(fl), int(ql))
             for test_id, fl, ql in zip(dataset.ids, c.float_labels, c.quant_labels)]
 

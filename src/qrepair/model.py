@@ -417,15 +417,12 @@ def _float_layer(kind, wobj, bias, hyperparams, base_dir) -> Layer:
     return Layer(kind, weights, bias, hyperparams)
 
 
-def model_from_json(obj: dict, base_dir: Path) -> Model:
-    """Build a float model; `base_dir` resolves sidecar (`data_file`) tensors."""
-    return Model(layers_from_json(obj, base_dir, _float_layer), obj["input_shape"],
-                 obj["num_classes"])
-
-
 def load_model(path) -> Model:
-    """Load a float model from its JSON file."""
-    return model_from_json(read_model_json(path), Path(path).parent)
+    """Load a float model from its JSON file; sidecar (`data_file`) tensors
+    resolve next to it."""
+    obj = read_model_json(path)
+    return Model(layers_from_json(obj, Path(path).parent, _float_layer), obj["input_shape"],
+                 obj["num_classes"])
 
 
 def save_model(model: Model, path) -> None:

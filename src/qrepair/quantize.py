@@ -49,16 +49,16 @@ class QuantizedTensor:
 
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
-        self.data = np.asarray(self.data, dtype=np.int8).reshape(-1)
+        # checked before the int8 cast, which would wrap a wider integer (129 -> -127)
+        codes = np.asarray(self.data, dtype=np.float64).reshape(-1)
+        bad = codes[(codes != np.round(codes)) | (np.abs(codes) > INT8_MAX)]
+        if bad.size:
+            raise ValueError(f"int8 codes must be integers in [-127, 127], got {bad[0]:g}")
+        self.data = codes.astype(np.int8)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
             raise ValueError(f"shape {self.shape} does not match {self.data.size} values")
-        if np.any(np.abs(self.data.astype(np.int32)) > INT8_MAX):
-            raise ValueError("quantized values must lie in [-127, 127]")
-
-    def array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -203,12 +203,9 @@ def _quantized_layer(kind, wobj, bias, hyperparams, base_dir) -> QuantizedLayer:
         for key in ("shape", "scale"):
             if key not in wobj:
                 raise ModelFormatError(f"int8 weights need a {key!r}")
-        codes = np.asarray(wobj["data_i8"], dtype=np.int8)  # OverflowError past int8
-        if not np.array_equal(codes, wobj["data_i8"]):
-            raise ModelFormatError("int8 codes must be integers")
         if wobj.get("zero_point", 0) != 0:
             raise ModelFormatError(f"zero_point must be 0, got {wobj['zero_point']!r}")
-        qw = QuantizedTensor(wobj["shape"], codes, float(wobj["scale"]))
+        qw = QuantizedTensor(wobj["shape"], wobj["data_i8"], float(wobj["scale"]))
         return QuantizedLayer(kind, qw, bias, hyperparams)
     # mixed-precision layer written after float patching
     eff = _tensor_from_json(wobj, base_dir)
@@ -220,10 +217,9 @@ def save_qmodel(qmodel: QuantizedModel, path) -> None:
 
 
 def load_qmodel(path) -> QuantizedModel:
-    return qmodel_from_json(read_model_json(path), Path(path).parent)
-
-
-def qmodel_from_json(obj: dict, base_dir: Path) -> QuantizedModel:
-    """Build a quantized model; `base_dir` resolves sidecar (`data_file`) tensors."""
-    return QuantizedModel(layers_from_json(obj, base_dir, _quantized_layer),
+    """Load a model file of either format; sidecar (`data_file`) tensors resolve
+    next to it. A layer stored as float weights loads without int8 codes, so a
+    float model file loads as a model that runs exactly as `load_model`'s."""
+    obj = read_model_json(path)
+    return QuantizedModel(layers_from_json(obj, Path(path).parent, _quantized_layer),
                           obj["input_shape"], obj["num_classes"])

@@ -226,13 +226,12 @@ class Prepared:
 def prepare(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
             config: RepairConfig) -> Prepared:
     """Compare the models once and measure the unrepaired model on validation."""
-    target = config.target_layer if config.target_layer is not None else fmodel.last_dense_index()
-    prepared = Prepared(config, compare_at_layer(fmodel, qmodel, repair_set, target),
-                        validation_set)
+    comparison = compare_at_layer(fmodel, qmodel, repair_set, config.target_layer)
+    prepared = Prepared(config, comparison, validation_set)
     if validation_set is not None and len(validation_set):
         prepared.val_float_labels = predict(fmodel, validation_set)
         logits, _, prepared.val_rows = forward_batch(qmodel, validation_set.features,
-                                                     input_of=target)
+                                                     input_of=comparison.layer_index)
         before = evaluate(logits.argmax(axis=1), validation_set, prepared.val_float_labels)
         prepared.accuracy_before, prepared.fidelity_before = before.accuracy, before.fidelity
     return prepared

@@ -1,14 +1,19 @@
 import hashlib
+import inspect
 import json
 import logging
 import math
+import shlex
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, make_desk_parts
-from qrepair.cli import cli_main
-from qrepair.data import save_dataset
+from qrepair import cli
+from qrepair.cli import build_parser, cli_main
+from qrepair.data import Dataset, load_dataset, save_dataset
 from qrepair.experiment import PresetSpec
 from qrepair.model import ModelFormatError, ShapeMismatchError, load_model, save_model
 from qrepair.quantize import load_qmodel, quantize_model, save_qmodel
@@ -329,7 +334,7 @@ def test_localize_csv_fingerprint(conv3_files, tmp_path, metric):
 @pytest.mark.parametrize("option,value", [
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--delta-bound", "nan"),
     ("--delta-bound", "-1"), ("--max-constraints", "0"), ("--max-constraints", "-3"),
-    ("--time-budget", "nan"),
+    ("--time-budget", "nan"), ("--top", "0"),
 ])
 def test_malformed_repair_option_fails_before_repairing(conv3_files, tmp_path, capsys,
                                                         option, value):
@@ -341,3 +346,118 @@ def test_malformed_repair_option_fails_before_repairing(conv3_files, tmp_path, c
                      "--val", data, "--out", str(out), option, value]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _relu_with_bias(layers):
+    layers.insert(4, {"kind": "relu", "bias": {"shape": [32], "data": [0.0] * 32}})
+
+
+def _short_sidecar(layers, root):
+    (root / "short.bin").write_bytes(np.zeros(10, dtype="<f4").tobytes())
+    layers[4]["weights"] = {"shape": [32, 16], "data_file": "short.bin"}
+
+
+MODEL_CHECKS = {  # case: (edit of the conv3 float model file, start of the error line)
+    "unknown_kind": (lambda obj, root: obj["layers"][3].__setitem__("kind", "softmax"),
+                     "error: layer 3: unknown layer kind 'softmax'"),
+    "relu_with_bias": (lambda obj, root: _relu_with_bias(obj["layers"]),
+                       "error: layer 4: a relu layer takes no weights or bias"),
+    "flatten_with_weights": (
+        lambda obj, root: obj["layers"][3].__setitem__("weights", obj["layers"][4]["weights"]),
+        "error: layer 3: a flatten layer takes no weights or bias"),
+    "short_bias": (lambda obj, root: obj["layers"][4].__setitem__(
+        "bias", {"shape": [3], "data": [0.0, 0.0, 0.0]}),
+        "error: layer 4: dense bias shape (3,) != (16,)"),
+    "conv_flat_input": (lambda obj, root: obj.__setitem__("input_shape", [64]),
+                        "error: layer 0: conv2d expects [h, w, c] input, got (64,)"),
+    "conv_channel_mismatch": (lambda obj, root: obj.__setitem__("input_shape", [8, 8, 2]),
+                              "error: layer 0: conv2d expects 1 input channels, got 2"),
+    "zero_stride": (lambda obj, root: obj["layers"][0].__setitem__("hyperparams", {"stride": 0}),
+                    "error: layer 0: conv2d window 3x3 and stride 0 must be positive"),
+    "zero_pool_window": (lambda obj, root: obj["layers"].insert(
+        1, {"kind": "maxpool2d", "hyperparams": {"kernel": 0}}),
+        "error: layer 1: maxpool2d window 0x0 and stride 0 must be positive"),
+    "window_too_large": (lambda obj, root: obj.__setitem__("input_shape", [4, 4, 1]),
+                         "error: layer 1: conv2d window 3x3 too large for input (2, 2, 4)"),
+    "no_layers": (lambda obj, root: obj.__setitem__("layers", []),
+                  "error: model needs at least one layer"),
+    "tensor_without_shape": (lambda obj, root: obj["layers"][4]["weights"].pop("shape"),
+                             "error: layer 4: a tensor must be an object with a 'shape'"),
+    "tensor_without_data": (lambda obj, root: obj["layers"][4]["weights"].pop("data"),
+                            "error: layer 4: a tensor needs 'data' or 'data_file'"),
+    "short_sidecar": (lambda obj, root: _short_sidecar(obj["layers"], root),
+                      "error: layer 4: sidecar {root}/short.bin has 10 values, need 512"),
+    "missing_key": (lambda obj, root: obj.pop("num_classes"),
+                    "error: {root}/bad.json: missing 'num_classes'"),
+    "input_shape_not_a_list": (lambda obj, root: obj.__setitem__("input_shape", "8x8x1"),
+                               "error: {root}/bad.json: 'input_shape' must be a list"),
+    "num_classes_not_an_integer": (lambda obj, root: obj.__setitem__("num_classes", "10"),
+                                   "error: {root}/bad.json: 'input_shape' must be a list"),
+    "layers_not_a_list": (lambda obj, root: obj.__setitem__("layers", {}),
+                          "error: {root}/bad.json: 'input_shape' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CHECKS))
+def test_eval_fails_on_each_model_check(tmp_path, capsys, case):
+    edit, message = MODEL_CHECKS[case]
+    obj = json.loads((FIXTURES / "conv3.json").read_text())
+    edit(obj, tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", str(bad), "--data",
+                     str(FIXTURES / "conv3_val.csv")]) == 1
+    assert capsys.readouterr().err.startswith(message.format(root=tmp_path))
+
+
+def test_eval_fails_on_a_bin_dataset_of_another_class_count(tmp_path, capsys):
+    val = load_dataset(FIXTURES / "conv3_val.csv", num_classes=10)
+    data = tmp_path / "val.bin"
+    save_dataset(Dataset(val.features, val.labels, 12), data)
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", str(FIXTURES / "conv3.json"), "--data", str(data)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}: file says 12 classes, expected 10")
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["quantize", "--model", str(FIXTURES / "conv3.json"), "--out", "{tmp}/q.json"], 0),
+    (["eval", "--model", "{tmp}/missing.json", "--data", "{tmp}/val.csv"], 1),
+    (["frobnicate"], 64),
+], ids=["success", "runtime_error", "usage_error"])
+def test_main_exits_with_the_cli_status(monkeypatch, tmp_path, argv, status):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    monkeypatch.setattr(sys, "argv", ["qrepair", *argv])
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    assert stop.value.code == status == cli_main(argv)
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda argv: argv[1])
+def test_readme_cli_line_parses(argv):
+    assert argv[0] == "qrepair"
+    options = vars(build_parser().parse_args(argv[1:]))
+    assert options.pop("command") == argv[1]
+    # every option reaches the handler, and every value given lands in one
+    inspect.signature(options.pop("func")).bind(**options)
+    values = [token for token in argv[2:] if not token.startswith("--")]
+    assert sorted(values) == sorted(str(v) for v in options.values() if v is not None)
+
+
+@pytest.mark.parametrize("argv,given", [
+    (["repair", "--float", "f", "--quant", "q", "--repair-set", "r", "--val", "v",
+      "--out", "o"], {"float_model", "quant", "repair_set", "val", "out_dir"}),
+    (["localize", "--float", "f", "--quant", "q", "--repair-set", "r"],
+     {"float_model", "quant", "repair_set", "out"}),
+    (["experiment", "--out", "o"], {"out_dir"}),
+], ids=["repair", "localize", "experiment"])
+def test_options_left_out_keep_the_library_defaults(argv, given):
+    # RepairConfig and run_experiment hold the defaults; the parser repeats none
+    options = vars(build_parser().parse_args(argv))
+    assert set(options) == {"command", "func"} | given

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from qrepair import experiment
 from qrepair.experiment import (
     GAP_TARGET,
     PresetSpec,
@@ -17,6 +18,7 @@ from qrepair.experiment import (
 )
 from qrepair.data import DatasetError
 from qrepair.evaluate import accuracy
+from qrepair.repair import RepairConfig
 
 TINY = PresetSpec(dim=10, num_classes=3, hidden=12, n_train=200, n_repair=100,
                   n_val=100, epochs=20, lr=0.15, batch=32)
@@ -149,3 +151,38 @@ def test_mnist_loader_reads_idx(tmp_path):
     assert len(ds) == 40
     assert ds.features.shape == (40, 16)
     assert ds.features.max() <= 1.0
+
+
+def test_random_baseline_draws_neurons_of_the_target_layer(monkeypatch):
+    # the damage stays in the last layer; a repair of the 24-wide hidden
+    # layer must draw its random neurons from all 24, not from the 3 outputs
+    orders, real_repair = [], experiment.repair
+
+    def spy(*args, neuron_order=None, **kwargs):
+        if neuron_order is not None:
+            orders.append(neuron_order)
+        return real_repair(*args, neuron_order=neuron_order, **kwargs)
+
+    monkeypatch.setattr(experiment, "repair", spy)
+    run_experiment(preset="mlp-blobs", seed=42, config=RepairConfig(target_layer=0, top_n=3))
+    assert len(orders) == 10
+    assert all(sorted(order) == list(range(24)) for order in orders)
+    assert {n for order in orders for n in order[:3]} - {0, 1, 2}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_experiment_rejects_fewer_than_one_trial(tmp_path, trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_experiment(preset="mlp-blobs", seed=7, spec=TINY, trials=trials, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_written_json_file_is_strict_json(tiny_report):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    _, out = tiny_report
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert "experiment_report.json" in names and "repair_dstar.json" in names
+    for name in names:
+        json.loads((out / name).read_text(), parse_constant=reject)

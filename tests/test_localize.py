@@ -12,6 +12,7 @@ from qrepair.localize import (
     accumulate_spectra,
     build_diff_matrix,
     classify_tests,
+    compare_at_layer,
     importance,
     importance_scores,
     rank_neurons,
@@ -235,3 +236,14 @@ def test_spectra_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "0,2,3,1,4,dstar=1,1"
     assert lines[1] == "1,0,5,0,5,dstar=0,2"
+
+
+def test_compare_at_layer_defaults_to_the_last_dense_layer():
+    rng = np.random.default_rng(3)
+    fmodel = grid_mlp(rng)
+    qmodel = quantize_model(fmodel)
+    ds = make_dataset(rng.normal(size=(20, 6)), num_classes=fmodel.num_classes)
+    default = compare_at_layer(fmodel, qmodel, ds)
+    assert default.layer_index == fmodel.last_dense_index()
+    explicit = compare_at_layer(fmodel, qmodel, ds, fmodel.last_dense_index())
+    assert np.array_equal(default.status_quant, explicit.status_quant)

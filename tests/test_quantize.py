@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import dense_model, grid_mlp
 from oracles import quantization_error_bound
-from qrepair.model import ModelFormatError, Tensor, argmax_label, forward
+from qrepair.model import (
+    ModelFormatError,
+    Tensor,
+    argmax_label,
+    forward,
+    forward_batch,
+    save_model,
+)
 from qrepair.quantize import (
     QuantizedTensor,
     capture_activations_q,
@@ -288,3 +295,18 @@ def test_quantized_tensor_invariants():
             QuantizedTensor((1,), np.array([1], np.int8), scale=scale)
     with pytest.raises(ValueError):
         QuantizedTensor((2,), np.array([1], np.int8), scale=1.0)
+
+
+@pytest.mark.parametrize("code", [128, 129, 200, -128, 1.5])
+def test_quantized_tensor_rejects_codes_outside_int8_before_casting(code):
+    # a cast first would wrap 129 to -127 and 200 to -56, and pass them
+    with pytest.raises(ValueError, match=rf"\[-127, 127\], got {code:g}$"):
+        QuantizedTensor((2,), np.array([1, code]), scale=1.0)
+
+
+def test_load_qmodel_runs_a_float_model_file_bit_identically(tmp_path, conv3_model, conv3_val):
+    save_model(conv3_model, tmp_path / "float.json")
+    loaded = load_qmodel(tmp_path / "float.json")
+    assert all(layer.qweights is None for layer in loaded.layers)
+    float_logits = forward_batch(conv3_model, conv3_val.features)[0]
+    assert forward_batch(loaded, conv3_val.features)[0].tobytes() == float_logits.tobytes()
