@@ -3,6 +3,7 @@
 
 Produces:
   tests/fixtures/conv3.json     six-layer conv classifier with seeded weights
+  tests/fixtures/conv3_quant.json  its int8 quantization
   tests/fixtures/conv3_val.csv  60 inputs labeled with the float model's own
                                 predictions; quantization flips a handful of
                                 them (one sits at row 7)
@@ -22,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qrepair.lp import NeuronLP, export_lp
 from qrepair.model import Layer, Model, Tensor, argmax_label, forward, save_model
-from qrepair.quantize import quantize_model, quantized_forward
+from qrepair.quantize import quantize_model, quantized_forward, save_qmodel
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL_SEED = 13
@@ -80,6 +81,7 @@ def main():
     fixtures.mkdir(parents=True, exist_ok=True)
     model = build_conv3()
     save_model(model, fixtures / "conv3.json")
+    save_qmodel(quantize_model(model), fixtures / "conv3_quant.json")
     xs, labels = make_dataset(model)
     lines = [",".join([str(l)] + [repr(float(v)) for v in row])
              for l, row in zip(labels, xs)]

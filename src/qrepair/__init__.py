@@ -26,19 +26,18 @@ from .model import (
     ActivationRecord,
     Layer,
     Model,
+    QuantizedTensor,
     Tensor,
     argmax_label,
     capture_activations,
+    dequantize,
     forward,
     forward_batch,
     load_model,
     save_model,
 )
 from .quantize import (
-    QuantizedModel,
-    QuantizedTensor,
     capture_activations_q,
-    dequantize,
     load_qmodel,
     quantize_model,
     quantize_tensor,

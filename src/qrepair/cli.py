@@ -8,6 +8,7 @@ the log level (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -114,10 +115,10 @@ def cmd_eval(model, data, ref_model, out) -> int:
     if out:
         if str(out).endswith(".csv"):
             fid = "" if result.fidelity is None else f"{result.fidelity:.6g}"
-            Path(out).write_text(
-                "dataset,n,correct,accuracy,fidelity\n"
-                f"{data},{result.n},{result.correct},{result.accuracy:.6g},{fid}\n"
-            )
+            with open(out, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([
+                    ["dataset", "n", "correct", "accuracy", "fidelity"],
+                    [data, result.n, result.correct, f"{result.accuracy:.6g}", fid]])
         else:
             Path(out).write_text(text)
     print(text, end="")

@@ -25,13 +25,8 @@ import numpy as np
 from .data import Dataset, DatasetError, save_dataset
 from .evaluate import accuracy, predict
 from .localize import METRICS
-from .model import Layer, Model, Tensor, save_model
-from .quantize import (
-    QuantizedModel,
-    QuantizedTensor,
-    quantize_model,
-    save_qmodel,
-)
+from .model import Layer, Model, QuantizedTensor, Tensor, save_model
+from .quantize import clone_quantized, quantize_model, save_qmodel
 from .repair import RepairConfig, prepare, repair, round6
 
 log = logging.getLogger("qrepair")
@@ -113,7 +108,7 @@ def train_mlp(rng: np.random.Generator, train: Dataset, spec: PresetSpec) -> Mod
     return Model(layers, (d,), c)
 
 
-def damage_layer(qmodel: QuantizedModel, layer_index: int,
+def damage_layer(qmodel: Model, layer_index: int,
                  rng: np.random.Generator, flip_fraction: float) -> None:
     """Flip the sign of a random fraction of one layer's int8 codes."""
     layer = qmodel.layers[layer_index]
@@ -128,18 +123,19 @@ def damage_layer(qmodel: QuantizedModel, layer_index: int,
 
 def damaged_quantized_model(fmodel: Model, val: Dataset, repair_set: Dataset,
                             seed_seq: np.random.SeedSequence
-                            ) -> tuple[QuantizedModel, float, float]:
+                            ) -> tuple[Model, float, float]:
     """Quantize and perturb until the float-vs-quantized val gap is >= 2 points.
 
     Also requires a handful of failing tests in the repair set, so the
-    localization stage has evidence to work with. The float model runs once
-    over each set; each damage level runs only the damaged quantized model.
+    localization stage has evidence to work with. The float model is quantized
+    and run over each set once; each damage level damages and runs a copy.
     """
     target = fmodel.last_dense_index()
     acc_f = accuracy(fmodel, val).accuracy
     float_repair_labels = predict(fmodel, repair_set)
+    undamaged = quantize_model(fmodel)
     for level, child in zip(DAMAGE_LEVELS, seed_seq.spawn(len(DAMAGE_LEVELS))):
-        qmodel = quantize_model(fmodel)
+        qmodel = clone_quantized(undamaged)
         damage_layer(qmodel, target, np.random.default_rng(child), level)
         acc_q = accuracy(qmodel, val).accuracy
         failing = int(np.sum(predict(qmodel, repair_set) != float_repair_labels))

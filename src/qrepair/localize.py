@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Model, forward_batch
-from .quantize import QuantizedModel, check_same_topology
+from .quantize import check_same_topology
 
 METRICS = ("tarantula", "ochiai", "dstar", "jaccard", "ample", "euclid", "wong3")
 
@@ -88,7 +88,7 @@ class LayerComparison:
         return accumulate_spectra(self.status_float != self.status_quant, self.failing)
 
 
-def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
+def compare_at_layer(fmodel: Model, qmodel: Model, dataset,
                      layer_index: int | None = None) -> LayerComparison:
     """Run `dataset` once through each model and compare them at a dense layer,
     by default the last one.
@@ -110,17 +110,17 @@ def compare_at_layer(fmodel: Model, qmodel: QuantizedModel, dataset,
     bias = None if qlayer.bias is None else qlayer.bias.data.copy()
     return LayerComparison(layer_index, logits_f.argmax(axis=1), logits_q.argmax(axis=1),
                            pre_f[layer_index] > 0, pre_q[layer_index] > 0, inputs,
-                           qlayer.eff_weights.copy(), bias)
+                           qlayer.weights.array().copy(), bias)
 
 
-def classify_tests(fmodel: Model, qmodel: QuantizedModel, dataset) -> list[TestOutcome]:
+def classify_tests(fmodel: Model, qmodel: Model, dataset) -> list[TestOutcome]:
     """Label every repair-set input passing or failing by model agreement."""
     c = compare_at_layer(fmodel, qmodel, dataset)
     return [TestOutcome(test_id, int(fl), int(ql))
             for test_id, fl, ql in zip(dataset.ids, c.float_labels, c.quant_labels)]
 
 
-def build_diff_matrix(fmodel: Model, qmodel: QuantizedModel, dataset,
+def build_diff_matrix(fmodel: Model, qmodel: Model, dataset,
                       layer_index: int) -> np.ndarray:
     """bool [tests, neurons]: status_float(t, n) != status_quant(t, n) on a dense layer."""
     c = compare_at_layer(fmodel, qmodel, dataset, layer_index)

@@ -1,7 +1,9 @@
 """Feed-forward classifier structure, validation, float32 inference and JSON I/O.
 
-`quantize.QuantizedModel` is a `Model` with int8 weights. Both expose
-`layer_arrays()`, the (kind, weights, bias, hyperparams) view that one
+One `Model` type serves the full-precision and the weight-quantized network:
+a layer's `weights` are the float32 values inference uses, and a quantized
+layer also carries the int8 codes they dequantize to (`qweights`).
+`layer_arrays()` is the (kind, weights, bias, hyperparams) view that one
 validator (`validate_topology`, run whenever a model is built or loaded)
 and one batched walker (`forward_batch`) read. Inference never mutates a
 model, so one model can be shared across threads.
@@ -18,6 +20,7 @@ import numpy as np
 
 LAYER_KINDS = ("dense", "relu", "conv2d", "maxpool2d", "flatten")
 WEIGHT_RANKS = {"dense": 2, "conv2d": 4}  # the kinds that carry weights
+INT8_MAX = 127
 
 
 class ModelFormatError(ValueError):
@@ -51,11 +54,57 @@ class Tensor:
 
 
 @dataclass
+class QuantizedTensor:
+    """Symmetric int8 codes of a tensor: r = scale * q, the zero point fixed at 0."""
+
+    shape: tuple[int, ...]
+    data: np.ndarray  # int8, flat
+    scale: float
+
+    def __post_init__(self):
+        self.shape = tuple(int(d) for d in self.shape)
+        # checked before the int8 cast, which would wrap a wider integer (129 -> -127)
+        codes = np.asarray(self.data, dtype=np.float64).reshape(-1)
+        bad = codes[(codes != np.round(codes)) | (np.abs(codes) > INT8_MAX)]
+        if bad.size:
+            raise ValueError(f"int8 codes must be integers in [-127, 127], got {bad[0]:g}")
+        self.data = codes.astype(np.int8)
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
+            raise ValueError(f"shape {self.shape} does not match {self.data.size} values")
+
+
+def dequantize(qt: QuantizedTensor) -> Tensor:
+    """r = S*q, computed in float64."""
+    return Tensor(qt.shape, qt.scale * qt.data.astype(np.float64))
+
+
+@dataclass
 class Layer:
+    """One layer. `weights` are the float32 values inference uses; `qweights`,
+    when set, are the int8 codes they dequantize to (given alone, they fill
+    in `weights`). A layer a `float_patch` repair wrote has no codes."""
+
     kind: str
     weights: Tensor | None = None
     bias: Tensor | None = None
     hyperparams: dict = field(default_factory=dict)
+    qweights: QuantizedTensor | None = None
+
+    def __post_init__(self):
+        if self.weights is None and self.qweights is not None:
+            self.set_codes(self.qweights)
+
+    @property
+    def eff_weights(self) -> np.ndarray | None:
+        """`weights` as an array (a view: writing to it writes the weights)."""
+        return None if self.weights is None else self.weights.array()
+
+    def set_codes(self, qweights: QuantizedTensor) -> None:
+        """Install int8 codes; inference then uses what they dequantize to."""
+        self.qweights = qweights
+        self.weights = Tensor.from_array(dequantize(qweights).array())
 
 
 @dataclass
@@ -146,7 +195,7 @@ def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
 
 
 def validate_topology(model) -> None:
-    """Check a Model or a QuantizedModel through its `layer_arrays()` view.
+    """Check a Model through its `layer_arrays()` view.
 
     Raises ModelFormatError (unknown kind, missing, misranked or non-finite
     weights) or ShapeMismatchError (a bias or a layer input that does not
@@ -235,7 +284,7 @@ def apply_layer(layer_kind: str, x: np.ndarray, weights: np.ndarray | None,
 
 
 def forward_batch(model, inputs, capture=(), input_of: int | None = None, start: int = 0):
-    """Run a batch of inputs [N, ...] through a Model or a QuantizedModel.
+    """Run a batch of inputs [N, ...] through a Model.
 
     Returns the logits [N, num_classes], a dict from every layer index in
     `capture` to that layer's output [N, ...] (the pre-activation, for a
@@ -278,14 +327,14 @@ def _one_row(inp) -> np.ndarray:
 
 
 def _forward_one(model, inp) -> Tensor:
-    """Logits of one input through a Model or a QuantizedModel."""
+    """Logits of one input through a Model."""
     logits = forward_batch(model, _one_row(inp))[0][0]
     return Tensor(logits.shape, logits)
 
 
 def _capture_one(model, inp, layer_filter) -> list[ActivationRecord]:
-    """Pre-activation records of one input, in layer order, for a Model or a
-    QuantizedModel; `layer_filter` must hold indices of dense or conv2d layers."""
+    """Pre-activation records of one input, in layer order; `layer_filter`
+    must hold indices of dense or conv2d layers."""
     capture = set(int(i) for i in layer_filter)
     for i in capture:
         if i < 0 or i >= len(model.layers):
@@ -329,35 +378,65 @@ def argmax_label(logits) -> int:
 # weights and bias optional. Float tensors are {"shape": [...], "data": [...]}
 # with decimal float literals, or {"shape": [...], "data_file": "blob.bin",
 # "offset": 0} pointing at a little-endian float32 sidecar blob for large
-# tensors. The quantized format (quantize.py) shares this envelope and differs
-# only in how it encodes weights.
+# tensors. Weights with int8 codes are {"shape": [...], "scale": s,
+# "zero_point": 0, "data_i8": [...]}; a layer without codes (a float model's,
+# or one a float_patch repair wrote) stores float weights.
+
+
+def _shape_from_json(obj: dict) -> tuple[int, ...]:
+    shape = obj["shape"]
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ModelFormatError("a tensor 'shape' must be a list of non-negative integers, "
+                               f"got {shape!r}")
+    return tuple(shape)
 
 
 def _tensor_from_json(obj, base_dir: Path) -> Tensor:
     if not isinstance(obj, dict) or "shape" not in obj:
         raise ModelFormatError("a tensor must be an object with a 'shape'")
-    shape = tuple(int(d) for d in obj["shape"])
-    count = int(np.prod(shape))
+    shape = _shape_from_json(obj)
+    count = math.prod(shape)
     if "data" in obj:
         data = np.asarray(obj["data"], dtype=np.float32)
     elif "data_file" in obj:
         path = base_dir / obj["data_file"]
-        offset = int(obj.get("offset", 0))
-        raw = np.fromfile(path, dtype="<f4", count=count, offset=offset)
-        if raw.size != count:
-            raise ModelFormatError(f"sidecar {path} has {raw.size} values, need {count}")
-        data = raw
+        data = np.fromfile(path, dtype="<f4", count=count, offset=int(obj.get("offset", 0)))
+        if data.size != count:
+            raise ModelFormatError(f"sidecar {path} has {data.size} values, need {count}")
     else:
         raise ModelFormatError("a tensor needs 'data' or 'data_file'")
     return Tensor(shape, data)
+
+
+def _codes_from_json(obj: dict) -> QuantizedTensor:
+    for key in ("shape", "scale"):
+        if key not in obj:
+            raise ModelFormatError(f"int8 weights need a {key!r}")
+    if obj.get("zero_point", 0) != 0:
+        raise ModelFormatError(f"zero_point must be 0, got {obj['zero_point']!r}")
+    return QuantizedTensor(_shape_from_json(obj), obj["data_i8"], float(obj["scale"]))
+
+
+def _layer_from_json(lobj, base_dir: Path) -> Layer:
+    if not isinstance(lobj, dict) or "kind" not in lobj:
+        raise ModelFormatError("a layer must be an object with a 'kind'")
+    bias = _tensor_from_json(lobj["bias"], base_dir) if "bias" in lobj else None
+    wobj, weights, codes = lobj.get("weights"), None, None
+    if isinstance(wobj, dict) and "data_i8" in wobj:
+        codes = _codes_from_json(wobj)
+    elif wobj is not None:
+        weights = _tensor_from_json(wobj, base_dir)
+    return Layer(lobj["kind"], weights, bias, dict(lobj.get("hyperparams", {})), codes)
 
 
 def _array_to_json(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
 
 
-def read_model_json(path) -> dict:
-    """Parse a model file's envelope, shared by the float and quantized formats."""
+def read_model(path) -> Model:
+    """The model in a JSON file, with float weights, int8 codes or both per
+    layer; sidecar (`data_file`) tensors resolve next to it. A malformed
+    layer raises ModelFormatError naming its index."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -371,37 +450,32 @@ def read_model_json(path) -> dict:
             and isinstance(obj["num_classes"], int) and isinstance(obj["layers"], list)):
         raise ModelFormatError(f"{path}: 'input_shape' must be a list of integers, "
                                "'num_classes' an integer and 'layers' a list")
-    return obj
-
-
-def layers_from_json(obj: dict, base_dir: Path, make_layer) -> list:
-    """Read the envelope's layers, each an object with a 'kind', an optional
-    bias and hyperparams; `make_layer(kind, weights_obj or None, bias,
-    hyperparams, base_dir)` decodes the format's own weight encoding. A
-    malformed layer raises ModelFormatError naming its index."""
     layers = []
     for i, lobj in enumerate(obj["layers"]):
         try:
-            if not isinstance(lobj, dict) or "kind" not in lobj:
-                raise ModelFormatError("a layer must be an object with a 'kind'")
-            bias = _tensor_from_json(lobj["bias"], base_dir) if "bias" in lobj else None
-            hyperparams = dict(lobj.get("hyperparams", {}))
-            layers.append(make_layer(lobj["kind"], lobj.get("weights"), bias, hyperparams,
-                                     base_dir))
+            layers.append(_layer_from_json(lobj, path.parent))
         except (ValueError, TypeError, OverflowError, OSError) as e:  # OSError: a sidecar file
             raise ModelFormatError(f"layer {i}: {e}") from None
-    return layers
+    return Model(layers, shape, obj["num_classes"])
 
 
-def write_model_json(model: Model, path, weights_to_json) -> None:
-    """Write `model` in the shared envelope; `weights_to_json(layer)` encodes a
-    layer's weights in the format's own way, or returns None for none."""
+def load_model(path) -> Model:
+    """Load a model file of either encoding (`read_model`)."""
+    return read_model(path)
+
+
+def save_model(model: Model, path) -> None:
+    """Write `model` as JSON: a layer's int8 codes where it has them, else its
+    float weights."""
     layers = []
     for layer in model.layers:
         lobj = {"kind": layer.kind}
-        weights = weights_to_json(layer)
-        if weights is not None:
-            lobj["weights"] = weights
+        if layer.qweights is not None:
+            q = layer.qweights
+            lobj["weights"] = {"shape": list(q.shape), "scale": q.scale, "zero_point": 0,
+                               "data_i8": [int(v) for v in q.data]}
+        elif layer.weights is not None:
+            lobj["weights"] = _array_to_json(layer.weights.array())
         if layer.bias is not None:
             lobj["bias"] = _array_to_json(layer.bias.array())
         if layer.hyperparams:
@@ -410,21 +484,3 @@ def write_model_json(model: Model, path, weights_to_json) -> None:
     obj = {"input_shape": list(model.input_shape), "num_classes": model.num_classes,
            "layers": layers}
     Path(path).write_text(json.dumps(obj))
-
-
-def _float_layer(kind, wobj, bias, hyperparams, base_dir) -> Layer:
-    weights = None if wobj is None else _tensor_from_json(wobj, base_dir)
-    return Layer(kind, weights, bias, hyperparams)
-
-
-def load_model(path) -> Model:
-    """Load a float model from its JSON file; sidecar (`data_file`) tensors
-    resolve next to it."""
-    obj = read_model_json(path)
-    return Model(layers_from_json(obj, Path(path).parent, _float_layer), obj["input_shape"],
-                 obj["num_classes"])
-
-
-def save_model(model: Model, path) -> None:
-    write_model_json(model, path, lambda layer: None if layer.weights is None
-                     else _array_to_json(layer.weights.array()))

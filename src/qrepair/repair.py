@@ -24,10 +24,10 @@ import numpy as np
 
 from .data import Dataset
 from .evaluate import evaluate, predict
-from .localize import LayerComparison, compare_at_layer, importance_scores, rank_neurons
+from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
 from .model import Model, Tensor, forward_batch
-from .quantize import QuantizedModel, clone_quantized, quantize_tensor
+from .quantize import clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
 
@@ -59,6 +59,8 @@ class RepairConfig:
             raise ValueError(f"delta_bound must be finite and > 0, got {self.delta_bound}")
         if self.patch_mode not in PATCH_MODES:
             raise ValueError(f"patch_mode must be one of {PATCH_MODES}")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
 @dataclass
@@ -157,7 +159,7 @@ def round6(x):
     return float(f"{float(x):.6g}")
 
 
-def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
+def apply_deltas(qmodel: Model, neuron: tuple[int, int], deltas,
                  patch_mode: str = "float_patch") -> None:
     """Add solved deltas onto one neuron's incoming weights, in place.
 
@@ -170,18 +172,17 @@ def apply_deltas(qmodel: QuantizedModel, neuron: tuple[int, int], deltas,
     if layer.kind != "dense":
         raise ValueError(f"layer {layer_index} is not dense")
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (layer.eff_weights.shape[0],):
-        raise ValueError(
-            f"expected {layer.eff_weights.shape[0]} deltas, got {deltas.shape}"
-        )
+    weights = layer.weights.array()  # a view: writing to it patches the layer
+    if deltas.shape != (weights.shape[0],):
+        raise ValueError(f"expected {weights.shape[0]} deltas, got {deltas.shape}")
     # the LP was solved for the weights inference uses, which differ from the
     # int8 codes once a patched layer is saved and reloaded
-    corrected = layer.eff_weights[:, neuron_index].astype(np.float64) + deltas
+    corrected = weights[:, neuron_index].astype(np.float64) + deltas
     if patch_mode == "float_patch":
-        layer.eff_weights[:, neuron_index] = corrected.astype(np.float32)
+        weights[:, neuron_index] = corrected.astype(np.float32)
         layer.qweights = None  # the codes no longer describe the layer
     elif patch_mode == "requantize":
-        full = layer.eff_weights.astype(np.float64)
+        full = weights.astype(np.float64)
         full[:, neuron_index] = corrected
         layer.set_codes(quantize_tensor(Tensor(full.shape, full)))
     else:
@@ -223,7 +224,7 @@ class Prepared:
         return sol
 
 
-def prepare(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
+def prepare(fmodel: Model, qmodel: Model, repair_set, validation_set,
             config: RepairConfig) -> Prepared:
     """Compare the models once and measure the unrepaired model on validation."""
     comparison = compare_at_layer(fmodel, qmodel, repair_set, config.target_layer)
@@ -237,9 +238,9 @@ def prepare(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
     return prepared
 
 
-def repair(fmodel: Model, qmodel: QuantizedModel, repair_set, validation_set,
+def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
            config: RepairConfig, neuron_order: list[int] | None = None,
-           shared: Prepared | None = None) -> tuple[QuantizedModel, RepairReport]:
+           shared: Prepared | None = None) -> tuple[Model, RepairReport]:
     """Run the repair pipeline; returns the patched model and its report.
 
     `neuron_order` overrides the metric ranking (used by the random-selection

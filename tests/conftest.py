@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qrepair.data import Dataset
-from qrepair.model import Layer, Model, Tensor
-from qrepair.quantize import QuantizedLayer, QuantizedModel, QuantizedTensor
+from qrepair.model import Layer, Model, QuantizedTensor, Tensor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,7 +29,7 @@ def dense_model(w, b=None, extra_relu=False, num_classes=None):
     return Model(layers, (w.shape[0],), num_classes or out)
 
 
-def manual_qmodel(fmodel: Model, int_weights_per_layer, scales=None) -> QuantizedModel:
+def manual_qmodel(fmodel: Model, int_weights_per_layer, scales=None) -> Model:
     """Quantized twin of `fmodel` with hand-picked int8 codes and scales."""
     qlayers = []
     di = 0
@@ -42,11 +41,11 @@ def manual_qmodel(fmodel: Model, int_weights_per_layer, scales=None) -> Quantize
             bias = None
             if layer.bias is not None:
                 bias = Tensor(layer.bias.shape, layer.bias.data.copy())
-            qlayers.append(QuantizedLayer(layer.kind, qw, bias, dict(layer.hyperparams)))
+            qlayers.append(Layer(layer.kind, None, bias, dict(layer.hyperparams), qw))
             di += 1
         else:
-            qlayers.append(QuantizedLayer(layer.kind, None, None, dict(layer.hyperparams)))
-    return QuantizedModel(qlayers, fmodel.input_shape, fmodel.num_classes)
+            qlayers.append(Layer(layer.kind, hyperparams=dict(layer.hyperparams)))
+    return Model(qlayers, fmodel.input_shape, fmodel.num_classes)
 
 
 def make_dataset(features, labels=None, num_classes=None) -> Dataset:

@@ -24,8 +24,8 @@ from qrepair.localize import (
     importance,
 )
 from qrepair.lp import NeuronLP, build_neuron_lp, check_solution, export_lp, solve_lp
-from qrepair.model import Tensor
-from qrepair.quantize import capture_activations_q, dequantize, quantize_tensor
+from qrepair.model import Tensor, dequantize
+from qrepair.quantize import capture_activations_q, quantize_tensor
 from qrepair.repair import RepairConfig, repair
 
 HAND_COUNTERS = (2, 3, 1, 4)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import inspect
 import json
@@ -16,7 +17,7 @@ from qrepair.cli import build_parser, cli_main
 from qrepair.data import Dataset, load_dataset, save_dataset
 from qrepair.experiment import PresetSpec
 from qrepair.model import ModelFormatError, ShapeMismatchError, load_model, save_model
-from qrepair.quantize import load_qmodel, quantize_model, save_qmodel
+from qrepair.quantize import load_qmodel, save_qmodel
 
 SPEC = PresetSpec(dim=8, num_classes=3, hidden=10, n_train=200, n_repair=80,
                   n_val=80, epochs=20, lr=0.15, batch=32)
@@ -106,6 +107,21 @@ def test_eval_csv_output(artifacts, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "dataset,n,correct,accuracy,fidelity"
     assert len(lines) == 2
+
+
+def test_eval_csv_quotes_a_dataset_path_with_a_comma_and_a_quote(artifacts, tmp_path):
+    data = tmp_path / 'a,b"c' / "v.csv"
+    data.parent.mkdir()
+    data.write_bytes((artifacts / "val.csv").read_bytes())
+    out = tmp_path / "eval.csv"
+    assert cli_main(["eval", "--model", str(artifacts / "float.json"), "--data", str(data),
+                     "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["dataset", "n", "correct", "accuracy", "fidelity"]
+    assert len(rows) == 2 and len(rows[1]) == 5
+    assert rows[1][0] == str(data)
+    assert rows[1][1] == str(SPEC.n_val)
 
 
 def test_localize_csv_format(artifacts, tmp_path):
@@ -276,14 +292,16 @@ MALFORMED_LAYERS = {  # case: (index of the layer at fault, edit of the layer li
     "infinite_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": 1e400})),
     "missing_sidecar": (4, lambda layers: layers[4].__setitem__(
         "weights", {"shape": layers[4]["weights"]["shape"], "data_file": "missing.bin"})),
+    # 32.7 would truncate to the 32 rows the data fills
+    "fractional_weight_shape": (
+        4, lambda layers: layers[4]["weights"]["shape"].__setitem__(0, 32.7)),
+    "float_bias_shape": (5, lambda layers: layers[5]["bias"].__setitem__("shape", [10.0])),
 }
 
 
 @pytest.fixture(scope="module")
-def conv3_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("conv3")
-    save_qmodel(quantize_model(load_model(FIXTURES / "conv3.json")), root / "quant.json")
-    return {"float": FIXTURES / "conv3.json", "quant": root / "quant.json"}
+def conv3_files():
+    return {"float": FIXTURES / "conv3.json", "quant": FIXTURES / "conv3_quant.json"}
 
 
 @pytest.mark.parametrize("fmt,case", [
@@ -385,6 +403,10 @@ MODEL_CHECKS = {  # case: (edit of the conv3 float model file, start of the erro
                              "error: layer 4: a tensor must be an object with a 'shape'"),
     "tensor_without_data": (lambda obj, root: obj["layers"][4]["weights"].pop("data"),
                             "error: layer 4: a tensor needs 'data' or 'data_file'"),
+    "fractional_shape": (lambda obj, root: obj["layers"][4]["weights"].__setitem__(
+        "shape", [32.5, 16]),
+        "error: layer 4: a tensor 'shape' must be a list of non-negative integers, "
+        "got [32.5, 16]"),
     "short_sidecar": (lambda obj, root: _short_sidecar(obj["layers"], root),
                       "error: layer 4: sidecar {root}/short.bin has 10 values, need 512"),
     "missing_key": (lambda obj, root: obj.pop("num_classes"),

@@ -10,16 +10,17 @@ from conftest import dense_model, grid_mlp
 from oracles import quantization_error_bound
 from qrepair.model import (
     ModelFormatError,
+    QuantizedTensor,
     Tensor,
     argmax_label,
+    dequantize,
     forward,
     forward_batch,
+    load_model,
     save_model,
 )
 from qrepair.quantize import (
-    QuantizedTensor,
     capture_activations_q,
-    dequantize,
     load_qmodel,
     quantize_model,
     quantize_tensor,
@@ -274,17 +275,26 @@ def test_malformed_qweights_raise_model_format_error(tmp_path, conv3_model, edit
         load_qmodel(path)
 
 
-def test_float_patched_qmodel_save_load_save_is_byte_identical(tmp_path, conv3_model, conv3_val):
-    # a float_patch repair stores the patched layer as float "data" (mixed
-    # precision); reading it back and writing it again changes no byte
+def test_save_load_save_is_byte_identical(tmp_path, conv3_model, conv3_val):
+    # float weights, int8 codes, and a float_patch repair's mix of the two
+    # (the patched layer stored as float "data") each read back through
+    # either loader and write again without a changed byte
     qm = quantize_model(conv3_model)
     patched, report = repair(conv3_model, qm, conv3_val, None, RepairConfig(top_n=3))
     assert report.count("optimal") > 0
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    save_qmodel(patched, first)
-    assert any("data" in l.get("weights", {}) for l in json.loads(first.read_text())["layers"])
-    save_qmodel(load_qmodel(first), second)
-    assert second.read_bytes() == first.read_bytes()
+    encodings = {}
+    for name, model, save in [("float", conv3_model, save_model), ("int8", qm, save_qmodel),
+                              ("patched", patched, save_qmodel)]:
+        first = tmp_path / f"{name}.json"
+        save(model, first)
+        encodings[name] = ["data_i8" in l["weights"]
+                           for l in json.loads(first.read_text())["layers"] if "weights" in l]
+        for load in (load_model, load_qmodel):
+            again = tmp_path / f"{name}_{load.__name__}.json"
+            save(load(first), again)
+            assert again.read_bytes() == first.read_bytes(), (name, load.__name__)
+    assert encodings == {"float": [False] * 5, "int8": [True] * 5,
+                         "patched": [True] * 4 + [False]}
 
 
 def test_quantized_tensor_invariants():

@@ -10,9 +10,9 @@ from conftest import GOLDEN, dense_model, grid_mlp, make_dataset, make_desk_part
 from qrepair.experiment import PresetSpec
 from qrepair.localize import classify_tests, compare_at_layer
 from qrepair.lp import build_neuron_lp, solve_lp
+from qrepair.model import dequantize
 from qrepair.quantize import (
     capture_activations_q,
-    dequantize,
     load_qmodel,
     quantize_model,
     quantized_forward,
@@ -48,6 +48,13 @@ def test_repair_rejects_non_dense_target(conv3_model, desk_fixture):
     ds = make_dataset(np.zeros((2, 64)), labels=[0, 0], num_classes=10)
     with pytest.raises(ValueError):
         repair(conv3_model, qm, ds, None, RepairConfig(target_layer=3))  # flatten
+
+
+@pytest.mark.parametrize("metric", ["nope", "random", "DStar"])
+def test_config_rejects_a_metric_it_cannot_rank_by(metric):
+    # caught when the config is built, before any model runs
+    with pytest.raises(ValueError, match=rf"^metric must be one of .*got '{metric}'$"):
+        RepairConfig(metric=metric)
 
 
 def test_zero_failing_returns_unchanged():

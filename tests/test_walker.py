@@ -24,7 +24,6 @@ from qrepair.model import (
     forward_batch,
 )
 from qrepair.quantize import (
-    QuantizedModel,
     capture_activations_q,
     layer_input_vector,
     quantize_model,
@@ -67,13 +66,17 @@ def rows(model, dataset):
     return [dataset.input_array(i, model.input_shape) for i in range(len(dataset))]
 
 
+def has_codes(model) -> bool:
+    return any(layer.qweights is not None for layer in model.layers)
+
+
 def row_labels(model, dataset) -> np.ndarray:
-    run = quantized_forward if isinstance(model, QuantizedModel) else forward
+    run = quantized_forward if has_codes(model) else forward
     return np.array([argmax_label(run(model, x)) for x in rows(model, dataset)])
 
 
 def row_pre(model, dataset, layer) -> np.ndarray:
-    capture = capture_activations_q if isinstance(model, QuantizedModel) else capture_activations
+    capture = capture_activations_q if has_codes(model) else capture_activations
     return np.array([capture(model, x, {layer})[0].pre_activation.data
                      for x in rows(model, dataset)])
 
