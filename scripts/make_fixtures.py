@@ -22,8 +22,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qrepair.lp import NeuronLP, export_lp
-from qrepair.model import Layer, Model, Tensor, argmax_label, forward, save_model
-from qrepair.quantize import quantize_model, quantized_forward, save_qmodel
+from qrepair.model import Layer, Model, Tensor, forward_batch, save_model
+from qrepair.quantize import quantize_model, save_qmodel
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL_SEED = 13
@@ -52,17 +52,12 @@ def build_conv3() -> Model:
 def make_dataset(model: Model):
     rng = np.random.default_rng(DATA_SEED)
     xs = rng.normal(0, 1, size=(N_ROWS, 64)).astype(np.float32)
-    qmodel = quantize_model(model)
-    flips = [
-        i for i in range(N_ROWS)
-        if argmax_label(forward(model, xs[i].reshape(8, 8, 1)))
-        != argmax_label(quantized_forward(qmodel, xs[i].reshape(8, 8, 1)))
-    ]
-    assert flips, "fixture seed must produce at least one argmax flip"
+    labels = forward_batch(model, xs)[0].argmax(axis=1)
+    flips = np.flatnonzero(labels != forward_batch(quantize_model(model), xs)[0].argmax(axis=1))
+    assert flips.size, "fixture seed must produce at least one argmax flip"
     if 7 not in flips:
         xs[[7, flips[0]]] = xs[[flips[0], 7]]
-    labels = [argmax_label(forward(model, x.reshape(8, 8, 1))) for x in xs]
-    return xs, labels
+    return xs, forward_batch(model, xs)[0].argmax(axis=1).tolist()
 
 
 def write_goldens():

@@ -18,8 +18,8 @@ score per neuron and `rank_neurons` the order."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,27 +42,13 @@ class TestOutcome:
         return self.float_label != self.quant_label
 
 
-@dataclass
-class SpectraCounters:
-    """Per-neuron counters over a repair set."""
+class SpectraCounters(NamedTuple):
+    """Per-neuron counters over a repair set, one array each."""
 
     c_af: np.ndarray
     c_nf: np.ndarray
     c_as: np.ndarray
     c_ns: np.ndarray
-
-    def __post_init__(self):
-        for name in ("c_af", "c_nf", "c_as", "c_ns"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be non-negative")
-            setattr(self, name, arr)
-
-    def __len__(self):
-        return self.c_af.size
-
-    def neuron(self, n: int) -> tuple[int, int, int, int]:
-        return (int(self.c_af[n]), int(self.c_nf[n]), int(self.c_as[n]), int(self.c_ns[n]))
 
 
 @dataclass(frozen=True)
@@ -137,55 +123,47 @@ def accumulate_spectra(diff: np.ndarray, failing: np.ndarray) -> SpectraCounters
     return SpectraCounters(c_af, n_fail - c_af, c_as, failing.size - n_fail - c_as)
 
 
-def _safe_div(num: float, den: float) -> float:
-    return 0.0 if num == 0 else num / den
+def _ratio(num, den):
+    """num / den elementwise, 0 wherever num == 0 (so 0/0 is 0 and x/0 is inf);
+    called under `importance`'s errstate, which silences the discarded 0/0."""
+    return np.where(num == 0, 0.0, num / den)[()]  # [()]: a 0-d result as a scalar
 
 
-def importance(counters: tuple[int, int, int, int], metric: str) -> float:
-    """Suspiciousness of one neuron from its four counters.
+@np.errstate(divide="ignore", invalid="ignore")
+def importance(counters, metric: str):
+    """Suspiciousness from the four counters (c_af, c_nf, c_as, c_ns), each
+    one neuron's integer or an array over neurons; evaluated elementwise.
 
     Every 0/0 evaluates to 0. The only reachable nonzero/0 case is dstar with
-    c_as + c_nf == 0, which returns +inf; `importance_scores` replaces that
+    c_as + c_nf == 0, which gives +inf; `importance_scores` replaces that
     with a finite sentinel ranking above every finite score.
     """
-    c_af, c_nf, c_as, c_ns = counters
-    if min(counters) < 0:
+    counters = np.asarray(counters)
+    if (counters < 0).any():
         raise ValueError("counters must be non-negative")
+    c_af, c_nf, c_as, c_ns = counters
     if metric == "tarantula":
-        fail_rate = _safe_div(c_af, c_af + c_nf)
-        pass_rate = _safe_div(c_as, c_as + c_ns)
-        return _safe_div(fail_rate, fail_rate + pass_rate)
+        fail_rate, pass_rate = _ratio(c_af, c_af + c_nf), _ratio(c_as, c_as + c_ns)
+        return _ratio(fail_rate, fail_rate + pass_rate)
     if metric == "ochiai":
-        if c_af == 0:
-            return 0.0
-        return c_af / math.sqrt((c_af + c_as) * (c_af + c_nf))
+        return _ratio(c_af, np.sqrt((c_af + c_as) * (c_af + c_nf)))
     if metric == "dstar":
-        if c_af == 0:
-            return 0.0
-        if c_as + c_nf == 0:
-            return math.inf
-        return c_af**2 / (c_as + c_nf)
+        return _ratio(c_af**2, c_as + c_nf)
     if metric == "jaccard":
-        return _safe_div(c_af, c_af + c_nf + c_as)
+        return _ratio(c_af, c_af + c_nf + c_as)
     if metric == "ample":
-        return abs(_safe_div(c_af, c_af + c_nf) - _safe_div(c_as, c_as + c_ns))
+        return abs(_ratio(c_af, c_af + c_nf) - _ratio(c_as, c_as + c_ns))
     if metric == "euclid":
-        return math.sqrt(c_af + c_ns)
+        return np.sqrt(c_af + c_ns)
     if metric == "wong3":
-        if c_as <= 2:
-            h = c_as
-        elif c_as <= 10:
-            h = 2 + 0.1 * (c_as - 2)
-        else:
-            h = 2.8 + 0.01 * (c_as - 10)
-        return c_af - h
+        h = np.where(c_as <= 10, 2 + 0.1 * (c_as - 2), 2.8 + 0.01 * (c_as - 10))
+        return c_af - np.where(c_as <= 2, c_as, h)
     raise ValueError(f"unknown metric {metric!r}")
 
 
 def importance_scores(counters: SpectraCounters, metric: str) -> np.ndarray:
     """float64 [neurons]; infinities become (max finite score + 1)."""
-    raw = np.array([importance(counters.neuron(n), metric) for n in range(len(counters))],
-                   dtype=np.float64)
+    raw = importance(counters, metric)
     finite = raw[np.isfinite(raw)]
     return np.where(np.isfinite(raw), raw, (finite.max() if finite.size else 0.0) + 1.0)
 
@@ -197,6 +175,6 @@ def rank_neurons(scores: np.ndarray) -> list[int]:
 
 def spectra_csv(counters: SpectraCounters, scores: np.ndarray, metric: str) -> str:
     """CSV rows `neuron_index,C_af,C_nf,C_as,C_ns,<metric>=score,rank`."""
-    lines = [f"{n},{','.join(map(str, counters.neuron(n)))},{metric}={scores[n]:.6g},{rank}"
+    lines = [f"{n},{','.join(str(int(c[n])) for c in counters)},{metric}={scores[n]:.6g},{rank}"
              for rank, n in enumerate(rank_neurons(scores), start=1)]
     return "\n".join(lines) + "\n"

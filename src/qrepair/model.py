@@ -149,6 +149,14 @@ class ActivationRecord:
             raise ShapeMismatchError("status length must match pre-activation size")
 
 
+def _int_entry(entries: dict, key: str, default) -> int:
+    """entries[key] (default when absent), which must be an integer, not a bool."""
+    value = entries.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelFormatError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
     """Check one layer of the `layer_arrays()` view against its input `shape`
     and return the shape it outputs (valid padding)."""
@@ -179,12 +187,12 @@ def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
     h, wd, c = shape
     if kind == "conv2d":
         kh, kw, in_ch, out_ch = w.shape
-        stride = int(hyperparams.get("stride", 1))
+        stride = _int_entry(hyperparams, "stride", 1)
         if in_ch != c:
             raise ShapeMismatchError(f"conv2d expects {in_ch} input channels, got {c}")
     else:  # maxpool2d
-        kh = kw = int(hyperparams.get("kernel", 2))
-        stride = int(hyperparams.get("stride", kh))
+        kh = kw = _int_entry(hyperparams, "kernel", 2)
+        stride = _int_entry(hyperparams, "stride", kh)
         out_ch = c
     if min(kh, kw, stride) < 1:
         raise ModelFormatError(f"{kind} window {kh}x{kw} and stride {stride} must be positive")
@@ -211,7 +219,7 @@ def validate_topology(model) -> None:
             shape = _output_shape(shape, kind, w, b, hyperparams)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"layer {i}: {e}") from None
-        except (ValueError, TypeError, OverflowError) as e:  # e.g. a stride of "x" or 1e400
+        except ModelFormatError as e:
             raise ModelFormatError(f"layer {i}: {e}") from None
     if views[-1][0] != "dense" or shape != (model.num_classes,):
         raise ShapeMismatchError(
@@ -383,6 +391,16 @@ def argmax_label(logits) -> int:
 # or one a float_patch repair wrote) stores float weights.
 
 
+def _numbers_from_json(obj: dict, key: str):
+    """obj[key], a JSON number or list of numbers: numpy would also read a
+    numeric string or a bool (an int subclass) as one."""
+    values = obj[key]
+    listed = values if isinstance(values, list) else [values]
+    if not all(type(v) in (int, float) for v in listed):
+        raise ModelFormatError(f"a tensor's {key!r} must hold JSON numbers only")
+    return values
+
+
 def _shape_from_json(obj: dict) -> tuple[int, ...]:
     shape = obj["shape"]
     if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
@@ -397,10 +415,10 @@ def _tensor_from_json(obj, base_dir: Path) -> Tensor:
     shape = _shape_from_json(obj)
     count = math.prod(shape)
     if "data" in obj:
-        data = np.asarray(obj["data"], dtype=np.float32)
+        data = np.asarray(_numbers_from_json(obj, "data"), dtype=np.float32)
     elif "data_file" in obj:
         path = base_dir / obj["data_file"]
-        data = np.fromfile(path, dtype="<f4", count=count, offset=int(obj.get("offset", 0)))
+        data = np.fromfile(path, dtype="<f4", count=count, offset=_int_entry(obj, "offset", 0))
         if data.size != count:
             raise ModelFormatError(f"sidecar {path} has {data.size} values, need {count}")
     else:
@@ -414,7 +432,8 @@ def _codes_from_json(obj: dict) -> QuantizedTensor:
             raise ModelFormatError(f"int8 weights need a {key!r}")
     if obj.get("zero_point", 0) != 0:
         raise ModelFormatError(f"zero_point must be 0, got {obj['zero_point']!r}")
-    return QuantizedTensor(_shape_from_json(obj), obj["data_i8"], float(obj["scale"]))
+    return QuantizedTensor(_shape_from_json(obj), _numbers_from_json(obj, "data_i8"),
+                           float(_numbers_from_json(obj, "scale")))
 
 
 def _layer_from_json(lobj, base_dir: Path) -> Layer:
@@ -446,8 +465,8 @@ def read_model(path) -> Model:
         if not isinstance(obj, dict) or key not in obj:
             raise ModelFormatError(f"{path}: missing {key!r}")
     shape = obj["input_shape"]
-    if not (isinstance(shape, list) and all(isinstance(d, int) for d in shape)
-            and isinstance(obj["num_classes"], int) and isinstance(obj["layers"], list)):
+    if not (isinstance(shape, list) and all(type(d) is int for d in shape)
+            and type(obj["num_classes"]) is int and isinstance(obj["layers"], list)):
         raise ModelFormatError(f"{path}: 'input_shape' must be a list of integers, "
                                "'num_classes' an integer and 'layers' a list")
     layers = []

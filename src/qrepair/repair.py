@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
 from .evaluate import evaluate, predict
 from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
@@ -195,8 +194,8 @@ class Prepared:
     config shares."""
 
     config: RepairConfig
+    made_from: tuple  # (float model, quantized model, repair set, validation set)
     comparison: LayerComparison
-    validation: Dataset | None = None  # the validation set measured
     val_float_labels: np.ndarray | None = None  # the float model's validation labels
     val_rows: np.ndarray | None = None  # validation input rows of the target layer
     accuracy_before: float | None = None
@@ -228,7 +227,7 @@ def prepare(fmodel: Model, qmodel: Model, repair_set, validation_set,
             config: RepairConfig) -> Prepared:
     """Compare the models once and measure the unrepaired model on validation."""
     comparison = compare_at_layer(fmodel, qmodel, repair_set, config.target_layer)
-    prepared = Prepared(config, comparison, validation_set)
+    prepared = Prepared(config, (fmodel, qmodel, repair_set, validation_set), comparison)
     if validation_set is not None and len(validation_set):
         prepared.val_float_labels = predict(fmodel, validation_set)
         logits, _, prepared.val_rows = forward_batch(qmodel, validation_set.features,
@@ -251,8 +250,9 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
         shared = prepare(fmodel, qmodel, repair_set, validation_set, config)
     elif replace(config, metric=shared.config.metric) != shared.config:
         raise ValueError("the shared record was prepared for another repair config")
-    elif validation_set is not shared.validation:
-        raise ValueError("the shared record was prepared for another validation set")
+    elif any(given is not made_from for given, made_from in
+             zip((fmodel, qmodel, repair_set, validation_set), shared.made_from)):
+        raise ValueError("the shared record was prepared from other models or data sets")
     comparison = shared.comparison
     target = comparison.layer_index
     patched = clone_quantized(qmodel)

@@ -282,6 +282,13 @@ def _nan_weight(layers):
     layers[4]["weights"] = {"shape": weights["shape"], "data": [math.nan] + [0.0] * (count - 1)}
 
 
+def _first_weight(value):
+    def edit(layers):
+        weights = layers[4]["weights"]
+        weights["data_i8" if "data_i8" in weights else "data"][0] = value
+    return edit
+
+
 MALFORMED_LAYERS = {  # case: (index of the layer at fault, edit of the layer list)
     "non_object_layer": (0, lambda layers: layers.__setitem__(0, 5)),
     "dense_without_weights": (4, lambda layers: layers[4].pop("weights")),
@@ -290,6 +297,15 @@ MALFORMED_LAYERS = {  # case: (index of the layer at fault, edit of the layer li
     "nan_weight": (4, _nan_weight),
     "nan_scale": (4, lambda layers: layers[4]["weights"].__setitem__("scale", math.nan)),
     "infinite_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": 1e400})),
+    "fractional_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": 1.7})),
+    "string_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": "1"})),
+    "bool_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": True})),
+    # numpy would read each of these as a number: "1.5" as 1.5, true as 1
+    "string_bias": (5, lambda layers: layers[5]["bias"]["data"].__setitem__(0, "1.5")),
+    "bool_bias": (5, lambda layers: layers[5]["bias"]["data"].__setitem__(0, True)),
+    "string_scale": (4, lambda layers: layers[4]["weights"].__setitem__("scale", "0.01")),
+    "string_weight": (4, _first_weight("5")),
+    "bool_weight": (4, _first_weight(True)),
     "missing_sidecar": (4, lambda layers: layers[4].__setitem__(
         "weights", {"shape": layers[4]["weights"]["shape"], "data_file": "missing.bin"})),
     # 32.7 would truncate to the 32 rows the data fills
@@ -306,7 +322,7 @@ def conv3_files():
 
 @pytest.mark.parametrize("fmt,case", [
     (fmt, case) for fmt in ("float", "quant") for case in MALFORMED_LAYERS
-    if (fmt, case) != ("float", "nan_scale")  # a float model has no scale
+    if fmt == "quant" or not case.endswith("_scale")  # a float model has no scale
 ])
 def test_malformed_model_file_fails_naming_the_layer(conv3_files, tmp_path, capsys, fmt, case):
     index, edit = MALFORMED_LAYERS[case]
@@ -409,10 +425,15 @@ MODEL_CHECKS = {  # case: (edit of the conv3 float model file, start of the erro
         "got [32.5, 16]"),
     "short_sidecar": (lambda obj, root: _short_sidecar(obj["layers"], root),
                       "error: layer 4: sidecar {root}/short.bin has 10 values, need 512"),
+    "bool_sidecar_offset": (lambda obj, root: obj["layers"][4].__setitem__(
+        "weights", {"shape": [32, 16], "data_file": "w.bin", "offset": True}),
+        "error: layer 4: offset must be an integer, got True"),
     "missing_key": (lambda obj, root: obj.pop("num_classes"),
                     "error: {root}/bad.json: missing 'num_classes'"),
     "input_shape_not_a_list": (lambda obj, root: obj.__setitem__("input_shape", "8x8x1"),
                                "error: {root}/bad.json: 'input_shape' must be a list"),
+    "bool_input_dim": (lambda obj, root: obj["input_shape"].__setitem__(2, True),
+                       "error: {root}/bad.json: 'input_shape' must be a list of integers"),
     "num_classes_not_an_integer": (lambda obj, root: obj.__setitem__("num_classes", "10"),
                                    "error: {root}/bad.json: 'input_shape' must be a list"),
     "layers_not_a_list": (lambda obj, root: obj.__setitem__("layers", {}),

@@ -64,6 +64,22 @@ def test_dstar_infinite_case_gets_sentinel():
     assert scores[0] > scores[1]  # sentinel outranks every finite score
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_importance_scores_match_importance_per_neuron(metric):
+    rng = np.random.default_rng(7)
+    columns = rng.integers(0, 50, size=(4, 60))
+    columns[:, :5] = 0  # all four counters zero
+    columns[0, 5:20] = 0  # c_af == 0
+    columns[1:3, 20:30] = 0  # c_nf == c_as == 0: dstar's c_af^2 / 0
+    scores = importance_scores(SpectraCounters(*columns), metric)
+    want = np.array([importance(tuple(int(c) for c in col), metric) for col in columns.T])
+    finite = np.isfinite(want)
+    assert scores.dtype == np.float64
+    assert scores[finite].tobytes() == want[finite].tobytes()
+    assert (~finite).any() == (metric == "dstar")
+    assert np.all(scores[~finite] == want[finite].max() + 1)
+
+
 def test_wong3_piecewise():
     assert importance((5, 0, 1, 0), "wong3") == pytest.approx(5 - 1)
     assert importance((5, 0, 6, 0), "wong3") == pytest.approx(5 - (2 + 0.1 * 4))
@@ -200,15 +216,16 @@ def test_diff_matrix_entries_rederivable(conv3_model, conv3_val):
 def test_accumulate_zero_diff():
     failing = np.arange(10) < 5  # 5 fail
     c = accumulate_spectra(np.zeros((10, 4), np.uint8), failing)
-    for n in range(4):
-        assert c.neuron(n) == (0, 5, 0, 5)
+    for counter, want in zip(c, (0, 5, 0, 5)):
+        assert np.array_equal(counter, np.full(4, want))
 
 
 def test_accumulate_single_failing_diff():
     c = accumulate_spectra(np.array([[0, 0, 1]], np.uint8), np.array([True]))
-    assert c.neuron(2) == (1, 0, 0, 0)
-    assert c.neuron(0) == (0, 1, 0, 0)
-    assert c.neuron(1) == (0, 1, 0, 0)
+    assert np.array_equal(c.c_af, [0, 0, 1])
+    assert np.array_equal(c.c_nf, [1, 1, 0])
+    assert np.array_equal(c.c_as, [0, 0, 0])
+    assert np.array_equal(c.c_ns, [0, 0, 0])
 
 
 def test_accumulate_length_mismatch():

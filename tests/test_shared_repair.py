@@ -6,6 +6,7 @@ share one `repair.prepare` record: one model comparison, one before-repair
 evaluation, and each neuron's LP built and solved once.
 """
 
+import copy
 import importlib
 import logging
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 import qrepair.experiment
 from conftest import make_desk_parts
 from qrepair.experiment import METRICS, PresetSpec, comparison_table, run_experiment
+from qrepair.quantize import quantize_model
 from qrepair.repair import RepairConfig, prepare
 
 repair_mod = importlib.import_module("qrepair.repair")  # the package's `repair` is the function
@@ -180,15 +182,24 @@ def test_reuse_logs_one_debug_line_per_solved_neuron(desk, caplog):
     assert all(r.levelno == logging.DEBUG for r in caplog.records if "reused" in r.getMessage())
 
 
-@pytest.mark.parametrize("prepared_on,given", [("val", "copy"), ("val", None), (None, "val")])
+@pytest.mark.parametrize("prepared_on,given", [
+    ("val", "copy"), ("val", None), (None, "val"),
+    ("val", "float_copy"), ("val", "twin"), ("val", "subset"),
+])
 def test_shared_record_for_another_validation_set_is_rejected(desk, prepared_on, given,
                                                               counted):
-    # the record holds the validation rows and float labels it measured, so
-    # a repair scored on another set would report that set's numbers wrongly
+    # the record holds the models' comparison on the repair set and the
+    # validation rows and float labels it measured, so a repair given other
+    # inputs would report the record's failing tests and accuracy as its own
     fmodel, qmodel, repair_set, val = desk
     sets = {"val": val, "copy": val.subset(range(len(val))), None: None}
     config = RepairConfig(top_n=3)
     shared = prepare(fmodel, qmodel, repair_set, sets[prepared_on], config)
-    with pytest.raises(ValueError, match="another validation set"):
-        repair_mod.repair(fmodel, qmodel, repair_set, sets[given], config, shared=shared)
+    args = {  # each replaces one input the record was prepared from
+        "float_copy": (copy.deepcopy(fmodel), qmodel, repair_set, val),
+        "twin": (fmodel, quantize_model(fmodel), repair_set, val),  # nothing to repair
+        "subset": (fmodel, qmodel, repair_set.subset(range(60)), val),
+    }.get(given, (fmodel, qmodel, repair_set, sets.get(given)))
+    with pytest.raises(ValueError, match="prepared from other models or data sets"):
+        repair_mod.repair(*args, config, shared=shared)
     assert counted["solve"] == 0 and not shared.solutions
