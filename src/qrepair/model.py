@@ -20,6 +20,7 @@ import numpy as np
 
 LAYER_KINDS = ("dense", "relu", "conv2d", "maxpool2d", "flatten")
 WEIGHT_RANKS = {"dense": 2, "conv2d": 4}  # the kinds that carry weights
+HYPERPARAMS = {"conv2d": ("stride",), "maxpool2d": ("kernel", "stride")}  # others take none
 INT8_MAX = 127
 
 
@@ -144,10 +145,6 @@ class ActivationRecord:
     pre_activation: Tensor
     status: np.ndarray  # uint8 bit vector, flat
 
-    def __post_init__(self):
-        if self.status.size != self.pre_activation.data.size:
-            raise ShapeMismatchError("status length must match pre-activation size")
-
 
 def _int_entry(entries: dict, key: str, default) -> int:
     """entries[key] (default when absent), which must be an integer, not a bool."""
@@ -162,6 +159,11 @@ def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
     and return the shape it outputs (valid padding)."""
     if kind not in LAYER_KINDS:
         raise ModelFormatError(f"unknown layer kind {kind!r}")
+    if not isinstance(hyperparams, dict):
+        raise ModelFormatError(f"hyperparams must be an object, got {hyperparams!r}")
+    for key in hyperparams:
+        if key not in HYPERPARAMS.get(kind, ()):
+            raise ModelFormatError(f"{kind} takes no hyperparameter {key!r}")
     rank = WEIGHT_RANKS.get(kind)
     if rank is None and (w is not None or b is not None):
         raise ModelFormatError(f"a {kind} layer takes no weights or bias")
@@ -205,10 +207,11 @@ def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
 def validate_topology(model) -> None:
     """Check a Model through its `layer_arrays()` view.
 
-    Raises ModelFormatError (unknown kind, missing, misranked or non-finite
-    weights) or ShapeMismatchError (a bias or a layer input that does not
-    fit, a final layer that is not dense with `num_classes` outputs); each
-    message starts with the index of the layer at fault.
+    Raises ModelFormatError (unknown kind, a hyperparameter the kind does not
+    take, missing, misranked or non-finite weights) or ShapeMismatchError (a
+    bias or a layer input that does not fit, a final layer that is not dense
+    with `num_classes` outputs); each message starts with the index of the
+    layer at fault.
     """
     views = model.layer_arrays()
     if not views:
@@ -334,15 +337,17 @@ def _one_row(inp) -> np.ndarray:
     return np.asarray(data, dtype=np.float32).reshape(1, -1)
 
 
-def _forward_one(model, inp) -> Tensor:
-    """Logits of one input through a Model."""
+def forward(model: Model, inp) -> Tensor:
+    """Run the float32 forward pass of one input; returns the logits (no softmax)."""
     logits = forward_batch(model, _one_row(inp))[0][0]
     return Tensor(logits.shape, logits)
 
 
-def _capture_one(model, inp, layer_filter) -> list[ActivationRecord]:
-    """Pre-activation records of one input, in layer order; `layer_filter`
-    must hold indices of dense or conv2d layers."""
+def capture_activations(model: Model, inp, layer_filter) -> list[ActivationRecord]:
+    """Record pre-ReLU outputs and activation status of one input for the given layers.
+
+    `layer_filter` must contain indices of dense or conv2d layers.
+    """
     capture = set(int(i) for i in layer_filter)
     for i in capture:
         if i < 0 or i >= len(model.layers):
@@ -356,19 +361,6 @@ def _capture_one(model, inp, layer_filter) -> list[ActivationRecord]:
         records.append(ActivationRecord(i, Tensor(pre[i].shape[1:], flat.copy()),
                                         (flat > 0).astype(np.uint8)))
     return records
-
-
-def forward(model: Model, inp) -> Tensor:
-    """Run the float32 forward pass of one input; returns the logits (no softmax)."""
-    return _forward_one(model, inp)
-
-
-def capture_activations(model: Model, inp, layer_filter) -> list[ActivationRecord]:
-    """Record pre-ReLU outputs and activation status of one input for the given layers.
-
-    `layer_filter` must contain indices of dense or conv2d layers.
-    """
-    return _capture_one(model, inp, layer_filter)
 
 
 def argmax_label(logits) -> int:
@@ -445,7 +437,7 @@ def _layer_from_json(lobj, base_dir: Path) -> Layer:
         codes = _codes_from_json(wobj)
     elif wobj is not None:
         weights = _tensor_from_json(wobj, base_dir)
-    return Layer(lobj["kind"], weights, bias, dict(lobj.get("hyperparams", {})), codes)
+    return Layer(lobj["kind"], weights, bias, lobj.get("hyperparams", {}), codes)
 
 
 def _array_to_json(arr: np.ndarray) -> dict:

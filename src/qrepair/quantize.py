@@ -9,8 +9,11 @@ this scheme.
 A quantized network is a `model.Model` whose dense and conv layers carry
 int8 codes (`Layer.qweights`) beside the float32 weights they dequantize to,
 so the float model's validator, walker and JSON reader and writer serve it
-unchanged. This module holds the quantization math and the entry points of
-the quantized stage.
+unchanged. `quantize_model` is `clone_quantized` plus codes on each dense
+and conv layer. `quantized_forward` and `capture_activations_q` are
+`model.forward` and `model.capture_activations` under the quantized stage's
+names. This module holds the quantization math and the entry points of the
+quantized stage.
 """
 
 from __future__ import annotations
@@ -22,19 +25,18 @@ import numpy as np
 from .model import (
     INT8_MAX,
     WEIGHT_RANKS,
-    ActivationRecord,
     Layer,
     Model,
     QuantizedTensor,
     Tensor,
-    _capture_one,
-    _forward_one,
     _one_row,
     forward_batch,
     read_model,
     save_model,
 )
 from .model import apply_layer  # noqa: F401  perfbench/test_perfbench.py expects it bound here
+from .model import capture_activations as capture_activations_q  # noqa: F401
+from .model import forward as quantized_forward  # noqa: F401
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -62,23 +64,13 @@ def quantize_tensor(t: Tensor) -> QuantizedTensor:
 
 
 def quantize_model(model: Model) -> Model:
-    """Quantize every dense/conv weight tensor; topology and biases untouched."""
-    layers = []
-    for layer in model.layers:
-        bias = None if layer.bias is None else Tensor(layer.bias.shape, layer.bias.data.copy())
-        codes = quantize_tensor(layer.weights) if layer.kind in WEIGHT_RANKS else None
-        layers.append(Layer(layer.kind, None, bias, dict(layer.hyperparams), codes))
-    return Model(layers, model.input_shape, model.num_classes)
-
-
-def quantized_forward(qmodel: Model, inp) -> Tensor:
-    """Forward pass of one input through the quantized model (dequantized weights, float32)."""
-    return _forward_one(qmodel, inp)
-
-
-def capture_activations_q(qmodel: Model, inp, layer_filter) -> list[ActivationRecord]:
-    """Quantized-model counterpart of model.capture_activations."""
-    return _capture_one(qmodel, inp, layer_filter)
+    """A copy of `model` with int8 codes on every dense/conv weight tensor;
+    topology and biases untouched."""
+    qmodel = clone_quantized(model)
+    for layer in qmodel.layers:
+        if layer.kind in WEIGHT_RANKS:
+            layer.set_codes(quantize_tensor(layer.weights))
+    return qmodel
 
 
 def layer_input_vector(qmodel: Model, inp, layer_index: int) -> np.ndarray:

@@ -242,9 +242,10 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
            shared: Prepared | None = None) -> tuple[Model, RepairReport]:
     """Run the repair pipeline; returns the patched model and its report.
 
-    `neuron_order` overrides the metric ranking (used by the random-selection
-    baseline); importance values are then reported as 0. `shared`, from `prepare`
-    on the same models and sets, serves repairs that differ in metric or order.
+    `neuron_order`, distinct neuron indices of the target layer, overrides the
+    metric ranking (used by the random-selection baseline); importance values
+    are then reported as 0. `shared`, from `prepare` on the same models and
+    sets, serves repairs that differ in metric or order.
     """
     if shared is None:
         shared = prepare(fmodel, qmodel, repair_set, validation_set, config)
@@ -254,7 +255,13 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
              zip((fmodel, qmodel, repair_set, validation_set), shared.made_from)):
         raise ValueError("the shared record was prepared from other models or data sets")
     comparison = shared.comparison
-    target = comparison.layer_index
+    target, width = comparison.layer_index, comparison.weights.shape[1]
+    order = None if neuron_order is None else list(neuron_order)
+    if order is not None and not (
+            all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n < width
+                for n in order) and len(set(order)) == len(order)):
+        raise ValueError(f"neuron_order must hold distinct integers in 0..{width - 1}, "
+                         f"got {order!r}")
     patched = clone_quantized(qmodel)
     report = RepairReport(target_layer=target, metric=config.metric,
                           accuracy_before=shared.accuracy_before,
@@ -270,9 +277,8 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
         report.fidelity_after = report.fidelity_before
         return patched, report
 
-    width = comparison.weights.shape[1]
-    if neuron_order is not None:
-        order, scores = list(neuron_order), np.zeros(width)
+    if order is not None:
+        order, scores = [int(n) for n in order], np.zeros(width)
     else:
         scores = importance_scores(comparison.spectra(), config.metric)
         order = rank_neurons(scores)

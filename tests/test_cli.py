@@ -55,6 +55,12 @@ def test_quantize_roundtrip(artifacts, tmp_path):
     assert qm.num_classes == SPEC.num_classes
 
 
+def test_quantize_writes_the_committed_quantized_conv3_fixture(tmp_path):
+    out = tmp_path / "q.json"
+    assert cli_main(["quantize", "--model", str(FIXTURES / "conv3.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "conv3_quant.json").read_bytes()
+
+
 def test_eval_subcommand(artifacts, tmp_path, capsys):
     out = tmp_path / "eval.json"
     code = cli_main(["eval", "--model", str(artifacts / "float.json"),
@@ -300,6 +306,12 @@ MALFORMED_LAYERS = {  # case: (index of the layer at fault, edit of the layer li
     "fractional_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": 1.7})),
     "string_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": "1"})),
     "bool_stride": (0, lambda layers: layers[0].__setitem__("hyperparams", {"stride": True})),
+    # the walker would run each of these as if the key were absent
+    "conv_padding": (0, lambda layers: layers[0].__setitem__("hyperparams", {"padding": "same"})),
+    "dense_activation": (
+        4, lambda layers: layers[4].__setitem__("hyperparams", {"activation": "relu"})),
+    "flatten_kernel": (3, lambda layers: layers[3].__setitem__("hyperparams", {"kernel": 2})),
+    "hyperparams_list": (0, lambda layers: layers[0].__setitem__("hyperparams", [["stride", 1]])),
     # numpy would read each of these as a number: "1.5" as 1.5, true as 1
     "string_bias": (5, lambda layers: layers[5]["bias"]["data"].__setitem__(0, "1.5")),
     "bool_bias": (5, lambda layers: layers[5]["bias"]["data"].__setitem__(0, True)),
@@ -408,6 +420,15 @@ MODEL_CHECKS = {  # case: (edit of the conv3 float model file, start of the erro
                               "error: layer 0: conv2d expects 1 input channels, got 2"),
     "zero_stride": (lambda obj, root: obj["layers"][0].__setitem__("hyperparams", {"stride": 0}),
                     "error: layer 0: conv2d window 3x3 and stride 0 must be positive"),
+    "conv_padding": (lambda obj, root: obj["layers"][0].__setitem__(
+        "hyperparams", {"padding": "same"}),
+        "error: layer 0: conv2d takes no hyperparameter 'padding'"),
+    "dense_activation": (lambda obj, root: obj["layers"][5].__setitem__(
+        "hyperparams", {"activation": "relu"}),
+        "error: layer 5: dense takes no hyperparameter 'activation'"),
+    "hyperparams_not_an_object": (lambda obj, root: obj["layers"][0].__setitem__(
+        "hyperparams", [["stride", 1]]),
+        "error: layer 0: hyperparams must be an object, got [['stride', 1]]"),
     "zero_pool_window": (lambda obj, root: obj["layers"].insert(
         1, {"kind": "maxpool2d", "hyperparams": {"kernel": 0}}),
         "error: layer 1: maxpool2d window 0x0 and stride 0 must be positive"),

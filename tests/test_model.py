@@ -233,6 +233,23 @@ def test_final_layer_must_be_dense():
         dense_model(np.eye(2), num_classes=5)
 
 
+def _conv_pool_model(conv_hyperparams):
+    return Model([Layer("conv2d", Tensor.from_array(np.ones((2, 2, 1, 1))),
+                        hyperparams=conv_hyperparams),
+                  Layer("maxpool2d", hyperparams={"kernel": 2, "stride": 1}),
+                  Layer("flatten"),
+                  Layer("dense", Tensor.from_array(np.ones((1, 2))))], (3, 3, 1), 2)
+
+
+def test_layer_kinds_take_only_their_hyperparameters():
+    _conv_pool_model({"stride": 1})
+    with pytest.raises(ModelFormatError,
+                       match=r"^layer 0: conv2d takes no hyperparameter 'padding'$"):
+        _conv_pool_model({"stride": 1, "padding": "same"})
+    with pytest.raises(ModelFormatError, match=r"^layer 0: hyperparams must be an object"):
+        _conv_pool_model([("stride", 1)])
+
+
 def test_save_load_roundtrip(tmp_path, conv3_model):
     path = tmp_path / "copy.json"
     save_model(conv3_model, path)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import dense_model, grid_mlp
 from oracles import quantization_error_bound
 from qrepair.model import (
+    Layer,
+    Model,
     ModelFormatError,
     QuantizedTensor,
     Tensor,
@@ -106,6 +108,28 @@ def test_quantize_model_identity_pattern():
     # topology preserved
     assert [l.kind for l in qm.layers] == [l.kind for l in model.layers]
     assert qm.layers[0].qweights.shape == (2, 2)
+
+
+def test_quantize_model_shares_no_array_or_hyperparameters_with_its_input():
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor.from_array(rng.normal(size=shape))
+
+    model = Model([Layer("conv2d", t(2, 2, 1, 2), t(2), {"stride": 1}),
+                   Layer("maxpool2d", hyperparams={"kernel": 2}), Layer("flatten"),
+                   Layer("dense", t(2, 3), t(3))], (4, 4, 1), 3)
+    x = rng.normal(size=16)
+    logits = forward(model, x).data.copy()
+    qm = quantize_model(model)
+    for fl, ql in zip(model.layers, qm.layers):
+        assert ql.hyperparams == fl.hyperparams and ql.hyperparams is not fl.hyperparams
+        ours = [a.data for a in (fl.weights, fl.bias, fl.qweights) if a is not None]
+        theirs = [a.data for a in (ql.weights, ql.bias, ql.qweights) if a is not None]
+        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+        if ql.bias is not None:
+            ql.bias.data += 1.0
+    assert np.array_equal(forward(model, x).data, logits)  # the float biases did not move
 
 
 def test_bias_stays_float(conv3_model):

@@ -57,6 +57,24 @@ def test_config_rejects_a_metric_it_cannot_rank_by(metric):
         RepairConfig(metric=metric)
 
 
+@pytest.mark.parametrize("order", [[0, 0, 1], [-1, 1], [0, 3], [0.0, 1], [True, 2], ["0"]],
+                         ids=["repeat", "negative", "too_large", "float", "bool", "string"])
+def test_repair_rejects_a_neuron_order_of_anything_but_distinct_neurons(desk_fixture, order):
+    fmodel, qmodel, repair_set, val = desk_fixture
+    with pytest.raises(ValueError, match=r"^neuron_order must hold distinct integers in 0\.\.2, "):
+        repair(fmodel, qmodel, repair_set, val, RepairConfig(top_n=3), neuron_order=order)
+
+
+def test_repair_takes_a_partial_neuron_order_of_numpy_integers(desk_fixture):
+    fmodel, qmodel, repair_set, val = desk_fixture
+    _, given = repair(fmodel, qmodel, repair_set, val, RepairConfig(top_n=3),
+                      neuron_order=np.array([2, 0]))
+    _, listed = repair(fmodel, qmodel, repair_set, val, RepairConfig(top_n=3),
+                       neuron_order=[2, 0])
+    assert [r.neuron for r in given.records] == [2, 0]
+    assert given.to_json() == listed.to_json()
+
+
 def test_zero_failing_returns_unchanged():
     rng = np.random.default_rng(21)
     model = grid_mlp(rng)
