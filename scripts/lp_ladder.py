@@ -4,19 +4,22 @@
 Each rung is one dense-neuron repair LP with m inputs and k=64
 status-disagreeing tests (`repair_lp` in tests/conftest.py, seed 1000 + m),
 solved by `lp.solve_lp` with a 120 s budget. For each rung the record holds
-the status, the median seconds over the repeats, the pivot count and M as
-float.hex; a rung that runs past the budget is recorded as a timeout. Runs
+the status, the median seconds over the repeats, the pivot count, M as
+float.hex and the certificate gap (M - bound) / M against the LP's dual
+bound (`LPSolution.bound`; null for sources that give none); a rung that
+runs past the budget is recorded as a timeout. Runs
 of different checkouts go under their own --label in one file, so the same
 LPs can be compared across solver versions:
 
     python3 scripts/lp_ladder.py --label change --out BENCH_7.json
     python3 scripts/lp_ladder.py --label parent --src ../parent/src --out BENCH_7.json
-    python3 scripts/lp_ladder.py --label ci --rungs 24,64 --out ladder.json
+    python3 scripts/lp_ladder.py --label ci --rungs 24,64,256 --out ladder.json
 
 --src selects the qrepair sources to time (default: this checkout's src/);
 the LPs always come from this checkout's tests/conftest.py, which needs
 pytest importable. --rungs picks the widths (default: all). The exit status
-is 1 when a rung is not optimal, after the record is written. BLAS runs on
+is 1 when a rung is not optimal or its gap is above 1e-9, after the record
+is written. BLAS runs on
 one thread. Pivots are counted by wrapping `qrepair.simplex._pivot`, the
 module global the solver pivots through.
 """
@@ -34,7 +37,8 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNGS = (24, 64, 128, 256, 512, 1024)
+RUNGS = (24, 64, 128, 256, 512, 1024, 1280, 2048)
+MAX_GAP = 1e-9
 K = 64
 BUDGET_S = 120.0
 REPEAT_S = 2.0  # repeat a rung until this much time has passed, up to 5 runs
@@ -76,9 +80,12 @@ def run_rung(m: int) -> dict:
         qrepair.simplex._pivot = pivot
     if len(pivots) != 1:
         raise RuntimeError(f"m={m}: pivot count varies between repeats: {pivots}")
+    gap = None
+    if getattr(sol, "bound", None) is not None:
+        gap = (sol.M - sol.bound) / sol.M if sol.M else 0.0
     return {"m": m, "k": K, "status": sol.status, "seconds": statistics.median(times),
             "repeats": len(times), "pivots": pivots.pop(),
-            "M": None if sol.M is None else float(sol.M).hex()}
+            "M": None if sol.M is None else float(sol.M).hex(), "gap": gap}
 
 
 def main(argv=None) -> int:
@@ -99,7 +106,8 @@ def main(argv=None) -> int:
     for m in widths:
         rungs.append(run_rung(m))
         print(f"m={m:4d}  {rungs[-1]['status']:8s} {rungs[-1]['seconds']:8.3f} s"
-              f"  pivots {rungs[-1]['pivots']:6d}  M {rungs[-1]['M']}", flush=True)
+              f"  pivots {rungs[-1]['pivots']:6d}  M {rungs[-1]['M']}  gap {rungs[-1]['gap']}",
+              flush=True)
 
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
@@ -123,7 +131,8 @@ def main(argv=None) -> int:
             same = len(ms) == len(row) and max(ms) - min(ms) <= 1e-9 * max(ms)
             print(f"{m:<5} " + "  ".join(f"{r['seconds']:10.3f}" if r else f"{'-':>10}"
                                          for r in row) + f"  {same}")
-    return 0 if all(r["status"] == "optimal" for r in rungs) else 1
+    certified = all(r["gap"] is None or r["gap"] <= MAX_GAP for r in rungs)
+    return 0 if certified and all(r["status"] == "optimal" for r in rungs) else 1
 
 
 if __name__ == "__main__":

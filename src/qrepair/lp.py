@@ -7,7 +7,10 @@ model's side of zero, with margin epsilon. Rows come from the tests whose
 status at the neuron disagrees between the models (to fix), then from the
 agreeing tests nearest the boundary (not to flip). The objective minimizes
 the box radius M bounding every |delta_i|; the solver sees the
-Charnes-Cooper form u = delta/M, t = 1/M (`solve_lp`). Statuses, x, w and b
+Charnes-Cooper form u = delta/M, t = 1/M (`solve_lp`), one column per u_i
+boxed in [-1, 1] plus the t column. At the optimum the solver's row duals
+y >= 0 give the weak-duality bound h.y / ||G^T y||_1 <= M on the same LP,
+which `check_solution` holds against M. Statuses, x, w and b
 come from one `localize.LayerComparison`, so building an LP runs no model,
 and a `NeuronLP` keeps its rows as one matrix `x` plus per-row arrays.
 """
@@ -82,6 +85,7 @@ class LPSolution:
     status: str  # optimal | infeasible | timeout
     M: float | None = None
     deltas: np.ndarray | None = None
+    bound: float | None = None  # optimal: a dual lower bound on M, from solve_lp
 
 
 def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1e-3,
@@ -128,30 +132,36 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
     sign = 2.0 * lp.target_status - 1.0
     g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
-    # u = d/M = u+ - u-, t = 1/M: min -t s.t. -G u+ + G u- + h t <= 0, u+- in [0, 1]
-    costs = np.append(np.zeros(2 * m), -1.0)
-    result = simplex_solve(costs, np.hstack([-g, g, h[:, None]]),
-                           np.append(np.ones(2 * m), np.inf), deadline=deadline)
+    # u = d/M, t = 1/M: min -t s.t. -G u + h t <= 0, u in [-1, 1] resting at 0, t >= 0
+    result = simplex_solve(np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]]),
+                           np.append(np.ones(m), np.inf), deadline=deadline,
+                           lower=np.append(np.full(m, -1.0), 0.0))
     if result.status == "unbounded":  # only when every h <= 0: d = 0 already holds
-        sol = LPSolution("optimal", 0.0, np.zeros(m))
+        sol = LPSolution("optimal", 0.0, np.zeros(m), bound=0.0)
     elif result.status != "optimal":
         sol = LPSolution(result.status)
     elif (t := result.x[-1]) <= FEAS_TOL or (lp.big_M_bound is not None
                                              and 1.0 / t > lp.big_M_bound):
         sol = LPSolution("infeasible")
     else:
-        sol = LPSolution("optimal", float(1.0 / t), (result.x[:m] - result.x[m : 2 * m]) / t)
+        # weak duality: M >= h.y / ||G^T y||_1 for every y >= 0
+        spread = np.abs(g.T @ result.y).sum()
+        bound = float(h @ result.y) / spread if spread > 0 else 0.0
+        sol = LPSolution("optimal", float(1.0 / t), result.x[:m] / t, bound)
     if log.isEnabledFor(logging.DEBUG):
         same = int(np.sum(lp.target_status == lp.current_status))
         log.debug("layer %d neuron %d: %d disagreeing + %d preserving rows, %d columns, "
                   "%d pivots, %d bound flips, %s, M %s", lp.layer_index, lp.neuron_index,
-                  len(g) - same, same, 2 * m + 1, result.pivots, result.flips, sol.status, sol.M)
+                  len(g) - same, same, m + 1, result.pivots, result.flips, sol.status, sol.M)
     return sol
 
 
 def check_solution(lp: NeuronLP, sol: LPSolution, slack: float = 1e-9) -> bool:
-    """Direct substitution check of an optimal solution."""
+    """Direct substitution check of an optimal solution, and of its M against
+    the dual bound when it carries one: a relative gap above 1e-9 fails."""
     if sol.status != "optimal":
+        return False
+    if sol.bound is not None and sol.M - sol.bound > 1e-9 * sol.M:
         return False
     if np.any(np.abs(sol.deltas) > sol.M + slack):
         return False

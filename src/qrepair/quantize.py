@@ -9,8 +9,9 @@ this scheme.
 A quantized network is a `model.Model` whose dense and conv layers carry
 int8 codes (`Layer.qweights`) beside the float32 weights they dequantize to,
 so the float model's validator, walker and JSON reader and writer serve it
-unchanged. `quantize_model` is `clone_quantized` plus codes on each dense
-and conv layer. `quantized_forward` and `capture_activations_q` are
+unchanged. `quantize_model` copies a model the way `clone_quantized` does,
+except that each dense and conv layer is built from its new codes alone.
+`quantized_forward` and `capture_activations_q` are
 `model.forward` and `model.capture_activations` under the quantized stage's
 names. This module holds the quantization math and the entry points of the
 quantized stage.
@@ -66,11 +67,10 @@ def quantize_tensor(t: Tensor) -> QuantizedTensor:
 def quantize_model(model: Model) -> Model:
     """A copy of `model` with int8 codes on every dense/conv weight tensor;
     topology and biases untouched."""
-    qmodel = clone_quantized(model)
-    for layer in qmodel.layers:
-        if layer.kind in WEIGHT_RANKS:
-            layer.set_codes(quantize_tensor(layer.weights))
-    return qmodel
+    layers = [Layer(l.kind, bias=_copied(l.bias), hyperparams=dict(l.hyperparams),
+                    qweights=quantize_tensor(l.weights))
+              if l.kind in WEIGHT_RANKS else _cloned(l) for l in model.layers]
+    return Model(layers, model.input_shape, model.num_classes)
 
 
 def layer_input_vector(qmodel: Model, inp, layer_index: int) -> np.ndarray:
@@ -88,12 +88,15 @@ def _copied(t):
     return t
 
 
+def _cloned(l: Layer) -> Layer:
+    return Layer(l.kind, _copied(l.weights), _copied(l.bias), dict(l.hyperparams),
+                 _copied(l.qweights))
+
+
 def clone_quantized(qmodel: Model) -> Model:
     """Copy of codes, weights and biases, so repairs never mutate the caller's
     model."""
-    layers = [Layer(l.kind, _copied(l.weights), _copied(l.bias), dict(l.hyperparams),
-                    _copied(l.qweights)) for l in qmodel.layers]
-    return Model(layers, qmodel.input_shape, qmodel.num_classes)
+    return Model([_cloned(l) for l in qmodel.layers], qmodel.input_shape, qmodel.num_classes)
 
 
 def check_same_topology(model: Model, qmodel: Model) -> None:

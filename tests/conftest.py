@@ -128,6 +128,25 @@ def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
                     test_id=rows)
 
 
+def solve_with_duals(lp, time_budget: float = 600.0):
+    """`lp.solve_lp`'s solution and the row duals y of the simplex result it
+    read its answer from."""
+    import qrepair.lp
+
+    results, solve = [], qrepair.lp.simplex_solve
+
+    def keep(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    qrepair.lp.simplex_solve = keep
+    try:
+        sol = qrepair.lp.solve_lp(lp, time_budget)
+    finally:
+        qrepair.lp.simplex_solve = solve
+    return sol, results[0].y
+
+
 def wide_head_parts(instance: int = 0):
     """perfbench's wide-head instance: a fixed 20-64-10 ReLU MLP (seed 2306),
     its sign-flip-damaged quantized twin, a 300-row repair set and a 500-row

@@ -117,3 +117,24 @@ def quantization_error_bound(fmodel, qmodel, x):
         else:
             raise AssertionError(f"oracle only covers MLPs, got {flayer.kind}")
     return x, err
+
+
+def certificate_gap(lp, M, y):
+    """(M - bound) / M for the weak-duality bound a row dual y >= 0 gives.
+
+    For every y >= 0 and every delta with G delta >= h (one row per LP row,
+    G_k = s_k x_k and h_k = eps - s_k (w.x_k + b), s_k = +1 on target-1 rows
+    and -1 on target-0 rows): h.y <= y.G delta <= ||G^T y||_1 ||delta||_inf,
+    so the optimum M* >= h.y / ||G^T y||_1. Recomputed here with loops.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    assert y.shape == (len(lp.x),) and np.all(y >= 0)
+    hy, gy = 0.0, np.zeros(lp.m)
+    for k, (x, target) in enumerate(zip(lp.x, lp.target_status)):
+        s = 1.0 if target == 1 else -1.0
+        pre = lp.bias
+        for i in range(lp.m):
+            pre += float(lp.w[i]) * float(x[i])
+            gy[i] += y[k] * s * float(x[i])
+        hy += y[k] * (lp.epsilon - s * pre)
+    return (M - hy / np.abs(gy).sum()) / M

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, dense_model, make_dataset, manual_qmodel, repair_lp
-from oracles import grid_oracle
+from conftest import GOLDEN, dense_model, make_dataset, manual_qmodel, repair_lp, solve_with_duals
+from oracles import certificate_gap, grid_oracle
 from qrepair.localize import compare_at_layer
 from qrepair.lp import (
     EmptyLPError,
@@ -100,6 +100,26 @@ def test_check_solution_matches_row_by_row_substitution(m):
         assert verdict == substitution_verdict(lp, trial), scale
         verdicts.append(verdict)
     assert verdicts[0] and not verdicts[-1]
+
+
+def test_check_solution_holds_M_against_the_dual_bound():
+    sol = solve_lp(classic_lp(epsilon=0.0), 10.0)
+    assert sol.bound == pytest.approx(sol.M, rel=1e-12)
+    lp = classic_lp(epsilon=0.0)
+    for bound, verdict in ((sol.M * (1 - 0.5e-9), True), (sol.M * (1 - 2e-9), False),
+                           (None, True)):
+        assert check_solution(lp, LPSolution("optimal", sol.M, sol.deltas, bound)) == verdict
+
+
+@pytest.mark.parametrize("m", [24, 64, 128, 256, 512])
+def test_ladder_optimum_is_certified(m):
+    # the rungs of scripts/lp_ladder.py that solve in well under a second
+    lp = repair_lp(m, 64, 1000 + m)
+    sol, y = solve_with_duals(lp, 60.0)
+    assert sol.status == "optimal" and check_solution(lp, sol)
+    gap = certificate_gap(lp, sol.M, y)
+    assert abs(gap) <= 1e-9
+    assert (sol.M - sol.bound) / sol.M == pytest.approx(gap, abs=1e-12)
 
 
 # --- build ----------------------------------------------------------------
@@ -204,7 +224,7 @@ def test_solve_logs_one_debug_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="qrepair"):
         sol = solve_lp(lp, 10.0)
     (line,) = [r.getMessage() for r in caplog.records]
-    assert re.fullmatch(r"layer 0 neuron 0: 1 disagreeing \+ 1 preserving rows, 5 columns, "
+    assert re.fullmatch(r"layer 0 neuron 0: 1 disagreeing \+ 1 preserving rows, 3 columns, "
                         r"\d+ pivots, \d+ bound flips, optimal, M 0\.[45]\d*", line), line
     assert sol.M == pytest.approx(0.5)
 

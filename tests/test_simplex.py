@@ -5,7 +5,7 @@ import pytest
 
 import qrepair.lp
 import qrepair.simplex
-from conftest import BEALE_LP, wide_head_parts
+from conftest import BEALE_LP, repair_lp, wide_head_parts
 from qrepair.localize import compare_at_layer
 from qrepair.lp import build_neuron_lp, check_solution, solve_lp
 from qrepair.simplex import simplex_solve
@@ -111,6 +111,19 @@ def test_rejects_inconsistent_shapes_and_negative_bounds():
         simplex_solve(c=[1.0], a=[[1.0]], upper=[-1.0])
 
 
+@pytest.mark.parametrize("lower,upper", [
+    ([0.5], [1.0]),  # lower bound above 0
+    ([-1.0], [-2.0]),  # lower above upper
+    ([np.nan], [1.0]),
+    ([-1.0], [np.nan]),
+    ([-1.0, -1.0], [1.0]),  # one bound too many
+    ([[-1.0]], [1.0]),  # 2-D
+], ids=["positive", "above_upper", "nan_lower", "nan_upper", "too_long", "2d"])
+def test_rejects_bad_lower_bounds(lower, upper):
+    with pytest.raises(ValueError):
+        simplex_solve(c=[1.0], a=[[1.0]], upper=upper, lower=lower)
+
+
 def random_instances(seed, count=60):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -137,6 +150,8 @@ def test_random_instances_against_scipy_free_check():
         assert np.all(x >= 0) and np.all(x <= upper)
         assert np.all(a @ x <= 1e-9)
         assert res.objective == pytest.approx(float(c @ x))
+        assert box_dual_bound(c, a, np.zeros(len(c)), upper, res.y) == \
+            pytest.approx(res.objective, rel=1e-9, abs=1e-9)
         for j in range(len(c)):
             for step in (1e-3, -1e-3):
                 y = x.copy()
@@ -146,17 +161,86 @@ def test_random_instances_against_scipy_free_check():
     assert solved >= 30
 
 
+def split_form(c, a, lower, upper):
+    """The same LP with every lower bound 0: each x_j with lower_j < 0 becomes
+    p_j - q_j, p_j in [0, upper_j] in its own column and q_j in [0, -lower_j]
+    in a negated copy appended after the others."""
+    c, a, lower, upper = (np.asarray(v, dtype=np.float64) for v in (c, a, lower, upper))
+    neg = np.flatnonzero(lower < 0)
+    return np.append(c, -c[neg]), np.hstack([a, -a[:, neg]]), np.append(upper, -lower[neg])
+
+
+def boxed_instances(seed, count=80):
+    """`random_instances` with lower bounds 0, -1, -2 or -inf, and some upper
+    bounds 0, so that variables rest inside their box, at lower bounds below
+    0 and at upper bounds of 0."""
+    rng = np.random.default_rng(seed)
+    for c, a, upper in random_instances(seed, count):
+        lower = rng.choice([0.0, -1.0, -2.0, -INF], size=len(c))
+        yield c, a, lower, np.where(rng.random(len(c)) < 0.15, 0.0, upper)
+
+
+def box_dual_bound(c, a, lower, upper, y):
+    """min over the box of (c + a^T y).x, a lower bound on c.x over the LP for
+    any y >= 0; a coefficient within 1e-9 of 0 counts as 0 against infinite
+    bounds."""
+    r = np.asarray(c) + np.asarray(a).T @ y
+    r = np.where(np.abs(r) <= 1e-9, 0.0, r)
+    with np.errstate(invalid="ignore"):
+        ends = np.nan_to_num(np.minimum(r * lower, r * upper), nan=0.0)
+    return float(ends.sum())
+
+
+def test_boxed_columns_match_the_split_form():
+    solved = 0
+    for c, a, lower, upper in boxed_instances(5):
+        boxed = simplex_solve(c, a, upper, lower=lower)
+        split = simplex_solve(*split_form(c, a, lower, upper))
+        assert boxed.status == split.status
+        if boxed.status != "optimal":
+            continue
+        solved += 1
+        x = boxed.x
+        assert np.all(lower <= x) and np.all(x <= upper)
+        assert np.all(a @ x <= 1e-9)
+        assert boxed.objective == pytest.approx(float(c @ x))
+        assert boxed.objective == pytest.approx(split.objective, rel=1e-9, abs=1e-9)
+        assert np.all(boxed.y >= 0)
+        assert box_dual_bound(c, a, lower, upper, boxed.y) == \
+            pytest.approx(boxed.objective, rel=1e-9, abs=1e-9)
+    assert solved >= 30
+
+
+@pytest.mark.parametrize("m", [8, 24, 64])
+def test_boxed_repair_lp_matches_the_split_form(m):
+    # the repair LP as `lp.solve_lp` poses it, and with u = u+ - u-
+    lp = repair_lp(m, 64, 1000 + m)
+    sign = 2.0 * lp.target_status - 1.0
+    g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
+    c, a = np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]])
+    lower, upper = np.append(np.full(m, -1.0), 0.0), np.append(np.ones(m), INF)
+    boxed = simplex_solve(c, a, upper, lower=lower)
+    split = simplex_solve(*split_form(c, a, lower, upper))
+    assert boxed.status == split.status == "optimal"
+    assert 1.0 / boxed.x[m] == pytest.approx(1.0 / split.x[m], rel=1e-9)
+    assert boxed.pivots < split.pivots
+
+
 def test_coarse_perturbation_is_removed(monkeypatch):
     # a perturbation this coarse leaves bases that miss a bound once it is
-    # removed; the dual cleanup must still land on the same optimum
-    fine = [simplex_solve(*case) for case in random_instances(7)]
+    # removed; the dual cleanup must still land on the same optimum (boxed
+    # seed 6 has a dual step whose entering variable rests inside its box)
+    cases = [dict(c=c, a=a, upper=upper) for c, a, upper in random_instances(7)]
+    cases += [dict(c=c, a=a, upper=upper, lower=lower)
+              for c, a, lower, upper in boxed_instances(6)]
+    fine = [simplex_solve(**case) for case in cases]
     monkeypatch.setattr(qrepair.simplex, "PERTURBATION", 0.5)
-    for case, want in zip(random_instances(7), fine):
-        got = simplex_solve(*case)
+    for case, want in zip(cases, fine):
+        got = simplex_solve(**case)
         assert got.status == want.status
         if got.status == "optimal":
             assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
-            assert np.all(case[1] @ got.x <= 1e-9)
+            assert np.all(case["a"] @ got.x <= 1e-9)
 
 
 def test_beale_cycling_lp_terminates():

@@ -22,7 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BEALE_LP, GOLDEN, repair_lp
+from conftest import BEALE_LP, GOLDEN, repair_lp, solve_with_duals
+from oracles import certificate_gap
 from qrepair.lp import solve_lp
 from qrepair.simplex import simplex_solve
 
@@ -131,6 +132,15 @@ def test_pivot_path_matches_golden(golden, name):
     else:
         assert math.isclose(optimum, float.fromhex(want["objective"]), rel_tol=1e-9,
                             abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(REPAIR_CASES))
+def test_repair_optimum_is_certified(name):
+    lp = repair_lp(*REPAIR_CASES[name])
+    sol, y = solve_with_duals(lp)
+    assert sol.status == "optimal"
+    assert abs(certificate_gap(lp, sol.M, y)) <= 1e-9
+    assert sol.bound == pytest.approx(sol.M, rel=1e-9)
 
 
 if __name__ == "__main__":
