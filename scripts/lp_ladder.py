@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Time the simplex on a ladder of seeded repair LPs and record it.
 
-Each rung is one dense-neuron repair LP with m inputs and k=64
+Each numbered rung is one dense-neuron repair LP with m inputs and k=64
 status-disagreeing tests (`repair_lp` in tests/conftest.py, seed 1000 + m),
-solved by `lp.solve_lp` with a 120 s budget. For each rung the record holds
-the status, the median seconds over the repeats, the pivot count, M as
-float.hex and the certificate gap (M - bound) / M against the LP's dual
-bound (`LPSolution.bound`; null for sources that give none); a rung that
-runs past the budget is recorded as a timeout. Runs
-of different checkouts go under their own --label in one file, so the same
-LPs can be compared across solver versions:
+solved by `lp.solve_lp` with a 120 s budget. The `head` rung is a whole
+`repair.repair(top_n=3)` of a dense 1,280 -> 10 head (the width of
+MobileNetV2's last layer) over ReLU'd normal features: 1,000 repair and
+1,000 validation rows labelled by the float model, quantized and damaged by
+`experiment.damaged_quantized_model` (`head_parts`). For each rung the
+record holds the status, the median seconds over the repeats, the pivot and
+bound-flip counts, M as float.hex and the certificate gap (M - bound) / M
+against the LP's dual bound (`LPSolution.bound`; null for sources that give
+none); the head rung holds them per repaired neuron, in report order, the
+largest gap and its validation accuracy after repair. A rung that runs past
+the budget is recorded as a timeout. Runs of different checkouts go under
+their own --label in one file, so the same LPs can be compared across
+solver versions:
 
     python3 scripts/lp_ladder.py --label change --out BENCH_7.json
     python3 scripts/lp_ladder.py --label parent --src ../parent/src --out BENCH_7.json
@@ -17,11 +23,12 @@ LPs can be compared across solver versions:
 
 --src selects the qrepair sources to time (default: this checkout's src/);
 the LPs always come from this checkout's tests/conftest.py, which needs
-pytest importable. --rungs picks the widths (default: all). The exit status
+pytest importable. --rungs picks the rungs (default: all). The exit status
 is 1 when a rung is not optimal or its gap is above 1e-9, after the record
-is written. BLAS runs on
-one thread. Pivots are counted by wrapping `qrepair.simplex._pivot`, the
-module global the solver pivots through.
+is written. BLAS runs on one thread. Pivots are counted by wrapping
+`qrepair.simplex._pivot`, the module global the solver pivots through, and
+bound flips by reading `SimplexResult.flips` through a wrapped
+`qrepair.lp.simplex_solve`.
 """
 
 import argparse
@@ -37,11 +44,12 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNGS = (24, 64, 128, 256, 512, 1024, 1280, 2048)
+RUNGS = ("24", "64", "128", "256", "512", "1024", "1280", "2048", "head")
 MAX_GAP = 1e-9
 K = 64
 BUDGET_S = 120.0
 REPEAT_S = 2.0  # repeat a rung until this much time has passed, up to 5 runs
+HEAD_SEED = HEAD_WIDTH = 1280
 
 
 def cpu_model() -> str:
@@ -54,38 +62,122 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def run_rung(m: int) -> dict:
+def timed(name, call) -> tuple:
+    """Repeat `call` until REPEAT_S has passed, at most 5 times; its last
+    result, the median seconds, the repeats, and one run's pivots and flips."""
     import qrepair.lp
     import qrepair.simplex
-    from conftest import repair_lp
 
-    lp = repair_lp(m, K, 1000 + m)
-    pivot = qrepair.simplex._pivot
-    count = [0]
+    pivot, solve = qrepair.simplex._pivot, qrepair.lp.simplex_solve
+    count = [0, 0]
 
     def counting_pivot(tableau, row, col):
         count[0] += 1
         pivot(tableau, row, col)
 
-    times, pivots = [], set()
-    qrepair.simplex._pivot = counting_pivot
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        count[1] += result.flips
+        return result
+
+    times, counts = [], set()
+    qrepair.simplex._pivot, qrepair.lp.simplex_solve = counting_pivot, counting_solve
     try:
         while len(times) < 5 and (not times or sum(times) < REPEAT_S):
-            count[0] = 0
+            count[:] = [0, 0]
             t0 = time.perf_counter()
-            sol = qrepair.lp.solve_lp(lp, time_budget=BUDGET_S)
+            out = call()
             times.append(time.perf_counter() - t0)
-            pivots.add(count[0])
+            counts.add(tuple(count))
     finally:
-        qrepair.simplex._pivot = pivot
-    if len(pivots) != 1:
-        raise RuntimeError(f"m={m}: pivot count varies between repeats: {pivots}")
-    gap = None
-    if getattr(sol, "bound", None) is not None:
-        gap = (sol.M - sol.bound) / sol.M if sol.M else 0.0
-    return {"m": m, "k": K, "status": sol.status, "seconds": statistics.median(times),
-            "repeats": len(times), "pivots": pivots.pop(),
-            "M": None if sol.M is None else float(sol.M).hex(), "gap": gap}
+        qrepair.simplex._pivot, qrepair.lp.simplex_solve = pivot, solve
+    if len(counts) != 1:
+        raise RuntimeError(f"{name}: pivot and flip counts vary between repeats: {counts}")
+    return out, statistics.median(times), len(times), *counts.pop()
+
+
+def gap(sol):
+    if getattr(sol, "bound", None) is None:
+        return None
+    return (sol.M - sol.bound) / sol.M if sol.M else 0.0
+
+
+def run_rung(m: int) -> dict:
+    import qrepair.lp
+    from conftest import repair_lp
+
+    lp = repair_lp(m, K, 1000 + m)
+    sol, seconds, repeats, pivots, flips = timed(
+        m, lambda: qrepair.lp.solve_lp(lp, time_budget=BUDGET_S))
+    return {"rung": str(m), "m": m, "k": K, "status": sol.status, "seconds": seconds,
+            "repeats": repeats, "pivots": pivots, "flips": flips,
+            "M": None if sol.M is None else float(sol.M).hex(), "gap": gap(sol)}
+
+
+def head_parts():
+    """A dense HEAD_WIDTH -> 10 head (He weights, seed HEAD_SEED), its damaged
+    quantized twin, and 1,000 repair and 1,000 validation rows of ReLU'd
+    normal features labelled by the float model."""
+    import numpy as np
+    from qrepair.data import Dataset
+    from qrepair.experiment import damaged_quantized_model
+    from qrepair.model import Layer, Model, Tensor, forward_batch
+
+    rng = np.random.default_rng(HEAD_SEED)
+    w = rng.normal(0, np.sqrt(2.0 / HEAD_WIDTH), size=(HEAD_WIDTH, 10)).astype(np.float32)
+    fmodel = Model([Layer("dense", Tensor.from_array(w),
+                          Tensor.from_array(np.zeros(10, np.float32)))], (HEAD_WIDTH,), 10)
+    xs = np.maximum(rng.normal(size=(2000, HEAD_WIDTH)), 0.0).astype(np.float32)
+    both = Dataset(xs, np.argmax(forward_batch(fmodel, xs)[0], axis=1), 10)
+    repair_set, val = both.subset(range(1000)), both.subset(range(1000, 2000))
+    qmodel, _, _ = damaged_quantized_model(fmodel, val, repair_set,
+                                           np.random.SeedSequence(HEAD_SEED))
+    return fmodel, qmodel, repair_set, val
+
+
+def run_head() -> dict:
+    import qrepair.repair  # noqa: F401  the module; `qrepair.repair` names the function
+
+    module = sys.modules["qrepair.repair"]
+    parts, solve, solved = head_parts(), module.solve_lp, []
+
+    def keeping_solve(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def call():
+        solved.clear()
+        return module.repair(*parts, module.RepairConfig(top_n=3, time_budget=BUDGET_S))
+
+    module.solve_lp = keeping_solve
+    try:
+        (_, report), seconds, repeats, pivots, flips = timed("head", call)
+    finally:
+        module.solve_lp = solve
+    gaps = [gap(sol) for sol in solved]
+    return {"rung": "head", "m": HEAD_WIDTH, "k": None,
+            "status": "optimal" if all(s.status == "optimal" for s in solved) else
+            ",".join(s.status for s in solved), "seconds": seconds, "repeats": repeats,
+            "pivots": pivots, "flips": flips,
+            "M": [None if s.M is None else float(s.M).hex() for s in solved],
+            "gap": None if None in gaps else max(gaps),
+            "accuracy_after": report.accuracy_after}
+
+
+def same_M(rows) -> bool:
+    """Whether every run gave each rung's M (each neuron's, on the head) within 1e-9."""
+    ms = [r["M"] if isinstance(r["M"], list) else [r["M"]] for r in rows]
+    if len({len(m) for m in ms}) != 1:
+        return False
+    for values in zip(*ms):
+        if None in values:
+            if any(v is not None for v in values):
+                return False
+            continue
+        values = [float.fromhex(v) for v in values]
+        if max(values) - min(values) > 1e-9 * max(values):
+            return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -93,21 +185,21 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="name of this run in the record")
     parser.add_argument("--src", default=str(ROOT / "src"), help="qrepair sources to time")
     parser.add_argument("--out", required=True, help="JSON record to create or update")
-    parser.add_argument("--rungs", default=",".join(map(str, RUNGS)),
-                        help="comma-separated widths m to run (default: all)")
+    parser.add_argument("--rungs", default=",".join(RUNGS),
+                        help="comma-separated rungs to run: widths m, or head (default: all)")
     args = parser.parse_args(argv)
-    widths = [int(m) for m in args.rungs.split(",")]
+    names = args.rungs.split(",")
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import numpy as np
 
     started = time.perf_counter()
     rungs = []
-    for m in widths:
-        rungs.append(run_rung(m))
-        print(f"m={m:4d}  {rungs[-1]['status']:8s} {rungs[-1]['seconds']:8.3f} s"
-              f"  pivots {rungs[-1]['pivots']:6d}  M {rungs[-1]['M']}  gap {rungs[-1]['gap']}",
-              flush=True)
+    for name in names:
+        rungs.append(run_head() if name == "head" else run_rung(int(name)))
+        r = rungs[-1]
+        print(f"{name:>5}  {r['status']:8s} {r['seconds']:8.3f} s  pivots {r['pivots']:6d}"
+              f"  flips {r['flips']:6d}  M {r['M']}  gap {r['gap']}", flush=True)
 
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
@@ -123,13 +215,12 @@ def main(argv=None) -> int:
     runs = record["lp_ladder"]
     if len(runs) > 1:
         labels = sorted(runs)
-        print("m     " + "  ".join(f"{label:>10}" for label in labels) + "  M within 1e-9")
-        for m in widths:
-            row = [next((r for r in runs[label]["rungs"] if r["m"] == m), None)
-                   for label in labels]
-            ms = [float.fromhex(r["M"]) for r in row if r and r["M"]]
-            same = len(ms) == len(row) and max(ms) - min(ms) <= 1e-9 * max(ms)
-            print(f"{m:<5} " + "  ".join(f"{r['seconds']:10.3f}" if r else f"{'-':>10}"
+        print("rung  " + "  ".join(f"{label:>10}" for label in labels) + "  M within 1e-9")
+        for name in names:
+            row = [next((r for r in runs[label]["rungs"]
+                         if r.get("rung", str(r["m"])) == name), None) for label in labels]
+            same = None not in row and same_M(row)
+            print(f"{name:<5} " + "  ".join(f"{r['seconds']:10.3f}" if r else f"{'-':>10}"
                                          for r in row) + f"  {same}")
     certified = all(r["gap"] is None or r["gap"] <= MAX_GAP for r in rungs)
     return 0 if certified and all(r["status"] == "optimal" for r in rungs) else 1

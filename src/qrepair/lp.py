@@ -8,9 +8,11 @@ status at the neuron disagrees between the models (to fix), then from the
 agreeing tests nearest the boundary (not to flip). The objective minimizes
 the box radius M bounding every |delta_i|; the solver sees the
 Charnes-Cooper form u = delta/M, t = 1/M (`solve_lp`), one column per u_i
-boxed in [-1, 1] plus the t column. At the optimum the solver's row duals
-y >= 0 give the weak-duality bound h.y / ||G^T y||_1 <= M on the same LP,
-which `check_solution` holds against M. Statuses, x, w and b
+boxed in [-1, 1] plus the t column, boxed in [0, t_max] by the bound the
+rows already imply. At the optimum the solver's row duals y >= 0 (or, when
+t ends at t_max, the row that set it) give the weak-duality bound
+h.y / ||G^T y||_1 <= M on the same LP, which `check_solution` holds
+against M. Statuses, x, w and b
 come from one `localize.LayerComparison`, so building an LP runs no model,
 and a `NeuronLP` keeps its rows as one matrix `x` plus per-row arrays.
 """
@@ -86,6 +88,7 @@ class LPSolution:
     M: float | None = None
     deltas: np.ndarray | None = None
     bound: float | None = None  # optimal: a dual lower bound on M, from solve_lp
+    y: np.ndarray | None = None  # optimal: the row duals >= 0 that give `bound`
 
 
 def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1e-3,
@@ -122,8 +125,9 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     """Minimize M with |delta_i| <= M and every constraint met at margin epsilon.
 
     Statuses: optimal (minimal M found; M = 0 with zero deltas when every row
-    already holds), infeasible (t* = 0, or M* above `big_M_bound`), timeout
-    (budget exceeded, checked before any work).
+    already holds, found before the solver runs), infeasible (t* = 0, or M*
+    above `big_M_bound`), timeout (budget exceeded, checked before the
+    solver does any work).
     """
     if not len(lp.x):
         raise EmptyLPError("cannot solve an LP with no constraints")
@@ -132,11 +136,17 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
     sign = 2.0 * lp.target_status - 1.0
     g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
-    # u = d/M, t = 1/M: min -t s.t. -G u + h t <= 0, u in [-1, 1] resting at 0, t >= 0
-    result = simplex_solve(np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]]),
-                           np.append(np.ones(m), np.inf), deadline=deadline,
-                           lower=np.append(np.full(m, -1.0), 0.0))
-    if result.status == "unbounded":  # only when every h <= 0: d = 0 already holds
+    # a row with h_j > 0 needs h_j t <= G_j u <= ||G_j||_1, so t <= t_max, the least
+    # such ratio: a bound that leaves the optimum where it is and that t can start at
+    reach = np.abs(g).sum(axis=1) / np.where(h > 0, h, np.nan)
+    result = None
+    if np.any(h > 0):
+        first = int(np.nanargmin(reach))
+        # u = d/M, t = 1/M: min -t s.t. -G u + h t <= 0, u in [-1, 1], t in [0, t_max]
+        result = simplex_solve(np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]]),
+                               np.append(np.ones(m), reach[first]), deadline=deadline,
+                               lower=np.append(np.full(m, -1.0), 0.0))
+    if result is None:  # every h <= 0: d = 0 already holds
         sol = LPSolution("optimal", 0.0, np.zeros(m), bound=0.0)
     elif result.status != "optimal":
         sol = LPSolution(result.status)
@@ -144,15 +154,20 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
                                              and 1.0 / t > lp.big_M_bound):
         sol = LPSolution("infeasible")
     else:
+        y = result.y
+        if t >= reach[first]:  # t rests at t_max: every slack dual may be 0, row `first` proves M
+            y = np.zeros(len(h))
+            y[first] = 1.0
         # weak duality: M >= h.y / ||G^T y||_1 for every y >= 0
-        spread = np.abs(g.T @ result.y).sum()
-        bound = float(h @ result.y) / spread if spread > 0 else 0.0
-        sol = LPSolution("optimal", float(1.0 / t), result.x[:m] / t, bound)
+        spread = np.abs(g.T @ y).sum()
+        bound = float(h @ y) / spread if spread > 0 else 0.0
+        sol = LPSolution("optimal", float(1.0 / t), result.x[:m] / t, bound, y)
     if log.isEnabledFor(logging.DEBUG):
         same = int(np.sum(lp.target_status == lp.current_status))
         log.debug("layer %d neuron %d: %d disagreeing + %d preserving rows, %d columns, "
                   "%d pivots, %d bound flips, %s, M %s", lp.layer_index, lp.neuron_index,
-                  len(g) - same, same, m + 1, result.pivots, result.flips, sol.status, sol.M)
+                  len(g) - same, same, m + 1, result.pivots if result else 0,
+                  result.flips if result else 0, sol.status, sol.M)
     return sol
 
 

@@ -129,22 +129,11 @@ def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
 
 
 def solve_with_duals(lp, time_budget: float = 600.0):
-    """`lp.solve_lp`'s solution and the row duals y of the simplex result it
-    read its answer from."""
-    import qrepair.lp
+    """`lp.solve_lp`'s solution and the row duals y that give its bound."""
+    from qrepair.lp import solve_lp
 
-    results, solve = [], qrepair.lp.simplex_solve
-
-    def keep(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
-
-    qrepair.lp.simplex_solve = keep
-    try:
-        sol = qrepair.lp.solve_lp(lp, time_budget)
-    finally:
-        qrepair.lp.simplex_solve = solve
-    return sol, results[0].y
+    sol = solve_lp(lp, time_budget)
+    return sol, sol.y
 
 
 def wide_head_parts(instance: int = 0):

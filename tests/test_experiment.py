@@ -89,28 +89,28 @@ def test_seeded_run_is_byte_deterministic(tmp_path):
 MODEL_FILE_SHA256 = {  # the model files and per-metric repair reports of the default experiment
     42: {"float_model.json": "9afa3cbec844ff76b509711e65ae75b580cb45cdad1b04af4f1807e9d1137974",
          "quantized_model.json": "1f3068d3bd639f381b4cb1e2d64e2f011dbd6da8c4b69e22b23e574941825cf4",
-         "repair_ample.json": "d6ee7fc1064c94b7b1452b2add2484e7f72cf05b0640827a3b13162e8f81e859",
-         "repair_dstar.json": "ced60b245fc332c371a214d50b0de0fab6f20ed2181602671658cb24d038eac5",
-         "repair_euclid.json": "f658eb4eaebb503035bd606c2f9bd6cd4cb69248ef54cd5dd4a27b3c28b761b8",
-         "repair_jaccard.json": "8bdc428550ea3f6fece9c49bf71d32a5f2f20ca775cf61c14c0729a5bbb15c9b",
-         "repair_ochiai.json": "a79a2fdef1077c8770d58e3ca669b3803d0429c1affc94568d1935ff82a041f3",
-         "repair_tarantula.json": "61417da2dde3708636fe855bb55217edbcbdd9114ac75f507ca4a4eec45427a1",
-         "repair_wong3.json": "7d92d135706fcf4f59475aff7e84fcef12742a434c32e39a9a433ec8179ac0ee"},
+         "repair_ample.json": "71022f3c140e4495a6623bf2520e98b545bef568bf9e404795e6aadad00f1af7",
+         "repair_dstar.json": "223120d7e7153aa0a079c7eb3ac5fbf23ecc1ef188eca99900dc450c392b5dd3",
+         "repair_euclid.json": "b87af14c3bf80cb95456782beacd892a1ac9baab5a9e90cad2d2633689146b2f",
+         "repair_jaccard.json": "d7e5516162d398401f1840717dcaaf5be26d5b13ce44d11b9d8c32f8d4c3b73e",
+         "repair_ochiai.json": "a0bbdf0f947159e4f836f6851a4189a47c79418ad44e5a32555619834f6118a1",
+         "repair_tarantula.json": "81dd57a9ff2ca95099a7a5e24a0a9f1ca8f9f28f6868d171635cb8a4deae1c6f",
+         "repair_wong3.json": "a139fc0d36cc24fdd23541051b23b4dbb64bc917459a6aa5b91250162c6807e1"},
     7: {"float_model.json": "8696a07b3ac2fe831a5e7b9486a165afa3519f395e25388e84dea8d71dc30e52",
         "quantized_model.json": "68c107bafce3c7a00357748c6a4c1a14143a28d592bcb99996ab7b454043e527",
-        "repair_ample.json": "152c565769d31ed2622241813b3a5ceb23f56b39abe7f9eaf451aca233a4b6ed",
-        "repair_dstar.json": "70ea46f314fbb33373fc29b45d2c3942133d084c8228a8afef10c3ba60473b8b",
-        "repair_euclid.json": "8747e83180a855a2bf526c6f87ee9709e1e96d0d851920032925eb08ab08adb8",
-        "repair_jaccard.json": "7c452cb4dd4a720583a217fc97f5b7236e754bf30f7303f714fb15a1734d0fa8",
-        "repair_ochiai.json": "e5740affe620091619e0f107b36466f5c24355ba2457740fc90160f7dbbe5947",
-        "repair_tarantula.json": "eaa135bf353dd9ef005638cfb54ed8e91b6b5d30a8da25777fdb087ba5f746dc",
-        "repair_wong3.json": "9314af370af77444212599aa5d6306aca0525010cc89d4b17dfd097683407264"},
+        "repair_ample.json": "8d9b7d5b70cb7c2194575280440a8889c78b1eccbc34dfec7112e07c5c28eb6c",
+        "repair_dstar.json": "53638c9ec1ce355dab7b7c8c0f4c8d29bc9d3b0f4c7bb9ae9c94d6ec19c56e0e",
+        "repair_euclid.json": "151faca2d937f880a8b0bddc02465e0f4cfc7919141994e24c417f4be474433c",
+        "repair_jaccard.json": "e3de4d818e787a0b203a808096796fbeea4bd9904e130732ae1d0ca475f9da2f",
+        "repair_ochiai.json": "13909e65864f213706017935c55b2ee28e67fe7a089bfeb3b8f6eb61887a6911",
+        "repair_tarantula.json": "2c9a7789bcd1e28ed042451573ed278da3f62dbf64e0ed09c6eaff161a01673f",
+        "repair_wong3.json": "08f9dbbc04a8351b215ed62ffe4b7a36718168c15c89d5769662edc2cc9f8a6c"},
 }
 
 
 REPORT_SHA256 = {  # the default experiment's report bytes
-    42: "37c5f913c3568e762365fb1c99e217c35062dda90d49747494b468899c640afc",
-    7: "59ecea1fb8a6865f349614d1ba7be5bd49bdabeddd42bcd0f77bc1516fcf155f",
+    42: "ed81087c5b91c98bbe15853c929774549569e3b4fb6a633a02c34dbf1a8647ec",
+    7: "fcdefaaff4a55f82f4f31212ada8cb4bc2b17da7b56594138544183dd3bf5636",
 }
 
 

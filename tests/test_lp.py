@@ -5,8 +5,18 @@ import re
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, dense_model, make_dataset, manual_qmodel, repair_lp, solve_with_duals
+from conftest import (
+    FIXTURES,
+    GOLDEN,
+    dense_model,
+    make_dataset,
+    manual_qmodel,
+    repair_lp,
+    solve_with_duals,
+    wide_head_parts,
+)
 from oracles import certificate_gap, grid_oracle
+from qrepair.data import load_dataset
 from qrepair.localize import compare_at_layer
 from qrepair.lp import (
     EmptyLPError,
@@ -19,6 +29,8 @@ from qrepair.lp import (
     format_lp,
     solve_lp,
 )
+from qrepair.model import load_model
+from qrepair.quantize import load_qmodel
 
 
 def classic_lp(epsilon=0.0, bound=None):
@@ -111,15 +123,74 @@ def test_check_solution_holds_M_against_the_dual_bound():
         assert check_solution(lp, LPSolution("optimal", sol.M, sol.deltas, bound)) == verdict
 
 
-@pytest.mark.parametrize("m", [24, 64, 128, 256, 512])
+@pytest.mark.parametrize("m", [24, 64, 128, 256, 512, 1024, 1280, 2048])
 def test_ladder_optimum_is_certified(m):
-    # the rungs of scripts/lp_ladder.py that solve in well under a second
+    # every rung of scripts/lp_ladder.py; each solves in well under a second
     lp = repair_lp(m, 64, 1000 + m)
     sol, y = solve_with_duals(lp, 60.0)
     assert sol.status == "optimal" and check_solution(lp, sol)
     gap = certificate_gap(lp, sol.M, y)
     assert abs(gap) <= 1e-9
     assert (sol.M - sol.bound) / sol.M == pytest.approx(gap, abs=1e-12)
+
+
+def test_t_at_its_bound_is_certified_by_the_row_that_set_it():
+    # one violated row (h = 0.5, ||g||_1 = 3) and two that hold: t ends at its
+    # bound t_max = 3 / 0.5, where every slack dual is 0; that row alone proves M
+    lp = NeuronLP(0, 0, np.array([1.0, -1.0, 0.5]), -1.0, [[1.0, 1.0, 1.0], [2.0, 0.0, 1.0],
+                                                          [0.0, -3.0, 0.0]],
+                  [1, 1, 1], [0, 1, 1], 0.0)
+    sol = solve_lp(lp, 10.0)
+    assert sol.status == "optimal" and sol.M == pytest.approx(0.5 / 3.0, rel=1e-12)
+    np.testing.assert_array_equal(sol.y, [1.0, 0.0, 0.0])
+    assert check_solution(lp, sol)
+    assert abs(certificate_gap(lp, sol.M, sol.y)) <= 1e-9
+
+
+def output_neuron_lps(fmodel, qmodel, dataset, layer):
+    """neuron -> its LP, for every neuron of `layer` with a disagreeing test."""
+    comparison = compare_at_layer(fmodel, qmodel, dataset, layer)
+    lps = {}
+    for n in range(comparison.weights.shape[1]):
+        try:
+            lps[n] = build_neuron_lp(comparison, n)
+        except EmptyLPError:
+            pass
+    return lps
+
+
+# each output-neuron LP's M as float.hex, as the bounded primal simplex that
+# preceded the dual one found it
+WIDE_HEAD_M = {0: "0x1.a22aabb011149p-5", 1: "0x1.12545e7e73aeep-3", 2: "0x1.ccbae6e93566cp-4",
+               3: "0x1.c158be45581edp-5", 4: "0x1.e51cc5959fd32p-4", 5: "0x1.dc9a218a989a6p-5",
+               6: "0x1.179db08c03c1fp-3", 7: "0x1.ba38a0a0d2799p-4", 8: "0x1.ba5fd4320d9eep-4",
+               9: "0x1.3424343083cb7p-3"}
+CONV3_M = {1: "0x1.ea76e55f9e33ep-15", 5: "0x1.95d756c47f17dp-10", 6: "0x1.5d1307540fa10p-8",
+           7: "0x1.e8001c37a5d4fp-9"}
+
+
+def wide_head_lps():
+    fmodel, qmodel, repair_set, _ = wide_head_parts()
+    return output_neuron_lps(fmodel, qmodel, repair_set, 2), WIDE_HEAD_M
+
+
+def conv3_lps():
+    # the quantized conv3 fixture, repaired on conv3_val.csv
+    fmodel = load_model(FIXTURES / "conv3.json")
+    dataset = load_dataset(FIXTURES / "conv3_val.csv", num_classes=10)
+    return (output_neuron_lps(fmodel, load_qmodel(FIXTURES / "conv3_quant.json"), dataset,
+                              fmodel.last_dense_index()), CONV3_M)
+
+
+@pytest.mark.parametrize("case", [wide_head_lps, conv3_lps], ids=["wide_head", "conv3"])
+def test_output_neuron_optima_are_certified_and_pinned(case):
+    lps, pinned = case()
+    assert sorted(lps) == sorted(pinned)
+    for n, lp in lps.items():
+        sol = solve_lp(lp, 60.0)
+        assert sol.status == "optimal" and check_solution(lp, sol), n
+        assert abs(certificate_gap(lp, sol.M, sol.y)) <= 1e-9, n
+        assert sol.M == pytest.approx(float.fromhex(pinned[n]), rel=1e-9), n
 
 
 # --- build ----------------------------------------------------------------
