@@ -33,7 +33,8 @@ TRACE_KEYS = ("lp.solve_lp.calls", "simplex.simplex_solve.calls", "simplex.pivot
               "repair.constraints_held", "repair.constraints_total",
               "model.apply_layer.conv2d.calls", "model.apply_layer.dense.calls",
               "evaluate.accuracy.calls", "lp.build_neuron_lp.s", "lp.solve_lp.s",
-              "lp.cols_max", "simplex.pivots_per_lp_max", "simplex.simplex_solve.s")
+              "lp.cols_max", "simplex.pivots_per_lp_max", "simplex.simplex_solve.s",
+              "data.load_dataset.s", "cli.cli_main.s")
 
 
 def run(args) -> None:

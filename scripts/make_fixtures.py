@@ -21,6 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from qrepair.data import Dataset, save_dataset
 from qrepair.lp import NeuronLP, export_lp
 from qrepair.model import Layer, Model, Tensor, forward_batch, save_model
 from qrepair.quantize import quantize_model, save_qmodel
@@ -78,9 +79,7 @@ def main():
     save_model(model, fixtures / "conv3.json")
     save_qmodel(quantize_model(model), fixtures / "conv3_quant.json")
     xs, labels = make_dataset(model)
-    lines = [",".join([str(l)] + [repr(float(v)) for v in row])
-             for l, row in zip(labels, xs)]
-    (fixtures / "conv3_val.csv").write_text("\n".join(lines) + "\n")
+    save_dataset(Dataset(xs, labels, model.num_classes), fixtures / "conv3_val.csv")
     write_goldens()
     print(f"wrote fixtures under {fixtures} and goldens under {ROOT/'tests'/'golden'}")
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"QNRD"
+_CSV_CHUNK_ROWS = 16  # rows turned to text at once by save_dataset
 
 
 class DatasetError(ValueError):
@@ -121,9 +122,12 @@ def save_dataset(ds: Dataset, path) -> None:
         header = struct.pack("<III", len(ds), ds.features.shape[1], ds.num_classes)
         path.write_bytes(MAGIC + header + rows.tobytes())
         return
-    # the bytes csv.writer would write, a row at a time so neither the file's
-    # text nor its values as Python floats are ever held whole; float32 ->
-    # Python float is exact, so repr round-trips
+    # the bytes csv.writer would write, each feature as its float32 shortest
+    # round-trip text, which loads back to the same bits; the text is made a
+    # few rows at a time so the file is never held whole
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join([str(label), *map(repr, row.tolist())]) + "\r\n"
-                      for label, row in zip(ds.labels.tolist(), ds.features))
+        for start in range(0, len(ds), _CSV_CHUNK_ROWS):
+            chunk = ds.features[start:start + _CSV_CHUNK_ROWS].astype(str).tolist()
+            labels = ds.labels[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.writelines(",".join([str(label), *row]) + "\r\n"
+                          for label, row in zip(labels, chunk))

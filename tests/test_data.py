@@ -149,7 +149,7 @@ def _csv_writer_bytes(ds: Dataset) -> bytes:
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     for i in range(len(ds)):
-        writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])
+        writer.writerow([int(ds.labels[i])] + [str(np.float32(v)) for v in ds.features[i]])
     return out.getvalue().encode()
 
 
@@ -163,3 +163,47 @@ def test_csv_bytes_match_csv_writer(tmp_path, features):
     ds = Dataset(features, np.arange(len(features)) % 3, 3)
     save_dataset(ds, tmp_path / "d.csv")
     assert (tmp_path / "d.csv").read_bytes() == _csv_writer_bytes(ds)
+
+
+def _float32_rows(n: int, width: int) -> np.ndarray:
+    """n seeded random finite float32 bit patterns, then nan, +-inf, -0.0, 1e-45
+    and the float32 maximum, zero-padded into rows of `width`."""
+    bits = np.random.default_rng(18).integers(0, 2**32, size=n + n // 16, dtype=np.uint64)
+    floats = bits.astype(np.uint32).view(np.float32)
+    finite = floats[np.isfinite(floats)][:n]
+    assert finite.size == n
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-45, np.finfo(np.float32).max],
+                        dtype=np.float32)
+    values = np.concatenate([finite, specials])
+    return np.concatenate([values, np.zeros(-values.size % width, np.float32)]).reshape(-1, width)
+
+
+def _assert_bit_equal(got: np.ndarray, want: np.ndarray) -> None:
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+
+
+def test_csv_round_trips_every_float32_bit_pattern(tmp_path):
+    # the shortest text goes decimal -> float64 -> float32 on load, so it is
+    # checked to land on the written bits
+    rows = _float32_rows(200_000, 100)
+    ds = Dataset(rows, np.arange(len(rows)) % 3, 3)
+    save_dataset(ds, tmp_path / "d.csv")
+    back = load_dataset(tmp_path / "d.csv", num_classes=3)
+    _assert_bit_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+
+
+def test_csv_written_as_float64_repr_loads_the_same_bits(tmp_path):
+    # files written before the float32 shortest text, as repr(float(v))
+    rows = _float32_rows(2_000, 10)
+    ds = Dataset(rows, np.arange(len(rows)) % 2, 2)
+    old = tmp_path / "old.csv"
+    old.write_text("".join(",".join([str(label), *(repr(float(v)) for v in row)]) + "\r\n"
+                           for label, row in zip(ds.labels.tolist(), ds.features)))
+    save_dataset(ds, tmp_path / "new.csv")
+    for path in (old, tmp_path / "new.csv"):
+        back = load_dataset(path, num_classes=2)
+        _assert_bit_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
