@@ -34,7 +34,7 @@ TRACE_KEYS = ("lp.solve_lp.calls", "simplex.simplex_solve.calls", "simplex.pivot
               "model.apply_layer.conv2d.calls", "model.apply_layer.dense.calls",
               "evaluate.accuracy.calls", "lp.build_neuron_lp.s", "lp.solve_lp.s",
               "lp.cols_max", "simplex.pivots_per_lp_max", "simplex.simplex_solve.s",
-              "data.load_dataset.s", "cli.cli_main.s")
+              "data.load_dataset.s", "cli.cli_main.s", "experiment.train_mlp.s")
 
 
 def run(args) -> None:

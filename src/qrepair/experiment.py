@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,15 @@ class PresetSpec:
     lr: float
     batch: int
 
+    def __post_init__(self):
+        least = {"dim": 1, "num_classes": 2, "hidden": 1, "n_train": 1, "n_repair": 1,
+                 "n_val": 1, "epochs": 0, "batch": 1}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
 
 MLP_BLOBS = PresetSpec(dim=20, num_classes=3, hidden=24, n_train=600,
                        n_repair=240, n_val=300, epochs=40, lr=0.15, batch=32)
@@ -66,38 +76,45 @@ def make_blobs(rng: np.random.Generator, spec: PresetSpec, n: int) -> Dataset:
 
 
 def train_mlp(rng: np.random.Generator, train: Dataset, spec: PresetSpec) -> Model:
-    """Two-layer ReLU MLP trained with plain minibatch SGD on softmax CE."""
+    """Two-layer ReLU MLP trained with plain minibatch SGD on softmax CE.
+
+    All four parameters are views into one flat vector, and the gradients
+    into a second, so an SGD step updates them all in two calls. Each epoch
+    permutes the inputs and one-hot targets once and takes slices of them.
+    """
     d, h, c = spec.dim, spec.hidden, spec.num_classes
-    w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h))
-    b1 = np.zeros(h)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / h), size=(h, c))
-    b2 = np.zeros(c)
+    params = np.zeros(d * h + h + h * c + c)
+    grads = np.empty_like(params)
+    w1, b1, w2, b2 = _split(params, d, h, c)
+    gw1, gb1, gw2, gb2 = _split(grads, d, h, c)
+    w1[...] = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h))
+    w2[...] = rng.normal(0.0, np.sqrt(2.0 / h), size=(h, c))
     x_all = train.features.astype(np.float64)
-    y_all = train.labels
+    t_all = np.eye(c)[train.labels]
     n = len(train)
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
+        xs, ts = x_all[perm], t_all[perm]
         for start in range(0, n, spec.batch):
-            idx = perm[start : start + spec.batch]
-            x, y = x_all[idx], y_all[idx]
-            z1 = x @ w1 + b1
+            x, t = xs[start : start + spec.batch], ts[start : start + spec.batch]
+            z1 = x @ w1
+            z1 += b1
             a1 = np.maximum(z1, 0)
-            z2 = a1 @ w2 + b2
-            z2 -= z2.max(axis=1, keepdims=True)
-            p = np.exp(z2)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(len(y)), y] -= 1.0
-            p /= len(y)
-            dw2 = a1.T @ p
-            db2 = p.sum(axis=0)
+            p = a1 @ w2
+            p += b2
+            p -= np.maximum.reduce(p, axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=1, keepdims=True)
+            p -= t  # subtracting 0.0 leaves the other entries' bits as they are
+            p /= len(x)
+            np.matmul(a1.T, p, out=gw2)
+            np.add.reduce(p, axis=0, out=gb2)
             da1 = p @ w2.T
             da1[z1 <= 0] = 0.0
-            dw1 = x.T @ da1
-            db1 = da1.sum(axis=0)
-            w1 -= spec.lr * dw1
-            b1 -= spec.lr * db1
-            w2 -= spec.lr * dw2
-            b2 -= spec.lr * db2
+            np.matmul(x.T, da1, out=gw1)
+            np.add.reduce(da1, axis=0, out=gb1)
+            np.multiply(spec.lr, grads, out=grads)
+            np.subtract(params, grads, out=params)
     layers = [
         Layer("dense", Tensor.from_array(w1.astype(np.float32)),
               Tensor.from_array(b1.astype(np.float32))),
@@ -106,6 +123,12 @@ def train_mlp(rng: np.random.Generator, train: Dataset, spec: PresetSpec) -> Mod
               Tensor.from_array(b2.astype(np.float32))),
     ]
     return Model(layers, (d,), c)
+
+
+def _split(flat: np.ndarray, d: int, h: int, c: int) -> tuple[np.ndarray, ...]:
+    """Views w1 (d, h), b1 (h,), w2 (h, c), b2 (c,) into one flat vector."""
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([d * h, h, h * c]))
+    return w1.reshape(d, h), b1, w2.reshape(h, c), b2
 
 
 def damage_layer(qmodel: Model, layer_index: int,
@@ -157,26 +180,33 @@ def load_mnist_idx(data_dir, spec: PresetSpec, rng: np.random.Generator) -> Data
                 return p
         raise DatasetError(f"missing {stem}[.gz] under {data_dir}")
 
-    def read(path):
+    def read(stem, magic, ndim):
+        """One IDX file's path, its dimensions and its uint8 payload."""
+        path = find(stem)
         opener = gzip.open if path.suffix == ".gz" else open
         with opener(path, "rb") as fh:
-            return fh.read()
+            raw = fh.read()
+        head = 4 + 4 * ndim
+        if len(raw) < head or struct.unpack_from(">I", raw)[0] != magic:
+            raise DatasetError(f"{path}: not an IDX file with magic {magic}")
+        dims = struct.unpack_from(f">{ndim}I", raw, 4)
+        expected = head + math.prod(dims)
+        if len(raw) != expected:
+            raise DatasetError(f"{path}: expected {expected} bytes, got {len(raw)}")
+        return path, dims, np.frombuffer(raw, dtype=np.uint8, offset=head)
 
-    img_raw = read(find("train-images-idx3-ubyte"))
-    lbl_raw = read(find("train-labels-idx1-ubyte"))
-    magic, n, h, w = struct.unpack_from(">IIII", img_raw, 0)
-    if magic != 2051:
-        raise DatasetError("bad IDX image magic")
-    imgs = np.frombuffer(img_raw, dtype=np.uint8, offset=16).reshape(n, h * w)
-    magic, n_lbl = struct.unpack_from(">II", lbl_raw, 0)
-    if magic != 2049 or n_lbl != n:
-        raise DatasetError("bad IDX label file")
-    labels = np.frombuffer(lbl_raw, dtype=np.uint8, offset=8).astype(np.int64)
+    img_path, (n, h, w), imgs = read("train-images-idx3-ubyte", 2051, 3)
+    if h * w != spec.dim:
+        raise DatasetError(f"{img_path}: {h}x{w} images, the preset takes {spec.dim} features")
+    lbl_path, (n_lbl,), labels = read("train-labels-idx1-ubyte", 2049, 1)
+    if n_lbl != n:
+        raise DatasetError(f"{lbl_path}: {n_lbl} labels for {n} images")
     take = spec.n_train + spec.n_repair + spec.n_val
     if n < take:
         raise DatasetError(f"need {take} rows, IDX files hold {n}")
     idx = rng.permutation(n)[:take]
-    return Dataset(imgs[idx].astype(np.float32) / 255.0, labels[idx], 10)
+    return Dataset(imgs.reshape(n, h * w)[idx].astype(np.float32) / 255.0,
+                   labels[idx], spec.num_classes)
 
 
 def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,

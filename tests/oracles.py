@@ -138,3 +138,44 @@ def certificate_gap(lp, M, y):
             gy[i] += y[k] * s * float(x[i])
         hy += y[k] * (lp.epsilon - s * pre)
     return (M - hy / np.abs(gy).sum()) / M
+
+
+def loop_train_mlp(rng, train, spec):
+    """Plain minibatch SGD on softmax CE, one fancy-indexed batch at a time.
+
+    The reference for `experiment.train_mlp`: the same draws and the same
+    float64 operations in the same order, on four separate parameter arrays.
+    Returns the trained float64 (w1, b1, w2, b2).
+    """
+    d, h, c = spec.dim, spec.hidden, spec.num_classes
+    w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h))
+    b1 = np.zeros(h)
+    w2 = rng.normal(0.0, np.sqrt(2.0 / h), size=(h, c))
+    b2 = np.zeros(c)
+    x_all = train.features.astype(np.float64)
+    y_all = train.labels
+    n = len(train)
+    for _ in range(spec.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, spec.batch):
+            idx = perm[start : start + spec.batch]
+            x, y = x_all[idx], y_all[idx]
+            z1 = x @ w1 + b1
+            a1 = np.maximum(z1, 0)
+            z2 = a1 @ w2 + b2
+            z2 -= z2.max(axis=1, keepdims=True)
+            p = np.exp(z2)
+            p /= p.sum(axis=1, keepdims=True)
+            p[np.arange(len(y)), y] -= 1.0
+            p /= len(y)
+            dw2 = a1.T @ p
+            db2 = p.sum(axis=0)
+            da1 = p @ w2.T
+            da1[z1 <= 0] = 0.0
+            dw1 = x.T @ da1
+            db1 = da1.sum(axis=0)
+            w1 -= spec.lr * dw1
+            b1 -= spec.lr * db1
+            w2 -= spec.lr * dw2
+            b2 -= spec.lr * db2
+    return w1, b1, w2, b2

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import shlex
+import struct
 import sys
 from pathlib import Path
 
@@ -196,6 +197,19 @@ def test_experiment_missing_mnist_files(tmp_path):
     code = cli_main(["experiment", "--preset", "mnist-mini",
                      "--data-dir", str(tmp_path), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_experiment_truncated_mnist_labels_fail_naming_the_file(tmp_path, capsys):
+    # the label header promises 3,000 labels and the payload holds 2,997
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 2051, 3000, 28, 28) + bytes(3000 * 784))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 2049, 3000) + bytes(2997))
+    code = cli_main(["experiment", "--preset", "mnist-mini",
+                     "--data-dir", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "train-labels-idx1-ubyte: expected 3008 bytes, got 3005" in err
 
 
 @pytest.mark.parametrize("command,nan_file", [

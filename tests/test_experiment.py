@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qrepair import experiment
 from qrepair.experiment import (
     GAP_TARGET,
+    MLP_BLOBS,
     PresetSpec,
     comparison_csv,
     load_mnist_idx,
@@ -16,9 +18,11 @@ from qrepair.experiment import (
     run_experiment,
     train_mlp,
 )
-from qrepair.data import DatasetError
+from qrepair.data import Dataset, DatasetError
 from qrepair.evaluate import accuracy
 from qrepair.repair import RepairConfig
+
+from oracles import loop_train_mlp
 
 TINY = PresetSpec(dim=10, num_classes=3, hidden=12, n_train=200, n_repair=100,
                   n_val=100, epochs=20, lr=0.15, batch=32)
@@ -37,6 +41,46 @@ def test_training_reaches_useful_accuracy():
     ds = make_blobs(rng, TINY, 300)
     model = train_mlp(np.random.default_rng(np.random.SeedSequence(4)), ds, TINY)
     assert accuracy(model, ds).accuracy >= 0.9
+
+
+def _blobs_train_set(seed, spec):
+    # the data and training streams run_experiment draws from for this seed
+    ss_data, ss_train, _, _ = np.random.SeedSequence(seed).spawn(4)
+    total = make_blobs(np.random.default_rng(ss_data), spec,
+                       spec.n_train + spec.n_repair + spec.n_val)
+    return total.subset(range(spec.n_train)), ss_train
+
+
+def _random_train_set(seed, spec):
+    rng = np.random.default_rng(seed)
+    feats = rng.random((spec.n_train, spec.dim), dtype=np.float32)
+    labels = rng.integers(0, spec.num_classes, size=spec.n_train)
+    return Dataset(feats, labels, spec.num_classes), np.random.SeedSequence(seed + 1)
+
+
+@pytest.mark.parametrize("make,seed,spec", [
+    (_blobs_train_set, 42, MLP_BLOBS),
+    (_blobs_train_set, 7, MLP_BLOBS),
+    (_blobs_train_set, 3, MLP_BLOBS),
+    (_blobs_train_set, 5, TINY),  # 200 rows: a last batch of 8
+    (_blobs_train_set, 6, replace(TINY, batch=500)),  # one batch larger than n
+    (_random_train_set, 9, PresetSpec(dim=49, num_classes=10, hidden=16, n_train=150,
+                                      n_repair=1, n_val=1, epochs=2, lr=0.1, batch=64)),
+], ids=["blobs42", "blobs7", "blobs3", "ragged", "batch_over_n", "ten_class"])
+def test_train_mlp_bit_identical_to_loop_oracle(monkeypatch, make, seed, spec):
+    # the float64 parameter vector is caught where train_mlp splits it into
+    # views: a last-bit drift there rarely shows in the float32 weights
+    flats, real_split = [], experiment._split
+    monkeypatch.setattr(experiment, "_split",
+                        lambda flat, *dims: flats.append(flat) or real_split(flat, *dims))
+    train, ss_train = make(seed, spec)
+    model = train_mlp(np.random.default_rng(ss_train), train, spec)
+    want = loop_train_mlp(np.random.default_rng(ss_train), train, spec)
+    got = [model.layers[0].weights, model.layers[0].bias,
+           model.layers[2].weights, model.layers[2].bias]
+    for tensor, ref in zip(got, want):
+        assert tensor.array().tobytes() == ref.astype(np.float32).tobytes()
+    assert flats[0].tobytes() == np.concatenate([r.ravel() for r in want]).tobytes()
 
 
 def test_gap_guarantee(tiny_report):
@@ -151,6 +195,67 @@ def test_mnist_loader_reads_idx(tmp_path):
     assert len(ds) == 40
     assert ds.features.shape == (40, 16)
     assert ds.features.max() <= 1.0
+
+
+IDX_SPEC = PresetSpec(dim=16, num_classes=10, hidden=4, n_train=20, n_repair=10,
+                      n_val=10, epochs=1, lr=0.1, batch=8)
+
+
+def _write_idx(tmp_path, n=40, h=4, w=4, n_lbl=None, img_extra=0, lbl_extra=0):
+    """Plain IDX files whose headers say n images of h x w and n_lbl labels,
+    with payloads `extra` bytes longer (or, when negative, shorter)."""
+    n_lbl = n if n_lbl is None else n_lbl
+    imgs = bytes(n * h * w + img_extra)
+    lbls = bytes(n_lbl + lbl_extra)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 2051, n, h, w) + imgs)
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, n_lbl) + lbls)
+
+
+@pytest.mark.parametrize("kwargs,stem,message", [
+    ({"img_extra": -5}, "images", "expected 656 bytes, got 651"),
+    ({"img_extra": 3}, "images", "expected 656 bytes, got 659"),
+    ({"lbl_extra": -3}, "labels", "expected 48 bytes, got 45"),
+    ({"lbl_extra": 2}, "labels", "expected 48 bytes, got 50"),
+    ({"n_lbl": 37}, "labels", "37 labels for 40 images"),
+    ({"h": 5, "w": 5}, "images", "5x5 images, the preset takes 16 features"),
+], ids=["short_images", "long_images", "short_labels", "long_labels", "label_count",
+        "image_size"])
+def test_mnist_loader_rejects_a_malformed_idx_file(tmp_path, kwargs, stem, message):
+    _write_idx(tmp_path, **kwargs)
+    with pytest.raises(DatasetError, match=message) as err:
+        load_mnist_idx(tmp_path, IDX_SPEC, np.random.default_rng(1))
+    assert f"train-{stem}-idx" in str(err.value)
+
+
+def test_mnist_loader_rejects_a_bad_magic(tmp_path):
+    _write_idx(tmp_path)
+    path = tmp_path / "train-labels-idx1-ubyte"
+    path.write_bytes(struct.pack(">I", 2051) + path.read_bytes()[4:])
+    with pytest.raises(DatasetError, match="train-labels-idx1-ubyte: not an IDX file"):
+        load_mnist_idx(tmp_path, IDX_SPEC, np.random.default_rng(1))
+
+
+def test_mnist_loader_checks_labels_against_the_preset_classes(tmp_path):
+    # a 3-class preset used to take the 10-class labels and fail inside training
+    _write_idx(tmp_path)
+    path = tmp_path / "train-labels-idx1-ubyte"
+    path.write_bytes(path.read_bytes()[:-1] + bytes([9]))
+    with pytest.raises(DatasetError, match="label 9 out of range for 3 classes"):
+        load_mnist_idx(tmp_path, replace(IDX_SPEC, num_classes=3), np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch", 0), ("epochs", -1), ("hidden", 0), ("dim", 0), ("n_train", 0),
+    ("n_repair", 0), ("n_val", 0), ("num_classes", 1), ("lr", 0.0), ("lr", -0.1),
+    ("lr", float("nan")), ("lr", float("inf")),
+])
+def test_preset_spec_rejects_a_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        replace(TINY, **{field: value})
+
+
+def test_preset_spec_allows_zero_epochs():
+    assert replace(TINY, epochs=0).epochs == 0
 
 
 def test_random_baseline_draws_neurons_of_the_target_layer(monkeypatch):
