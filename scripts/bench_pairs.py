@@ -12,7 +12,8 @@ pair, the run's final JSON object) to --log:
 `summarize` folds one or more logs into a BENCH file: per workload and seed
 and per end-to-end metric, each side's median and quartiles, the pairs in
 which the change reads better, and the traced per-layer counts of any
-`--trace 1` runs:
+`--trace 1` runs, pair by pair (`per_pair`) and as each side's median
+(`per_call`):
 
     python3 scripts/bench_pairs.py summarize pairs.jsonl --out BENCH_4.json
 
@@ -32,9 +33,11 @@ TRACE_KEYS = ("lp.solve_lp.calls", "simplex.simplex_solve.calls", "simplex.pivot
               "lp.optimal", "lp.infeasible", "lp.timeout",
               "repair.constraints_held", "repair.constraints_total",
               "model.apply_layer.conv2d.calls", "model.apply_layer.dense.calls",
-              "evaluate.accuracy.calls", "lp.build_neuron_lp.s", "lp.solve_lp.s",
+              "model.apply_layer.conv2d.s", "evaluate.accuracy.calls",
+              "lp.build_neuron_lp.s", "lp.solve_lp.s",
               "lp.cols_max", "simplex.pivots_per_lp_max", "simplex.simplex_solve.s",
               "data.load_dataset.s", "cli.cli_main.s", "experiment.train_mlp.s")
+SIDES = ("parent", "change")
 
 
 def run(args) -> None:
@@ -61,8 +64,22 @@ def run(args) -> None:
 
 
 def quartiles(values: list) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # statistics.quantiles needs two values before Python 3.13
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive") if values[1:]
+                   else values * 3)
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def pair_up(recs: list) -> list:
+    """The records as run pairs, {side: record}, in log order. A pair's two
+    runs are adjacent in a log, so logs of several `run` calls, whose pair
+    numbers repeat, still give every pair."""
+    pairs = []
+    for r in recs:
+        if not pairs or r["side"] in pairs[-1] or r["pair"] != pairs[-1]["pair"]:
+            pairs.append({"pair": r["pair"]})
+        pairs[-1][r["side"]] = r
+    return pairs
 
 
 def summarize(args) -> None:
@@ -73,28 +90,32 @@ def summarize(args) -> None:
     out = {"note": args.note, "timed": [], "traced": []}
     for (workload, seed, trace), recs in sorted(groups.items()):
         entry = {"workload": workload, "seed": seed,
-                 "runs": {s: sum(r["side"] == s for r in recs) for s in ("parent", "change")},
+                 "runs": {s: sum(r["side"] == s for r in recs) for s in SIDES},
                  "exit_codes": sorted({r["rc"] for r in recs}),
                  "correct": all(r["result"] and r["result"]["correct"] for r in recs),
                  "failed": {s: sum(r["result"]["failed"] for r in recs if r["side"] == s)
-                            for s in ("parent", "change")},
+                            for s in SIDES},
                  "attempted": {s: sum(r["result"]["attempted"] for r in recs if r["side"] == s)
-                               for s in ("parent", "change")}}
+                               for s in SIDES}}
+        pairs = pair_up(recs)
         if trace:
-            entry["per_call"] = {r["side"]: {k: r["result"]["metrics"][k]["value"]
-                                             for k in TRACE_KEYS} for r in recs}
+            counts = [{s: {k: p[s]["result"]["metrics"][k]["value"] for k in TRACE_KEYS}
+                       for s in SIDES if s in p} for p in pairs]
+            entry["per_pair"] = [{"pair": p["pair"], **c} for p, c in zip(pairs, counts)]
+            entry["per_call"] = {s: {k: statistics.median(c[s][k] for c in counts if s in c)
+                                     for k in TRACE_KEYS}
+                                 for s in SIDES if entry["runs"][s]}
             out["traced"].append(entry)
             continue
         metrics = {}
         for name, spec in recs[0]["result"]["metrics"].items():
             side_values = {s: [r["result"]["metrics"][name]["value"] for r in recs
-                               if r["side"] == s] for s in ("parent", "change")}
+                               if r["side"] == s] for s in SIDES}
             lower = name not in ("val_accuracy_after", "val_fidelity_after")
-            pairs = {}
-            for r in recs:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
-            better = sum(1 for p in pairs.values() if len(p) == 2 and p["parent"] != p["change"]
-                         and (p["change"] < p["parent"]) == lower)
+            both = [[p[s]["result"]["metrics"][name]["value"] for s in SIDES]
+                    for p in pairs if all(s in p for s in SIDES)]
+            better = sum(1 for parent, change in both
+                         if parent != change and (change < parent) == lower)
             metrics[name] = {"unit": spec["unit"],
                              **{s: quartiles(v) for s, v in side_values.items()},
                              "change_better_pairs": better, "pairs": len(pairs)}

@@ -22,6 +22,7 @@ LAYER_KINDS = ("dense", "relu", "conv2d", "maxpool2d", "flatten")
 WEIGHT_RANKS = {"dense": 2, "conv2d": 4}  # the kinds that carry weights
 HYPERPARAMS = {"conv2d": ("stride",), "maxpool2d": ("kernel", "stride")}  # others take none
 INT8_MAX = 127
+_CONV_BLOCK_ROWS = 32  # rows per conv2d product; bounds the window stack a call holds
 
 
 class ModelFormatError(ValueError):
@@ -241,27 +242,26 @@ def _dense(x, w, b):
 def _conv2d(x, w, b, stride):
     kh, kw, in_ch, out_ch = w.shape
     n, h, wd, _ = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (wd - kw) // stride + 1
-    if in_ch == 1:
-        # a tap's `patch @ w[a, bb]` is then a plain product; accumulating it
-        # channel-major gives the same bits without a matmul per tap
-        out = np.zeros((out_ch, n, ho, wo), dtype=x.dtype)
-        for a in range(kh):
-            for bb in range(kw):
-                patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, 0]
-                out += w[a, bb, 0][:, None, None, None] * patch
-        # contiguous, so the next layer's matmul computes the same bits as on
-        # a batch-major output
-        out = np.ascontiguousarray(out.transpose(1, 2, 3, 0))
-    else:
-        out = np.zeros((n, ho, wo, out_ch), dtype=x.dtype)
-        for a in range(kh):
-            for bb in range(kw):
-                patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
-                out += patch @ w[a, bb]
+    ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    # a block of rows as [in_ch, h, wd, rows]; windows[a, bb] is its tap (a, bb)
+    xt = np.zeros((in_ch, h, wd, max(min(n, _CONV_BLOCK_ROWS), 2)), dtype=x.dtype)
+    sc, sh, sw, sr = xt.strides
+    windows = np.ndarray((kh, kw, in_ch, ho, wo, xt.shape[3]), xt.dtype, xt, 0,
+                         (sh, sw, sc, sh * stride, sw * stride, sr))
+    wt = w.transpose(0, 1, 3, 2).reshape(kh * kw, out_ch, in_ch)
+    out = np.empty((n, ho, wo, out_ch), dtype=x.dtype)
+    # Same bits as adding `patch @ w[a, bb]` to zeros tap by tap: one gemm per tap
+    # either way (exact products at in_ch = 1), summed in (a, bb) order from +0.0,
+    # over two rows or more, as numpy sums pairwise when the tap axis is all that
+    # is left. Not so at in_ch > 1 with out_ch = 1 or wo = 1 (a matrix-vector side).
+    for r0 in range(0, n, _CONV_BLOCK_ROWS):
+        rows = min(_CONV_BLOCK_ROWS, n - r0)
+        xt[..., :rows] = x[r0 : r0 + rows].transpose(3, 1, 2, 0)
+        win = windows[..., : max(rows, 2)].reshape(kh * kw, in_ch, -1)
+        total = np.add.reduce(wt * win if in_ch == 1 else wt @ win, axis=0, initial=0.0)
+        out[r0 : r0 + rows] = total.reshape(out_ch, ho, wo, -1)[..., :rows].transpose(3, 1, 2, 0)
     if b is not None:
-        out = out + b
+        out += b
     return out
 
 
@@ -388,7 +388,7 @@ def _numbers_from_json(obj: dict, key: str):
     numeric string or a bool (an int subclass) as one."""
     values = obj[key]
     listed = values if isinstance(values, list) else [values]
-    if not all(type(v) in (int, float) for v in listed):
+    if not set(map(type, listed)) <= {int, float}:
         raise ModelFormatError(f"a tensor's {key!r} must hold JSON numbers only")
     return values
 

@@ -298,28 +298,111 @@ def test_concurrent_inference_safe(conv3_model):
         assert np.array_equal(e, g)
 
 
-def test_single_channel_conv_matches_stacked_matmul_bits():
-    # a one-channel conv takes its own path; each tap must still add the
-    # bits of `patch @ w[a, bb]`, the formula every other conv uses
+def _per_tap_conv(x, w, b, stride):
+    """conv2d as `patch @ w[a, bb]` added to zeros tap by tap, then the bias."""
+    kh, kw, _, out_ch = w.shape
+    n, h, wd, _ = x.shape
+    ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    out = np.zeros((n, ho, wo, out_ch), np.float32)
+    for a in range(kh):
+        for bb in range(kw):
+            out += x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :] @ w[a, bb]
+    return out if b is None else out + b
+
+
+def _assert_same_conv_bytes(x, w, b, stride):
     from qrepair.model import _conv2d
 
+    want, got = _per_tap_conv(x, w, b, stride), _conv2d(x, w, b, stride)
+    assert got.flags.c_contiguous and got.dtype == np.float32
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# row counts that leave a 32-row block empty, whole, short, or one row long
+BATCH_SIZES = (0, 1, 31, 32, 33, 101)
+
+
+def test_single_channel_conv_matches_stacked_matmul_bits():
+    # at in_ch = 1 each tap's `patch @ w[a, bb]` is an exact product, so the
+    # batch-innermost conv must reproduce the per-tap sums bit for bit
     rng = np.random.default_rng(31)
-    for _ in range(300):
+    for case in range(300):
         kh, kw = rng.integers(1, 4, size=2)
         stride = int(rng.integers(1, 3))
         h, wd = kh + rng.integers(0, 6), kw + rng.integers(0, 6)
-        n, out_ch = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        n = int(rng.choice(BATCH_SIZES)) if case % 2 else int(rng.integers(1, 5))
+        out_ch = int(rng.integers(1, 6))
         x = rng.normal(size=(n, h, wd, 1)).astype(np.float32)
+        if case % 3 == 0:
+            x = np.asfortranarray(x)
+        elif case % 3 == 1:
+            x = np.repeat(x, 2, axis=2)[:, :, ::2]  # strided rows
         w = rng.normal(size=(kh, kw, 1, out_ch)).astype(np.float32)
         b = rng.normal(size=out_ch).astype(np.float32) if rng.random() < 0.5 else None
-        ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
-        want = np.zeros((n, ho, wo, out_ch), np.float32)
-        for a in range(kh):
-            for bb in range(kw):
-                patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
-                want += patch @ w[a, bb]
-        if b is not None:
-            want = want + b
-        got = _conv2d(x, w, b, stride)
-        assert got.flags.c_contiguous and got.dtype == np.float32
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        _assert_same_conv_bytes(x, w, b, stride)
+    # one output value per row and 9 taps: numpy would sum a lone value's taps
+    # pairwise, which changes the bits about half the time
+    for n in BATCH_SIZES * 10:
+        x = rng.normal(size=(n, 3, 3, 1)).astype(np.float32)
+        _assert_same_conv_bytes(x, rng.normal(size=(3, 3, 1, 1)).astype(np.float32), None, 1)
+    # every product is -0.0: the per-tap sums start from +0.0, so they are +0.0
+    for n in BATCH_SIZES:
+        x = np.zeros((n, 5, 4, 1), np.float32)
+        w = -rng.uniform(0.5, 2, size=(3, 3, 1, 2)).astype(np.float32)
+        _assert_same_conv_bytes(x, w, None, 1)
+        _assert_same_conv_bytes(x, w, np.array([-0.0, 0.0], np.float32), 1)
+
+
+def test_multichannel_conv_matches_per_tap_bits_on_exact_sums():
+    # integer values in [-8, 8] make every product and partial sum exact, so
+    # the bytes must agree whatever gemm or gemv the BLAS runs: this checks the
+    # indexing, strides and blocking, out_ch = 1 and wo = 1 included
+    rng = np.random.default_rng(32)
+    for case in range(200):
+        kh, kw = (int(v) for v in rng.integers(1, 4, size=2))
+        stride = int(rng.integers(1, 3))
+        h, wd = kh + int(rng.integers(0, 6)), kw + int(rng.integers(0, 6))
+        n = int(rng.choice(BATCH_SIZES))
+        in_ch, out_ch = (int(v) for v in rng.integers(1, 7, size=2))
+        x = rng.integers(-8, 9, size=(n, h, wd, in_ch)).astype(np.float32)
+        if case % 2:
+            x = np.asfortranarray(x)
+        w = rng.integers(-8, 9, size=(kh, kw, in_ch, out_ch)).astype(np.float32)
+        b = rng.integers(-8, 9, size=out_ch).astype(np.float32) if case % 3 else None
+        _assert_same_conv_bytes(x, w, b, stride)
+
+
+def test_conv3_layers_match_loop_oracle(conv3_model):
+    # each conv layer of the fixture on 40 rows of its real input (two blocks)
+    from types import SimpleNamespace
+
+    from qrepair.model import _conv2d
+
+    x = np.random.default_rng(33).normal(size=(40, 8, 8, 1)).astype(np.float32)
+    for layer in conv3_model.layers:
+        if layer.kind != "conv2d":
+            break
+        w, b = layer.weights.array(), layer.bias.array()
+        got = _conv2d(x, w, b, int(layer.hyperparams.get("stride", 1)))
+        one_layer = SimpleNamespace(input_shape=x.shape[1:], layers=[layer])
+        want = np.stack([loop_forward(one_layer, row) for row in x])
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+        x = np.maximum(got, 0)
+
+
+def test_conv3_forward_memory_peak(conv3_model):
+    # a 300-row conv3 forward stays under 1 MB of numpy allocations: the
+    # conv works in blocks of rows, never on the whole batch's window stack
+    import tracemalloc
+
+    from qrepair.model import forward_batch
+
+    x = np.random.default_rng(34).normal(size=(300, 64)).astype(np.float32)
+    forward_batch(conv3_model, x)
+    tracemalloc.start()
+    try:
+        forward_batch(conv3_model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
