@@ -125,9 +125,9 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     """Minimize M with |delta_i| <= M and every constraint met at margin epsilon.
 
     Statuses: optimal (minimal M found; M = 0 with zero deltas when every row
-    already holds, found before the solver runs), infeasible (t* = 0, or M*
-    above `big_M_bound`), timeout (budget exceeded, checked before the
-    solver does any work).
+    already holds, found before the solver runs), infeasible (t* = 0, M*
+    above `big_M_bound`, or a row the solver could not repair), timeout
+    (budget exceeded, checked before the solver does any work).
     """
     if not len(lp.x):
         raise EmptyLPError("cannot solve an LP with no constraints")

@@ -9,12 +9,16 @@ from qrepair.model import Layer, Model, QuantizedTensor, Tensor
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
+# `simplex_solve` takes finite bounds only; test LPs bound by BOX a column
+# that would be unbounded (the hand-written LPs' optima stay well inside it)
+BOX = 1e3
+
 # Beale (1955), as (c, a, upper) for `simplex_solve`: Dantzig's rule with a
 # smallest-index ratio tie-break cycles on it from the slack basis. Optimum
 # -1/20 at x = (1/25, 0, 1, 0).
 BEALE_LP = ([-0.75, 150.0, -0.02, 6.0],
             [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0]],
-            [np.inf, np.inf, 1.0, np.inf])
+            [BOX, BOX, 1.0, BOX])
 
 
 def dense_model(w, b=None, extra_relu=False, num_classes=None):

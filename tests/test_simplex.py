@@ -5,10 +5,10 @@ import pytest
 
 import qrepair.lp
 import qrepair.simplex
-from conftest import BEALE_LP, repair_lp, wide_head_parts
+from conftest import BEALE_LP, BOX, repair_lp, wide_head_parts
 from qrepair.localize import compare_at_layer
 from qrepair.lp import build_neuron_lp, check_solution, solve_lp
-from qrepair.simplex import simplex_solve
+from qrepair.simplex import _Tableau, simplex_solve
 
 INF = np.inf
 
@@ -19,7 +19,7 @@ def test_textbook_maximization_as_min():
     res = simplex_solve(
         c=[-3.0, -5.0, 0.0],
         a=[[1.0, 0.0, -4.0], [0.0, 2.0, -12.0], [3.0, 2.0, -18.0]],
-        upper=[INF, INF, 1.0],
+        upper=[BOX, BOX, 1.0],
     )
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [2.0, 6.0, 1.0], atol=1e-9)
@@ -33,7 +33,7 @@ def test_min_with_ge_rows_needs_phase1():
     res = simplex_solve(
         c=[1.0, 1.0, -1e6],
         a=[[-1.0, -1.0, 2.0], [-1.0, 0.0, 0.5]],
-        upper=[INF, INF, 1.0],
+        upper=[BOX, BOX, 1.0],
     )
     assert res.status == "optimal"
     assert res.x[2] == pytest.approx(1.0)
@@ -45,7 +45,7 @@ def test_infeasible_certified_by_phase1():
     # x <= 1 and x >= 2: homogenized, x - s <= 0 and 2s - x <= 0 hold only at
     # s = 0, so the optimum leaves the right-hand-side scale at 0 however much
     # s is rewarded; s < 1 there certifies that the LP is infeasible
-    res = simplex_solve(c=[1.0, -1e6], a=[[1.0, -1.0], [-1.0, 2.0]], upper=[INF, 1.0])
+    res = simplex_solve(c=[1.0, -1e6], a=[[1.0, -1.0], [-1.0, 2.0]], upper=[BOX, 1.0])
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [0.0, 0.0], atol=1e-9)
 
@@ -53,7 +53,7 @@ def test_infeasible_certified_by_phase1():
 def test_negative_rhs_normalization():
     # x - y <= -1 with min x + y -> x = 0, y = 1; the negative right-hand side
     # becomes +s in the homogeneous row x - y + s <= 0, with s driven to 1
-    res = simplex_solve(c=[1.0, 1.0, -1e6], a=[[1.0, -1.0, 1.0]], upper=[INF, INF, 1.0])
+    res = simplex_solve(c=[1.0, 1.0, -1e6], a=[[1.0, -1.0, 1.0]], upper=[BOX, BOX, 1.0])
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [0.0, 1.0, 1.0], atol=1e-9)
     assert res.objective == pytest.approx(1.0 - 1e6)
@@ -73,17 +73,36 @@ def test_equality_constraints():
     res = simplex_solve(
         c=[-1.0, -1.0, -1.0],
         a=[[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 1.0, -2.0], [0.0, -1.0, 2.0]],
-        upper=[INF, INF, 1.0],
+        upper=[BOX, BOX, 1.0],
     )
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [2.0, 2.0, 1.0], atol=1e-9)
     assert res.objective == pytest.approx(-5.0)
 
 
-def test_unbounded():
-    # min -x with only -x <= 0
-    res = simplex_solve(c=[-1.0], a=[[-1.0]], upper=[INF])
-    assert res.status == "unbounded"
+def test_rejects_infinite_bounds():
+    # every column must be boxed; the cases with the wrong sign fail twice over
+    for lower, upper in (([-1.0], [INF]), ([-INF], [1.0]), ([-1.0], [-INF]), ([INF], [1.0])):
+        with pytest.raises(ValueError):
+            simplex_solve(c=[-1.0], a=[[-1.0]], upper=upper, lower=lower)
+
+
+def test_unrepairable_row_is_infeasible():
+    # x starts at 1e6, so the row reads 1e-6 > 0; a coefficient of 1e-12 is
+    # below the pivot tolerance, so no step can close the miss
+    res = simplex_solve(c=[-1.0], a=[[1e-12]], upper=[1e6])
+    assert res.status == "infeasible"
+    assert res.x is None and res.y is None
+
+
+def test_solve_lp_never_reports_an_infeasible_simplex_as_optimal(monkeypatch):
+    lp = repair_lp(8, 64, 1008)
+    monkeypatch.setattr(qrepair.lp, "simplex_solve",
+                        lambda *args, **kwargs: simplex_solve([-1.0], [[1e-12]], [1e6]))
+    sol = solve_lp(lp)
+    assert sol.status == "infeasible"
+    assert sol.M is None and sol.deltas is None
+    assert not check_solution(lp, sol)
 
 
 def test_degenerate_redundant_rows():
@@ -91,7 +110,7 @@ def test_degenerate_redundant_rows():
     res = simplex_solve(
         c=[-1.0, -1.0],
         a=[[1.0, -1.0], [1.0, -1.0], [2.0, -2.0], [-1.0, 0.0]],
-        upper=[INF, 1.0],
+        upper=[BOX, 1.0],
     )
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-9)
@@ -131,7 +150,7 @@ def random_instances(seed, count=60):
         a = rng.integers(-3, 4, size=(k, n)).astype(np.float64)
         a = np.vstack([a, a[: k // 2]])  # duplicate rows: degenerate vertices
         c = rng.integers(-3, 4, size=n).astype(np.float64)
-        upper = np.where(rng.random(n) < 0.7, rng.integers(1, 4, size=n), INF)
+        upper = np.where(rng.random(n) < 0.7, rng.integers(1, 4, size=n), BOX)
         yield c, a, upper
 
 
@@ -139,13 +158,9 @@ def test_random_instances_against_scipy_free_check():
     # substitution checks only, no external solver: x is feasible, and no
     # single column step from x improves the objective without leaving the
     # feasible set
-    solved = 0
     for c, a, upper in random_instances(99):
         res = simplex_solve(c, a, upper)
-        assert res.status in ("optimal", "unbounded")
-        if res.status == "unbounded":
-            continue
-        solved += 1
+        assert res.status == "optimal"
         x = res.x
         assert np.all(x >= 0) and np.all(x <= upper)
         assert np.all(a @ x <= 1e-9)
@@ -158,7 +173,6 @@ def test_random_instances_against_scipy_free_check():
                 y[j] += step
                 if np.all(y >= 0) and np.all(y <= upper) and np.all(a @ y <= 1e-12):
                     assert c @ y >= c @ x - 1e-12
-    assert solved >= 30
 
 
 def split_form(c, a, lower, upper):
@@ -171,24 +185,20 @@ def split_form(c, a, lower, upper):
 
 
 def boxed_instances(seed, count=80):
-    """`random_instances` with lower bounds 0, -1, -2 or -inf, and some upper
-    bounds 0, so that variables rest inside their box, at lower bounds below
-    0 and at upper bounds of 0."""
+    """`random_instances` with lower bounds 0, -1, -2 or -BOX, and some upper
+    bounds 0, so that variables rest at lower bounds below 0 and at upper
+    bounds of 0."""
     rng = np.random.default_rng(seed)
     for c, a, upper in random_instances(seed, count):
-        lower = rng.choice([0.0, -1.0, -2.0, -INF], size=len(c))
+        lower = rng.choice([0.0, -1.0, -2.0, -BOX], size=len(c))
         yield c, a, lower, np.where(rng.random(len(c)) < 0.15, 0.0, upper)
 
 
 def box_dual_bound(c, a, lower, upper, y):
     """min over the box of (c + a^T y).x, a lower bound on c.x over the LP for
-    any y >= 0; a coefficient within 1e-9 of 0 counts as 0 against infinite
-    bounds."""
+    any y >= 0."""
     r = np.asarray(c) + np.asarray(a).T @ y
-    r = np.where(np.abs(r) <= 1e-9, 0.0, r)
-    with np.errstate(invalid="ignore"):
-        ends = np.nan_to_num(np.minimum(r * lower, r * upper), nan=0.0)
-    return float(ends.sum())
+    return float(np.minimum(r * lower, r * upper).sum())
 
 
 def test_boxed_columns_match_the_split_form():
@@ -218,29 +228,48 @@ def test_boxed_repair_lp_matches_the_split_form(m):
     sign = 2.0 * lp.target_status - 1.0
     g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
     c, a = np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]])
-    lower, upper = np.append(np.full(m, -1.0), 0.0), np.append(np.ones(m), INF)
+    t_max = np.min(np.abs(g).sum(axis=1)[h > 0] / h[h > 0])  # t's box, as solve_lp sets it
+    lower, upper = np.append(np.full(m, -1.0), 0.0), np.append(np.ones(m), t_max)
     boxed = simplex_solve(c, a, upper, lower=lower)
     split = simplex_solve(*split_form(c, a, lower, upper))
     assert boxed.status == split.status == "optimal"
     assert 1.0 / boxed.x[m] == pytest.approx(1.0 / split.x[m], rel=1e-9)
-    assert boxed.pivots < split.pivots
+    # with t boxed in both forms the split one can take fewer pivots (22
+    # against 34 at m = 64), but it makes about twice the moves in all
+    assert boxed.pivots + boxed.flips < split.pivots + split.flips
 
 
 def test_coarse_perturbation_is_removed(monkeypatch):
     # a perturbation this coarse leaves bases that miss a bound once it is
-    # removed; the dual cleanup must still land on the same optimum (boxed
-    # seed 6 has a dual step whose entering variable rests inside its box)
-    cases = [dict(c=c, a=a, upper=upper) for c, a, upper in random_instances(7)]
+    # removed, and true reduced costs that prefer their column's other bound,
+    # a row slack's included; flipping each there and the dual cleanup must
+    # still land on the same optimum, with a dual bound that meets it
+    cases = [dict(c=c, a=a, upper=upper, lower=np.zeros(len(c)))
+             for c, a, upper in random_instances(7)]
     cases += [dict(c=c, a=a, upper=upper, lower=lower)
               for c, a, lower, upper in boxed_instances(6)]
     fine = [simplex_solve(**case) for case in cases]
+    remove, flips = _Tableau.remove_perturbations, []
+
+    def counting(tab):
+        before, at = tab.flips, tab.at.copy()
+        remove(tab)
+        slack = tab.cols >= tab.costs.size - tab.rows.size
+        flips.append((tab.flips - before, np.count_nonzero((tab.at != at) & slack)))
+
+    monkeypatch.setattr(_Tableau, "remove_perturbations", counting)
     monkeypatch.setattr(qrepair.simplex, "PERTURBATION", 0.5)
     for case, want in zip(cases, fine):
         got = simplex_solve(**case)
-        assert got.status == want.status
-        if got.status == "optimal":
-            assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
-            assert np.all(case["a"] @ got.x <= 1e-9)
+        assert got.status == want.status == "optimal"
+        c, a, lower, upper, x = case["c"], case["a"], case["lower"], case["upper"], got.x
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+        assert np.all(lower <= x) and np.all(x <= upper) and np.all(a @ x <= 1e-9)
+        assert box_dual_bound(c, a, lower, upper, got.y) == \
+            pytest.approx(got.objective, rel=1e-9, abs=1e-9)
+    assert len(flips) == len(cases)  # the perturbations go once per solve
+    assert any(flipped for flipped, _ in flips)
+    assert any(slacks for _, slacks in flips)
 
 
 def test_beale_cycling_lp_terminates():

