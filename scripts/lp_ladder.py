@@ -136,7 +136,9 @@ def head_parts():
 
 
 def run_head() -> dict:
-    import qrepair.repair  # noqa: F401  the module; `qrepair.repair` names the function
+    # through sys.modules: under --src, a checkout whose package re-exports the
+    # function `repair` binds that function to `import qrepair.repair as ...`
+    import qrepair.repair  # noqa: F401
 
     module = sys.modules["qrepair.repair"]
     parts, solve, solved = head_parts(), module.solve_lp, []

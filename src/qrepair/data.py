@@ -45,9 +45,6 @@ class Dataset:
     def __len__(self):
         return self.labels.size
 
-    def input_array(self, i: int, input_shape) -> np.ndarray:
-        return self.features[i].reshape(input_shape)
-
     def subset(self, indices) -> "Dataset":
         idx = list(indices)
         return Dataset(self.features[idx], self.labels[idx], self.num_classes,

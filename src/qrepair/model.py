@@ -147,10 +147,15 @@ class ActivationRecord:
     status: np.ndarray  # uint8 bit vector, flat
 
 
+def is_int(value) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _int_entry(entries: dict, key: str, default) -> int:
     """entries[key] (default when absent), which must be an integer, not a bool."""
     value = entries.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_int(value):
         raise ModelFormatError(f"{key} must be an integer, got {value!r}")
     return int(value)
 

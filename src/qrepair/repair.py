@@ -25,7 +25,7 @@ import numpy as np
 from .evaluate import evaluate, predict
 from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
-from .model import Model, Tensor, forward_batch
+from .model import Model, Tensor, forward_batch, is_int
 from .quantize import clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
@@ -46,6 +46,10 @@ class RepairConfig:
     lp_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("top_n", "max_constraints", "target_layer"):
+            value = getattr(self, name)
+            if not (is_int(value) or name == "target_layer" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
         if not 0 <= self.epsilon < math.inf:  # written so that NaN fails each check
@@ -258,8 +262,7 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
     target, width = comparison.layer_index, comparison.weights.shape[1]
     order = None if neuron_order is None else list(neuron_order)
     if order is not None and not (
-            all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n < width
-                for n in order) and len(set(order)) == len(order)):
+            all(is_int(n) and 0 <= n < width for n in order) and len(set(order)) == len(order)):
         raise ValueError(f"neuron_order must hold distinct integers in 0..{width - 1}, "
                          f"got {order!r}")
     patched = clone_quantized(qmodel)

@@ -132,14 +132,6 @@ def repair_lp(m: int, k: int, seed: int, epsilon: float = 1e-3):
                     test_id=rows)
 
 
-def solve_with_duals(lp, time_budget: float = 600.0):
-    """`lp.solve_lp`'s solution and the row duals y that give its bound."""
-    from qrepair.lp import solve_lp
-
-    sol = solve_lp(lp, time_budget)
-    return sol, sol.y
-
-
 def wide_head_parts(instance: int = 0):
     """perfbench's wide-head instance: a fixed 20-64-10 ReLU MLP (seed 2306),
     its sign-flip-damaged quantized twin, a 300-row repair set and a 500-row

@@ -157,7 +157,7 @@ def test_constraint_fidelity_after_repair(blobs_fixture):
             lp = build_neuron_lp(comparison, rec.neuron, epsilon=config.epsilon,
                                  max_constraints=config.max_constraints)
             for con in lp.constraints:
-                x = repair_set.input_array(con.test_id, fmodel.input_shape)
+                x = repair_set.features[con.test_id].reshape(fmodel.input_shape)
                 (rec_q,) = capture_activations_q(patched, x, {target})
                 assert int(rec_q.status[rec.neuron]) == con.target_status
                 checked += 1

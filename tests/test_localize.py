@@ -205,7 +205,7 @@ def test_diff_matrix_entries_rederivable(conv3_model, conv3_val):
     sub = conv3_val.subset(range(10))
     diff = build_diff_matrix(conv3_model, qm, sub, layer)
     for t in range(10):
-        x = sub.input_array(t, conv3_model.input_shape)
+        x = sub.features[t].reshape(conv3_model.input_shape)
         (rf,) = capture_activations(conv3_model, x, {layer})
         (rq,) = capture_activations_q(qm, x, {layer})
         assert np.array_equal(

@@ -12,7 +12,6 @@ from conftest import (
     make_dataset,
     manual_qmodel,
     repair_lp,
-    solve_with_duals,
     wide_head_parts,
 )
 from oracles import certificate_gap, grid_oracle
@@ -127,9 +126,9 @@ def test_check_solution_holds_M_against_the_dual_bound():
 def test_ladder_optimum_is_certified(m):
     # every rung of scripts/lp_ladder.py; each solves in well under a second
     lp = repair_lp(m, 64, 1000 + m)
-    sol, y = solve_with_duals(lp, 60.0)
+    sol = solve_lp(lp, 60.0)
     assert sol.status == "optimal" and check_solution(lp, sol)
-    gap = certificate_gap(lp, sol.M, y)
+    gap = certificate_gap(lp, sol.M, sol.y)
     assert abs(gap) <= 1e-9
     assert (sol.M - sol.bound) / sol.M == pytest.approx(gap, abs=1e-12)
 

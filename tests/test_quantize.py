@@ -181,7 +181,7 @@ def test_conv3_fixture_has_argmax_flips(conv3_model, conv3_val):
     qm = quantize_model(conv3_model)
     flips = 0
     for i in range(len(conv3_val)):
-        x = conv3_val.input_array(i, conv3_model.input_shape)
+        x = conv3_val.features[i].reshape(conv3_model.input_shape)
         if argmax_label(forward(conv3_model, x)) != argmax_label(quantized_forward(qm, x)):
             flips += 1
     assert flips >= 1

@@ -57,6 +57,22 @@ def test_config_rejects_a_metric_it_cannot_rank_by(metric):
         RepairConfig(metric=metric)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("top_n", 2.5), ("top_n", True), ("top_n", "3"), ("top_n", None),
+    ("max_constraints", 1.5), ("max_constraints", False), ("max_constraints", np.float32(8)),
+    ("target_layer", 1.0), ("target_layer", True), ("target_layer", "0"),
+])
+def test_config_rejects_a_count_or_layer_that_is_not_an_integer(field, value):
+    # caught when the config is built, not by a slice after the model comparison
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        RepairConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_and_no_target_layer():
+    config = RepairConfig(top_n=np.int64(2), max_constraints=np.int32(8), target_layer=None)
+    assert (config.top_n, config.max_constraints, config.target_layer) == (2, 8, None)
+
+
 @pytest.mark.parametrize("order", [[0, 0, 1], [-1, 1], [0, 3], [0.0, 1], [True, 2], ["0"]],
                          ids=["repeat", "negative", "too_large", "float", "bool", "string"])
 def test_repair_rejects_a_neuron_order_of_anything_but_distinct_neurons(desk_fixture, order):
@@ -101,7 +117,7 @@ def test_desk_fixture_constraint_fidelity(desk_fixture):
         lp = build_neuron_lp(comparison, rec.neuron, epsilon=config.epsilon,
                              max_constraints=config.max_constraints)
         for con in lp.constraints:
-            x = repair_set.input_array(con.test_id, fmodel.input_shape)
+            x = repair_set.features[con.test_id].reshape(fmodel.input_shape)
             (rec_q,) = capture_activations_q(patched, x, {target})
             assert int(rec_q.status[rec.neuron]) == con.target_status
 
@@ -224,7 +240,7 @@ def test_repair_after_reload_holds_constraints(tmp_path, seed):
     for n in solved:
         lp = build_neuron_lp(comparison, n)
         for con in lp.constraints:
-            x = repair_set.input_array(con.test_id, fmodel.input_shape)
+            x = repair_set.features[con.test_id].reshape(fmodel.input_shape)
             (rec,) = capture_activations_q(stored, x, {target})
             assert int(rec.status[n]) == con.target_status, (n, con.test_id)
 

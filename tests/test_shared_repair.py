@@ -7,19 +7,17 @@ evaluation, and each neuron's LP built and solved once.
 """
 
 import copy
-import importlib
 import logging
 from collections import Counter
 
 import pytest
 
 import qrepair.experiment
+import qrepair.repair as repair_mod
 from conftest import make_desk_parts
 from qrepair.experiment import METRICS, PresetSpec, comparison_table, run_experiment
 from qrepair.quantize import quantize_model
 from qrepair.repair import RepairConfig, prepare
-
-repair_mod = importlib.import_module("qrepair.repair")  # the package's `repair` is the function
 
 SPEC = PresetSpec(dim=10, num_classes=3, hidden=12, n_train=240, n_repair=120,
                   n_val=120, epochs=25, lr=0.15, batch=32)

@@ -63,7 +63,7 @@ def case(request, conv3_model, conv3_val):
 
 
 def rows(model, dataset):
-    return [dataset.input_array(i, model.input_shape) for i in range(len(dataset))]
+    return [dataset.features[i].reshape(model.input_shape) for i in range(len(dataset))]
 
 
 def has_codes(model) -> bool:
