@@ -71,9 +71,9 @@ def timed(name, call) -> tuple:
     pivot, solve = qrepair.simplex._pivot, qrepair.lp.simplex_solve
     count = [0, 0]
 
-    def counting_pivot(tableau, row, col):
+    def counting_pivot(*args):  # whatever the checkout's _pivot takes
         count[0] += 1
-        pivot(tableau, row, col)
+        pivot(*args)
 
     def counting_solve(*args, **kwargs):
         result = solve(*args, **kwargs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -50,6 +51,11 @@ class RepairConfig:
             value = getattr(self, name)
             if not (is_int(value) or name == "target_layer" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("epsilon", "time_budget", "delta_bound"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real or name == "delta_bound" and value is None):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
         if not 0 <= self.epsilon < math.inf:  # written so that NaN fails each check

@@ -17,9 +17,11 @@ values are recomputed, the basis is priced with the true costs, each row
 slack gets an upper bound its row cannot reach, and every column whose true
 reduced cost prefers its other bound flips there, which makes the basis dual
 feasible again. Dual steps then restore any bound the basic values miss. The
-dense tableau has a column per nonbasic variable; each pivot is one rank-1
-numpy exchange through `_pivot`. At an optimum the reduced costs of the
-nonbasic slacks are a dual solution y >= 0 of the rows.
+dense tableau has a column per nonbasic variable; `_pivot` subtracts each
+rank-1 exchange as one two-term BLAS product made in scratch arrays, which
+keeps every nonzero bit of a broadcast product (only a sign of zero, which no
+comparison sees, can differ). At an optimum the reduced costs of the nonbasic
+slacks are a dual solution y >= 0 of the rows.
 """
 
 from __future__ import annotations
@@ -45,14 +47,21 @@ class SimplexResult:
     y: np.ndarray | None = None  # optimal: one dual value >= 0 per row of a
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Exchange the basic variable of `row` and the nonbasic one of `col`."""
+def _pivot(tableau: np.ndarray, row: int, col: int, f: np.ndarray, r: np.ndarray,
+           product: np.ndarray) -> None:
+    """Exchange the basic variable of `row` and the nonbasic one of `col`.
+
+    The rank-1 update is one BLAS gemm, [f 0] @ [r; 0] into `product`, with f
+    rows x 2 and r 2 x cols zero but in f[:, 0] and r[0] (a one-term matmul or
+    a broadcast product is slower); it rounds each f_i r_j once and adds the
+    +0.0 of the second term, so only an exact zero's sign can differ."""
     pivot = tableau[row, col]
     tableau[row] /= pivot
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
-    tableau[:, col] = -factors / pivot
+    f[:, 0] = tableau[:, col]
+    f[row, 0] = 0.0
+    r[0] = tableau[row]
+    tableau -= np.matmul(f, r, out=product)
+    tableau[:, col] = -f[:, 0] / pivot
     tableau[row, col] = 1.0 / pivot
 
 
@@ -75,6 +84,7 @@ class _Tableau:
         self.values = PERTURBATION * (1.0 + np.arange(k) / k) - a @ self.at
         self.perturbed = True
         self.pivots, self.flips = 0, int(np.count_nonzero(self.at))
+        self.scratch = np.zeros((k + 1, 2)), np.zeros((2, n)), np.empty((k + 1, n))  # _pivot's
 
     def flip(self, cols) -> None:
         """Move each of `cols`' variables to its other bound, without a pivot."""
@@ -91,11 +101,10 @@ class _Tableau:
         toward its bounds faster than the pivot tolerance."""
         t, values = self.t, self.values
         miss = np.maximum(self.row_lower - values, values - self.row_upper)
-        bad = (miss > FEAS_TOL).nonzero()[0]
-        if not bad.size:
+        bad, body = miss > FEAS_TOL, t[:-1]
+        if not np.count_nonzero(bad):
             return "optimal"
-        rows = t[bad]
-        row = bad[(miss[bad] ** 2 / (np.einsum("ij,ij->i", rows, rows) + 1.0)).argmax()]
+        row = np.where(bad, miss ** 2 / (np.einsum("ij,ij->i", body, body) + 1.0), -1.0).argmax()
         to_upper = values[row] > self.row_upper[row]
         push = t[row] * self.direction * (1.0 if to_upper else -1.0)  # each column's closing rate
         cand = (push > PIVOT_TOL).nonzero()[0]
@@ -103,7 +112,7 @@ class _Tableau:
             return "infeasible"
         # each reduced cost reaches 0 at its breakpoint; every column whose
         # breakpoint comes before the miss is closed flips to its other bound
-        ratio = np.maximum(t[-1, cand] * self.direction[cand], 0.0) / push[cand]
+        ratio = np.maximum((t[-1] * self.direction)[cand], 0.0) / push[cand]
         order = cand[ratio.argsort(kind="stable")]
         reach = (push[order] * self.width[order]).cumsum()
         enter = min(int(reach.searchsorted(miss[row])), order.size - 1)
@@ -123,7 +132,7 @@ class _Tableau:
         self.direction[col] = -1.0 if to_upper else 1.0
         self.rows[row], self.cols[col] = var, leaving
         self.row_lower[row], self.row_upper[row] = self.lower[var], self.upper[var]
-        _pivot(t, row, col)
+        _pivot(t, row, col, *self.scratch)
         self.pivots += 1
         return None
 

@@ -140,6 +140,18 @@ def certificate_gap(lp, M, y):
     return (M - hy / np.abs(gy).sum()) / M
 
 
+def outer_pivot(tableau, row, col):
+    """The simplex exchange of `row`'s basic and `col`'s nonbasic variable, in
+    place, with the rank-1 update as a broadcast outer product."""
+    pivot = tableau[row, col]
+    tableau[row] /= pivot
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
+    tableau[:, col] = -factors / pivot
+    tableau[row, col] = 1.0 / pivot
+
+
 def loop_train_mlp(rng, train, spec):
     """Plain minibatch SGD on softmax CE, one fancy-indexed batch at a time.
 

@@ -68,6 +68,23 @@ def test_config_rejects_a_count_or_layer_that_is_not_an_integer(field, value):
         RepairConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", "0.1"), ("epsilon", None), ("epsilon", True), ("epsilon", np.bool_(True)),
+    ("time_budget", None), ("time_budget", False), ("time_budget", "60"),
+    ("delta_bound", True), ("delta_bound", "0.5"), ("delta_bound", [0.5]),
+])
+def test_config_rejects_a_tolerance_or_budget_that_is_not_a_real_number(field, value):
+    # caught when the config is built, with the field named, not by a comparison's bare TypeError
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+        RepairConfig(**{field: value})
+
+
+def test_config_takes_numpy_reals_integers_and_no_delta_bound():
+    config = RepairConfig(epsilon=np.float32(0.5), time_budget=60, delta_bound=np.float64(0.25))
+    assert (config.epsilon, config.time_budget, config.delta_bound) == (0.5, 60, 0.25)
+    assert RepairConfig(delta_bound=None).delta_bound is None
+
+
 def test_config_takes_numpy_integers_and_no_target_layer():
     config = RepairConfig(top_n=np.int64(2), max_constraints=np.int32(8), target_layer=None)
     assert (config.top_n, config.max_constraints, config.target_layer) == (2, 8, None)

@@ -6,9 +6,10 @@ import pytest
 import qrepair.lp
 import qrepair.simplex
 from conftest import BEALE_LP, BOX, repair_lp, wide_head_parts
+from oracles import outer_pivot
 from qrepair.localize import compare_at_layer
 from qrepair.lp import build_neuron_lp, check_solution, solve_lp
-from qrepair.simplex import _Tableau, simplex_solve
+from qrepair.simplex import _pivot, _Tableau, simplex_solve
 
 INF = np.inf
 
@@ -103,6 +104,45 @@ def test_solve_lp_never_reports_an_infeasible_simplex_as_optimal(monkeypatch):
     assert sol.status == "infeasible"
     assert sol.M is None and sol.deltas is None
     assert not check_solution(lp, sol)
+
+
+def test_rowless_lp_rests_every_column_at_its_preferred_bound():
+    res = simplex_solve(c=[1.0, -1.0], a=np.zeros((0, 2)), upper=[1.0, 2.0])
+    assert (res.status, res.pivots, res.flips, res.objective) == ("optimal", 0, 1, -2.0)
+    assert res.x.tolist() == [0.0, 2.0] and res.y.size == 0
+
+
+@pytest.mark.parametrize("shape", [(67, 17), (129, 25), (129, 65), (2, 1), (33, 1), (301, 80)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_pivot_matches_the_outer_product_exchange(shape):
+    # the benchmark workloads' tableau shapes and edge shapes; each chain of
+    # pivots shares one set of scratch arrays, as a solve does. A matmul and a
+    # broadcast product round each entry once, so only the sign of an exact
+    # zero may differ: bytes match on tableaux with no zero, values everywhere
+    rows, cols = shape
+    zero_free = 0
+    for seed in range(60):
+        rng = np.random.default_rng([rows, cols, seed])
+        want = rng.normal(size=shape)
+        if seed % 3 == 2:  # some entries exact zeros of either sign
+            zeros = rng.random(shape) < 0.2
+            want[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+        got = want.copy()
+        scratch = np.zeros((rows, 2)), np.zeros((2, cols)), np.empty(shape)
+        for _ in range(4):
+            row = int(rng.integers(rows - 1))  # never the cost row
+            usable = np.flatnonzero(np.abs(want[row]) > 0.1)
+            if not usable.size:
+                break
+            col = int(rng.choice(usable))
+            has_zero = np.count_nonzero(want) < want.size
+            _pivot(got, row, col, *scratch)
+            outer_pivot(want, row, col)
+            assert np.array_equal(got, want)
+            if not has_zero:
+                zero_free += 1
+                assert got.tobytes() == want.tobytes()
+    assert zero_free >= 100
 
 
 def test_degenerate_redundant_rows():
