@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, DatasetError, save_dataset
 from .evaluate import accuracy, predict
 from .localize import METRICS
-from .model import Layer, Model, QuantizedTensor, Tensor, save_model
+from .model import Layer, Model, QuantizedTensor, Tensor, is_int, save_model
 from .quantize import clone_quantized, quantize_model, save_qmodel
 from .repair import RepairConfig, prepare, repair, round6
 
@@ -55,8 +55,11 @@ class PresetSpec:
         least = {"dim": 1, "num_classes": 2, "hidden": 1, "n_train": 1, "n_repair": 1,
                  "n_val": 1, "epochs": 0, "batch": 1}
         for name, low in least.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -81,6 +84,13 @@ def train_mlp(rng: np.random.Generator, train: Dataset, spec: PresetSpec) -> Mod
     All four parameters are views into one flat vector, and the gradients
     into a second, so an SGD step updates them all in two calls. Each epoch
     permutes the inputs and one-hot targets once and takes slices of them.
+
+    The products go through `np.dot`, which makes the same dgemm call as
+    `@` on the same operands with less per-call overhead, so their bits are
+    the same. The ReLU gradient mask is one multiply by `z1 > 0`: x * 1 is
+    x and x * 0 is +-0, which only the gradient buffer ever holds, so no
+    parameter's bits change (a gradient that is already inf or NaN at a
+    masked unit becomes NaN instead of 0, in a run that has diverged).
     """
     d, h, c = spec.dim, spec.hidden, spec.num_classes
     params = np.zeros(d * h + h + h * c + c)
@@ -92,26 +102,27 @@ def train_mlp(rng: np.random.Generator, train: Dataset, spec: PresetSpec) -> Mod
     x_all = train.features.astype(np.float64)
     t_all = np.eye(c)[train.labels]
     n = len(train)
+    dot, w2_t = np.dot, w2.T
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
         xs, ts = x_all[perm], t_all[perm]
         for start in range(0, n, spec.batch):
             x, t = xs[start : start + spec.batch], ts[start : start + spec.batch]
-            z1 = x @ w1
+            z1 = dot(x, w1)
             z1 += b1
             a1 = np.maximum(z1, 0)
-            p = a1 @ w2
+            p = dot(a1, w2)
             p += b2
             p -= np.maximum.reduce(p, axis=1, keepdims=True)
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=1, keepdims=True)
             p -= t  # subtracting 0.0 leaves the other entries' bits as they are
             p /= len(x)
-            np.matmul(a1.T, p, out=gw2)
+            dot(a1.T, p, out=gw2)
             np.add.reduce(p, axis=0, out=gb2)
-            da1 = p @ w2.T
-            da1[z1 <= 0] = 0.0
-            np.matmul(x.T, da1, out=gw1)
+            da1 = dot(p, w2_t)
+            np.multiply(da1, z1 > 0.0, out=da1)
+            dot(x.T, da1, out=gw1)
             np.add.reduce(da1, axis=0, out=gb1)
             np.multiply(spec.lr, grads, out=grads)
             np.subtract(params, grads, out=params)
@@ -215,8 +226,11 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     """Full train/quantize/damage/repair cycle; returns the comparison report."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    if trials < 1:  # the random baseline's mean would be NaN
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:  # a seed below 0 has no SeedSequence; no trials, a NaN mean
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     spec = spec or (MLP_BLOBS if preset == "mlp-blobs" else MNIST_MINI)
     config = config or RepairConfig()
 
@@ -263,13 +277,13 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
         rand_accs.append(rep.accuracy_after)
     strategies["random"] = {
         "accuracy_after": round6(float(np.mean(rand_accs))),
-        "trials": trials,
+        "trials": int(trials),
     }
 
     best = max(METRICS, key=lambda m: (strategies[m]["accuracy_after"], -METRICS.index(m)))
     report = {
         "preset": preset,
-        "seed": seed,
+        "seed": int(seed),
         "float_accuracy": round6(acc_f),
         "quantized_accuracy": round6(acc_q),
         "gap_points": round6(100.0 * (acc_f - acc_q)),

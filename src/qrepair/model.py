@@ -446,7 +446,9 @@ def _layer_from_json(lobj, base_dir: Path) -> Layer:
 
 
 def _array_to_json(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
+    # the float64 cast makes tolist() give float(v) for every dtype, in one call
+    flat = arr.reshape(-1).astype(np.float64, copy=False)
+    return {"shape": list(arr.shape), "data": flat.tolist()}
 
 
 def read_model(path) -> Model:
@@ -489,7 +491,7 @@ def save_model(model: Model, path) -> None:
         if layer.qweights is not None:
             q = layer.qweights
             lobj["weights"] = {"shape": list(q.shape), "scale": q.scale, "zero_point": 0,
-                               "data_i8": [int(v) for v in q.data]}
+                               "data_i8": q.data.tolist()}
         elif layer.weights is not None:
             lobj["weights"] = _array_to_json(layer.weights.array())
         if layer.bias is not None:

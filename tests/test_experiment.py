@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -66,7 +67,13 @@ def _random_train_set(seed, spec):
     (_blobs_train_set, 6, replace(TINY, batch=500)),  # one batch larger than n
     (_random_train_set, 9, PresetSpec(dim=49, num_classes=10, hidden=16, n_train=150,
                                       n_repair=1, n_val=1, epochs=2, lr=0.1, batch=64)),
-], ids=["blobs42", "blobs7", "blobs3", "ragged", "batch_over_n", "ten_class"])
+    # shapes where BLAS may take a matrix-vector path: a one-row last batch,
+    # one-row batches throughout, and one input, one hidden unit, two classes
+    (_blobs_train_set, 11, replace(TINY, n_train=97, batch=32)),
+    (_blobs_train_set, 12, replace(TINY, n_train=40, epochs=3, batch=1)),
+    (_random_train_set, 13, replace(TINY, dim=1, hidden=1, num_classes=2)),
+], ids=["blobs42", "blobs7", "blobs3", "ragged", "batch_over_n", "ten_class", "last_row",
+        "batch_one", "one_by_one"])
 def test_train_mlp_bit_identical_to_loop_oracle(monkeypatch, make, seed, spec):
     # the float64 parameter vector is caught where train_mlp splits it into
     # views: a last-bit drift there rarely shows in the float32 weights
@@ -252,6 +259,43 @@ def test_mnist_loader_checks_labels_against_the_preset_classes(tmp_path):
 def test_preset_spec_rejects_a_bad_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
         replace(TINY, **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dim", 2.5), ("epochs", 2.5), ("n_train", 300.0), ("batch", True), ("hidden", True),
+    ("num_classes", "3"), ("n_repair", None), ("n_val", np.float64(10)),
+])
+def test_preset_spec_rejects_an_integer_field_that_is_not_an_integer(field, value):
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(TINY, **{field: value})
+
+
+def test_preset_spec_takes_numpy_integers():
+    assert replace(TINY, hidden=np.int64(5), batch=np.int32(16)).hidden == 5
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 7.5}, "seed must be an integer, got 7.5"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_experiment_rejects_a_seed_or_trials_that_is_not_a_valid_integer(tmp_path, kwargs,
+                                                                          message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(preset="mlp-blobs", spec=TINY, out_dir=tmp_path,
+                       **{"seed": 7, "trials": 2, **kwargs})
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_takes_numpy_integer_seed_and_trials():
+    report = run_experiment(preset="mlp-blobs", seed=np.int64(7), spec=TINY,
+                            trials=np.int32(2))
+    assert (type(report["seed"]), type(report["strategies"]["random"]["trials"])) == (int, int)
+    json.dumps(report)
 
 
 def test_preset_spec_allows_zero_epochs():
