@@ -25,9 +25,8 @@ solver versions:
 the LPs always come from this checkout's tests/conftest.py, which needs
 pytest importable. --rungs picks the rungs (default: all). The exit status
 is 1 when a rung is not optimal or its gap is above 1e-9, after the record
-is written. BLAS runs on one thread. Pivots are counted by wrapping
-`qrepair.simplex._pivot`, the module global the solver pivots through, and
-bound flips by reading `SimplexResult.flips` through a wrapped
+is written. BLAS runs on one thread. Pivots and bound flips are counted by
+reading `SimplexResult.pivots` and `SimplexResult.flips` through a wrapped
 `qrepair.lp.simplex_solve`.
 """
 
@@ -66,22 +65,18 @@ def timed(name, call) -> tuple:
     """Repeat `call` until REPEAT_S has passed, at most 5 times; its last
     result, the median seconds, the repeats, and one run's pivots and flips."""
     import qrepair.lp
-    import qrepair.simplex
 
-    pivot, solve = qrepair.simplex._pivot, qrepair.lp.simplex_solve
+    solve = qrepair.lp.simplex_solve
     count = [0, 0]
-
-    def counting_pivot(*args):  # whatever the checkout's _pivot takes
-        count[0] += 1
-        pivot(*args)
 
     def counting_solve(*args, **kwargs):
         result = solve(*args, **kwargs)
+        count[0] += result.pivots
         count[1] += result.flips
         return result
 
     times, counts = [], set()
-    qrepair.simplex._pivot, qrepair.lp.simplex_solve = counting_pivot, counting_solve
+    qrepair.lp.simplex_solve = counting_solve
     try:
         while len(times) < 5 and (not times or sum(times) < REPEAT_S):
             count[:] = [0, 0]
@@ -90,7 +85,7 @@ def timed(name, call) -> tuple:
             times.append(time.perf_counter() - t0)
             counts.add(tuple(count))
     finally:
-        qrepair.simplex._pivot, qrepair.lp.simplex_solve = pivot, solve
+        qrepair.lp.simplex_solve = solve
     if len(counts) != 1:
         raise RuntimeError(f"{name}: pivot and flip counts vary between repeats: {counts}")
     return out, statistics.median(times), len(times), *counts.pop()

@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, DatasetError, save_dataset
 from .evaluate import accuracy, predict
 from .localize import METRICS
-from .model import Layer, Model, QuantizedTensor, Tensor, is_int, save_model
+from .model import Layer, Model, QuantizedTensor, Tensor, is_int, is_real, save_model
 from .quantize import clone_quantized, quantize_model, save_qmodel
 from .repair import RepairConfig, prepare, repair, round6
 
@@ -60,8 +60,8 @@ class PresetSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite real number > 0, got {self.lr!r}")
 
 
 MLP_BLOBS = PresetSpec(dim=20, num_classes=3, hidden=24, n_train=600,
@@ -146,12 +146,8 @@ def damage_layer(qmodel: Model, layer_index: int,
                  rng: np.random.Generator, flip_fraction: float) -> None:
     """Flip the sign of a random fraction of one layer's int8 codes."""
     layer = qmodel.layers[layer_index]
-    codes = layer.qweights.data.astype(np.int32)
-    if flip_fraction >= 1.0:
-        mask = np.ones(codes.shape, dtype=bool)
-    else:
-        mask = rng.random(codes.shape) < flip_fraction
-    damaged = np.where(mask, -codes, codes).astype(np.int8)
+    codes = layer.qweights.data
+    damaged = np.where(rng.random(codes.shape) < flip_fraction, -codes, codes)
     layer.set_codes(QuantizedTensor(layer.qweights.shape, damaged, layer.qweights.scale))
 
 

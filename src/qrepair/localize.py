@@ -96,7 +96,7 @@ def compare_at_layer(fmodel: Model, qmodel: Model, dataset,
     bias = None if qlayer.bias is None else qlayer.bias.data.copy()
     return LayerComparison(layer_index, logits_f.argmax(axis=1), logits_q.argmax(axis=1),
                            pre_f[layer_index] > 0, pre_q[layer_index] > 0, inputs,
-                           qlayer.weights.array().copy(), bias)
+                           qlayer.eff_weights.copy(), bias)
 
 
 def classify_tests(fmodel: Model, qmodel: Model, dataset) -> list[TestOutcome]:

@@ -3,16 +3,16 @@
 One `Model` type serves the full-precision and the weight-quantized network:
 a layer's `weights` are the float32 values inference uses, and a quantized
 layer also carries the int8 codes they dequantize to (`qweights`).
-`layer_arrays()` is the (kind, weights, bias, hyperparams) view that one
-validator (`validate_topology`, run whenever a model is built or loaded)
-and one batched walker (`forward_batch`) read. Inference never mutates a
-model, so one model can be shared across threads.
+One validator (`validate_topology`, run whenever a model is built or
+loaded) and one batched walker (`forward_batch`) read the layers' fields.
+Inference never mutates a model, so one model can be shared across threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,15 +71,16 @@ class QuantizedTensor:
         if bad.size:
             raise ValueError(f"int8 codes must be integers in [-127, 127], got {bad[0]:g}")
         self.data = codes.astype(np.int8)
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not (is_real(self.scale) and math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be a positive finite real number, got {self.scale!r}")
+        self.scale = float(self.scale)
         if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
             raise ValueError(f"shape {self.shape} does not match {self.data.size} values")
 
 
-def dequantize(qt: QuantizedTensor) -> Tensor:
-    """r = S*q, computed in float64."""
-    return Tensor(qt.shape, qt.scale * qt.data.astype(np.float64))
+def dequantize(qt: QuantizedTensor) -> np.ndarray:
+    """r = S*q, computed in float64, in the codes' shape."""
+    return qt.scale * qt.data.astype(np.float64).reshape(qt.shape)
 
 
 @dataclass
@@ -106,7 +107,7 @@ class Layer:
     def set_codes(self, qweights: QuantizedTensor) -> None:
         """Install int8 codes; inference then uses what they dequantize to."""
         self.qweights = qweights
-        self.weights = Tensor.from_array(dequantize(qweights).array())
+        self.weights = Tensor.from_array(dequantize(qweights))
 
 
 @dataclass
@@ -125,13 +126,6 @@ class Model:
 
     def last_dense_index(self) -> int:
         return self.dense_layer_indices()[-1]  # validation makes the final layer dense
-
-    def layer_arrays(self) -> list[tuple]:
-        """(kind, weights, bias, hyperparams) per layer: the view validation and
-        inference read."""
-        return [(l.kind, None if l.weights is None else l.weights.array(),
-                 None if l.bias is None else l.bias.array(), l.hyperparams)
-                for l in self.layers]
 
 
 @dataclass
@@ -152,6 +146,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A Python or numpy real number, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _int_entry(entries: dict, key: str, default) -> int:
     """entries[key] (default when absent), which must be an integer, not a bool."""
     value = entries.get(key, default)
@@ -160,9 +159,11 @@ def _int_entry(entries: dict, key: str, default) -> int:
     return int(value)
 
 
-def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
-    """Check one layer of the `layer_arrays()` view against its input `shape`
-    and return the shape it outputs (valid padding)."""
+def _output_shape(shape, layer: Layer) -> tuple[int, ...]:
+    """Check one layer against its input `shape` and return the shape it
+    outputs (valid padding)."""
+    kind, w, hyperparams = layer.kind, layer.eff_weights, layer.hyperparams
+    b = None if layer.bias is None else layer.bias.array()
     if kind not in LAYER_KINDS:
         raise ModelFormatError(f"unknown layer kind {kind!r}")
     if not isinstance(hyperparams, dict):
@@ -211,7 +212,7 @@ def _output_shape(shape, kind, w, b, hyperparams) -> tuple[int, ...]:
 
 
 def validate_topology(model) -> None:
-    """Check a Model through its `layer_arrays()` view.
+    """Check a Model's layers in order.
 
     Raises ModelFormatError (unknown kind, a hyperparameter the kind does not
     take, missing, misranked or non-finite weights) or ShapeMismatchError (a
@@ -219,21 +220,21 @@ def validate_topology(model) -> None:
     with `num_classes` outputs); each message starts with the index of the
     layer at fault.
     """
-    views = model.layer_arrays()
-    if not views:
+    layers = model.layers
+    if not layers:
         raise ShapeMismatchError("model needs at least one layer")
     shape = model.input_shape
-    for i, (kind, w, b, hyperparams) in enumerate(views):
+    for i, layer in enumerate(layers):
         try:
-            shape = _output_shape(shape, kind, w, b, hyperparams)
+            shape = _output_shape(shape, layer)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"layer {i}: {e}") from None
         except ModelFormatError as e:
             raise ModelFormatError(f"layer {i}: {e}") from None
-    if views[-1][0] != "dense" or shape != (model.num_classes,):
+    if layers[-1].kind != "dense" or shape != (model.num_classes,):
         raise ShapeMismatchError(
-            f"layer {len(views) - 1}: the final layer must be dense with "
-            f"{model.num_classes} outputs, got {views[-1][0]} with output {shape}"
+            f"layer {len(layers) - 1}: the final layer must be dense with "
+            f"{model.num_classes} outputs, got {layers[-1].kind} with output {shape}"
         )
 
 
@@ -310,12 +311,12 @@ def forward_batch(model, inputs, capture=(), input_of: int | None = None, start:
     layers from `start` on run. Raises ValueError when an input row or a
     logit is not finite.
     """
-    views = model.layer_arrays()
-    if not 0 <= start < len(views):
-        raise IndexError(f"start layer {start} out of range 0..{len(views) - 1}")
+    layers = model.layers
+    if not 0 <= start < len(layers):
+        raise IndexError(f"start layer {start} out of range 0..{len(layers) - 1}")
     shape = model.input_shape
-    for kind, w, b, hyperparams in views[:start]:
-        shape = _output_shape(shape, kind, w, b, hyperparams)
+    for layer in layers[:start]:
+        shape = _output_shape(shape, layer)
     x = np.asarray(inputs, dtype=np.float32)
     n = len(x)
     if x.size != n * math.prod(shape):
@@ -325,10 +326,11 @@ def forward_batch(model, inputs, capture=(), input_of: int | None = None, start:
     if not np.isfinite(x).all():
         raise ValueError("input values must be finite")
     captured, layer_input = {}, None
-    for i, (kind, w, b, hyperparams) in enumerate(views[start:], start):
+    for i, layer in enumerate(layers[start:], start):
         if i == input_of:
             layer_input = x.reshape(n, math.prod(x.shape[1:]))
-        x = apply_layer(kind, x, w, b, hyperparams)
+        b = None if layer.bias is None else layer.bias.array()
+        x = apply_layer(layer.kind, x, layer.eff_weights, b, layer.hyperparams)
         if i in capture:
             captured[i] = x
     if not np.isfinite(x).all():
@@ -451,7 +453,7 @@ def _array_to_json(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": flat.tolist()}
 
 
-def read_model(path) -> Model:
+def load_model(path) -> Model:
     """The model in a JSON file, with float weights, int8 codes or both per
     layer; sidecar (`data_file`) tensors resolve next to it. A malformed
     layer raises ModelFormatError naming its index."""
@@ -477,11 +479,6 @@ def read_model(path) -> Model:
     return Model(layers, shape, obj["num_classes"])
 
 
-def load_model(path) -> Model:
-    """Load a model file of either encoding (`read_model`)."""
-    return read_model(path)
-
-
 def save_model(model: Model, path) -> None:
     """Write `model` as JSON: a layer's int8 codes where it has them, else its
     float weights."""
@@ -493,7 +490,7 @@ def save_model(model: Model, path) -> None:
             lobj["weights"] = {"shape": list(q.shape), "scale": q.scale, "zero_point": 0,
                                "data_i8": q.data.tolist()}
         elif layer.weights is not None:
-            lobj["weights"] = _array_to_json(layer.weights.array())
+            lobj["weights"] = _array_to_json(layer.eff_weights)
         if layer.bias is not None:
             lobj["bias"] = _array_to_json(layer.bias.array())
         if layer.hyperparams:

@@ -29,10 +29,9 @@ from .model import (
     Layer,
     Model,
     QuantizedTensor,
-    Tensor,
     _one_row,
     forward_batch,
-    read_model,
+    load_model,
     save_model,
 )
 from .model import apply_layer  # noqa: F401  perfbench/test_perfbench.py expects it bound here
@@ -51,24 +50,24 @@ def quantize_values(values: np.ndarray, scale: float) -> np.ndarray:
     return np.clip(q, -INT8_MAX, INT8_MAX).astype(np.int8)
 
 
-def quantize_tensor(t: Tensor) -> QuantizedTensor:
-    """Symmetric per-tensor quantization: S = max|r|/127, Z = 0.
+def quantize_tensor(values) -> QuantizedTensor:
+    """Symmetric per-tensor quantization of an array: S = max|r|/127, Z = 0.
 
     An all-zero tensor gets S = 1 so the mapping stays defined.
     """
-    values = np.asarray(t.data, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("cannot quantize non-finite values")
     peak = float(np.max(np.abs(values))) if values.size else 0.0
     scale = peak / INT8_MAX if peak > 0 else 1.0
-    return QuantizedTensor(t.shape, quantize_values(values, scale), scale)
+    return QuantizedTensor(values.shape, quantize_values(values, scale), scale)
 
 
 def quantize_model(model: Model) -> Model:
     """A copy of `model` with int8 codes on every dense/conv weight tensor;
     topology and biases untouched."""
     layers = [Layer(l.kind, bias=_copied(l.bias), hyperparams=dict(l.hyperparams),
-                    qweights=quantize_tensor(l.weights))
+                    qweights=quantize_tensor(l.eff_weights))
               if l.kind in WEIGHT_RANKS else _cloned(l) for l in model.layers]
     return Model(layers, model.input_shape, model.num_classes)
 
@@ -102,7 +101,7 @@ def clone_quantized(qmodel: Model) -> Model:
 def check_same_topology(model: Model, qmodel: Model) -> None:
     """Raise ValueError unless the models have the same layer kinds and weight shapes."""
     def structure(m):
-        return [(kind, None if w is None else w.shape) for kind, w, _, _ in m.layer_arrays()]
+        return [(l.kind, None if l.weights is None else l.eff_weights.shape) for l in m.layers]
 
     fs, qs = structure(model), structure(qmodel)
     if len(fs) != len(qs):
@@ -117,5 +116,5 @@ def save_qmodel(qmodel: Model, path) -> None:
 
 
 def load_qmodel(path) -> Model:
-    """Load a model file of either encoding (`model.read_model`)."""
-    return read_model(path)
+    """Load a model file of either encoding (`model.load_model`)."""
+    return load_model(path)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +25,7 @@ import numpy as np
 from .evaluate import evaluate, predict
 from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
-from .model import Model, Tensor, forward_batch, is_int
+from .model import Model, forward_batch, is_int, is_real
 from .quantize import clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
@@ -53,8 +52,7 @@ class RepairConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("epsilon", "time_budget", "delta_bound"):
             value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real or name == "delta_bound" and value is None):
+            if not (is_real(value) or name == "delta_bound" and value is None):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
@@ -181,7 +179,7 @@ def apply_deltas(qmodel: Model, neuron: tuple[int, int], deltas,
     if layer.kind != "dense":
         raise ValueError(f"layer {layer_index} is not dense")
     deltas = np.asarray(deltas, dtype=np.float64)
-    weights = layer.weights.array()  # a view: writing to it patches the layer
+    weights = layer.eff_weights  # a view: writing to it patches the layer
     if deltas.shape != (weights.shape[0],):
         raise ValueError(f"expected {weights.shape[0]} deltas, got {deltas.shape}")
     # the LP was solved for the weights inference uses, which differ from the
@@ -193,7 +191,7 @@ def apply_deltas(qmodel: Model, neuron: tuple[int, int], deltas,
     elif patch_mode == "requantize":
         full = weights.astype(np.float64)
         full[:, neuron_index] = corrected
-        layer.set_codes(quantize_tensor(Tensor(full.shape, full)))
+        layer.set_codes(quantize_tensor(full))
     else:
         raise ValueError(f"unknown patch_mode {patch_mode!r}")
 

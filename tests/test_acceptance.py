@@ -24,7 +24,7 @@ from qrepair.localize import (
     importance,
 )
 from qrepair.lp import NeuronLP, build_neuron_lp, check_solution, export_lp, solve_lp
-from qrepair.model import Tensor, dequantize
+from qrepair.model import dequantize
 from qrepair.quantize import capture_activations_q, quantize_tensor
 from qrepair.repair import RepairConfig, repair
 
@@ -98,12 +98,12 @@ def test_quantization_round_trip():
             size = int(rng.integers(1, 48))
             mag = 10.0 ** rng.uniform(-2, 2)
             values = (rng.normal(size=size) * mag).astype(np.float32)
-            qt = quantize_tensor(Tensor.from_array(values))
-            back = dequantize(qt).data
+            qt = quantize_tensor(values)
+            back = dequantize(qt)
             assert np.all(
                 np.abs(values.astype(np.float64) - back) <= qt.scale / 2 + 1e-9
             )
-            neg = quantize_tensor(Tensor.from_array(-values))
+            neg = quantize_tensor(-values)
             assert np.array_equal(neg.data, -qt.data)
 
 

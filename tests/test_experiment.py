@@ -254,7 +254,8 @@ def test_mnist_loader_checks_labels_against_the_preset_classes(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("batch", 0), ("epochs", -1), ("hidden", 0), ("dim", 0), ("n_train", 0),
     ("n_repair", 0), ("n_val", 0), ("num_classes", 1), ("lr", 0.0), ("lr", -0.1),
-    ("lr", float("nan")), ("lr", float("inf")),
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", True), ("lr", "0.1"),
+    ("lr", np.bool_(True)),
 ])
 def test_preset_spec_rejects_a_bad_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):

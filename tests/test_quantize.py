@@ -34,13 +34,13 @@ from qrepair.repair import RepairConfig, apply_deltas, repair
 
 
 def test_all_zero_tensor_degenerate_rule():
-    qt = quantize_tensor(Tensor.from_array(np.zeros(3)))
+    qt = quantize_tensor(np.zeros(3, np.float32))
     assert qt.scale == 1.0
     assert qt.data.tolist() == [0, 0, 0]
 
 
 def test_full_range_scale():
-    qt = quantize_tensor(Tensor.from_array(np.array([1.27, -1.27])))
+    qt = quantize_tensor(np.array([1.27, -1.27], np.float32))
     assert qt.scale == pytest.approx(0.01, rel=1e-6)
     assert qt.data.tolist() == [127, -127]
 
@@ -50,7 +50,7 @@ def test_fixed_scale_rounding():
     q = quantize_values(np.array([1.2]), scale=0.5)
     assert q.tolist() == [2]
     qt = QuantizedTensor((1,), q, 0.5)
-    assert dequantize(qt).data.tolist() == [1.0]
+    assert dequantize(qt).tolist() == [1.0]
 
 
 def test_round_half_away_from_zero():
@@ -60,11 +60,11 @@ def test_round_half_away_from_zero():
 
 def test_dequantize_zeros():
     qt = QuantizedTensor((3,), np.zeros(3, np.int8), 7.5)
-    assert dequantize(qt).data.tolist() == [0.0, 0.0, 0.0]
+    assert dequantize(qt).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_single_large_weight():
-    qt = quantize_tensor(Tensor.from_array(np.array([100.0])))
+    qt = quantize_tensor(np.array([100.0], np.float32))
     assert qt.scale == pytest.approx(100.0 / 127)
     assert qt.data.tolist() == [127]
 
@@ -75,39 +75,47 @@ def test_roundtrip_bound_and_symmetry_1000_tensors():
         size = int(rng.integers(1, 65))
         scale_mag = 10.0 ** rng.uniform(-3, 3)
         values = (rng.normal(size=size) * scale_mag).astype(np.float32)
-        t = Tensor.from_array(values)
-        qt = quantize_tensor(t)
-        back = dequantize(qt).data
+        qt = quantize_tensor(values)
+        back = dequantize(qt)
         assert np.all(np.abs(values.astype(np.float64) - back) <= qt.scale / 2 + 1e-9)
-        neg = quantize_tensor(Tensor.from_array(-values))
+        neg = quantize_tensor(-values)
         assert np.array_equal(neg.data, -qt.data)
 
 
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, width=32), min_size=1, max_size=32))
 @settings(deadline=None)
 def test_roundtrip_bound_property(values):
-    t = Tensor.from_array(np.array(values, dtype=np.float32))
-    qt = quantize_tensor(t)
-    back = dequantize(qt).data
-    assert np.all(np.abs(t.data.astype(np.float64) - back) <= qt.scale / 2 + 1e-9)
+    values = np.array(values, dtype=np.float32)
+    qt = quantize_tensor(values)
+    back = dequantize(qt)
+    assert np.all(np.abs(values.astype(np.float64) - back) <= qt.scale / 2 + 1e-9)
 
 
 def test_quantize_rejects_nonfinite():
-    t = Tensor((2,), np.array([1.0, 2.0]))
-    t.data[1] = np.nan  # mutated after construction
-    with pytest.raises(ValueError):
-        quantize_tensor(t)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_tensor(np.array([1.0, bad]))
 
 
 def test_quantize_model_identity_pattern():
     model = dense_model(np.eye(2), np.zeros(2))
     qm = quantize_model(model)
-    back = dequantize(qm.layers[0].qweights).array()
+    back = dequantize(qm.layers[0].qweights)
     s = qm.layers[0].qweights.scale
     assert np.all(np.abs(back - np.eye(2)) <= s / 2 + 1e-9)
     # topology preserved
     assert [l.kind for l in qm.layers] == [l.kind for l in model.layers]
     assert qm.layers[0].qweights.shape == (2, 2)
+
+
+def test_quantize_and_dequantize_keep_the_4d_shape_of_conv_weights(conv3_model):
+    weights = conv3_model.layers[0].eff_weights
+    assert (conv3_model.layers[0].kind, weights.ndim) == ("conv2d", 4)
+    qt = quantize_tensor(weights)
+    assert qt.shape == dequantize(qt).shape == weights.shape
+    qlayer = quantize_model(conv3_model).layers[0]
+    assert qlayer.eff_weights.shape == weights.shape
+    assert np.array_equal(dequantize(qlayer.qweights).astype(np.float32), qlayer.eff_weights)
 
 
 def test_quantize_model_shares_no_array_or_hyperparameters_with_its_input():
@@ -324,11 +332,18 @@ def test_save_load_save_is_byte_identical(tmp_path, conv3_model, conv3_val):
 def test_quantized_tensor_invariants():
     with pytest.raises(ValueError):
         QuantizedTensor((1,), np.array([1], np.int8), scale=0.0)
-    for scale in (math.nan, math.inf):  # a JSON 1e400 reads as inf
+    for scale in (math.nan, math.inf, True, "0.5"):  # a JSON 1e400 reads as inf
         with pytest.raises(ValueError, match="scale"):
             QuantizedTensor((1,), np.array([1], np.int8), scale=scale)
     with pytest.raises(ValueError):
         QuantizedTensor((2,), np.array([1], np.int8), scale=1.0)
+
+@pytest.mark.parametrize("scale", [np.float32(0.5), np.int64(1)])
+def test_a_numpy_scale_survives_save_and_load(tmp_path, scale):
+    codes = QuantizedTensor((1, 2), np.array([3, -4]), scale)
+    save_model(Model([Layer("dense", qweights=codes)], (1,), 2), tmp_path / "q.json")
+    again = load_model(tmp_path / "q.json").layers[0].qweights
+    assert (again.scale, again.data.tolist()) == (float(scale), [3, -4])
 
 
 @pytest.mark.parametrize("code", [128, 129, 200, -128, 1.5])

@@ -333,7 +333,7 @@ def test_requantize_bounds_other_columns():
     corrected = np.array([1.5, -1.5])
     assert np.all(np.abs(after[:, 0] - corrected) <= new_s / 2 + 1e-9)
     assert layer.qweights is not None  # pure int8 again
-    assert np.array_equal(layer.eff_weights, dequantize(layer.qweights).array().astype(np.float32))
+    assert np.array_equal(layer.eff_weights, dequantize(layer.qweights).astype(np.float32))
 
 
 def test_float_patch_survives_save_load(tmp_path, desk_fixture):
