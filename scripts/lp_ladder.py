@@ -9,25 +9,28 @@ MobileNetV2's last layer) over ReLU'd normal features: 1,000 repair and
 1,000 validation rows labelled by the float model, quantized and damaged by
 `experiment.damaged_quantized_model` (`head_parts`). For each rung the
 record holds the status, the median seconds over the repeats, the pivot and
-bound-flip counts, M as float.hex and the certificate gap (M - bound) / M
-against the LP's dual bound (`LPSolution.bound`; null for sources that give
-none); the head rung holds them per repaired neuron, in report order, the
-largest gap and its validation accuracy after repair. A rung that runs past
-the budget is recorded as a timeout. Runs of different checkouts go under
-their own --label in one file, so the same LPs can be compared across
-solver versions:
+bound-flip counts (`LPSolution.pivots` and `.flips`, summed over one run's
+solutions), M as float.hex and the certificate gap (M - bound) / M against
+the LP's dual bound (`LPSolution.bound`; null when not optimal). The head
+rung runs `repair.prepare`, then `repair.repair` on the record it returns
+(the work `repair` does alone), and holds each neuron's status and M from
+the report, in report order, the largest gap over the solutions in the
+record and the validation accuracy after repair. A rung that runs past the
+budget is recorded as a timeout. Runs of different checkouts go under their
+own --label in one file, so the same LPs can be compared across solver
+versions:
 
     python3 scripts/lp_ladder.py --label change --out BENCH_7.json
     python3 scripts/lp_ladder.py --label parent --src ../parent/src --out BENCH_7.json
     python3 scripts/lp_ladder.py --label ci --rungs 24,64,256 --out ladder.json
 
 --src selects the qrepair sources to time (default: this checkout's src/);
-the LPs always come from this checkout's tests/conftest.py, which needs
-pytest importable. --rungs picks the rungs (default: all). The exit status
-is 1 when a rung is not optimal or its gap is above 1e-9, after the record
-is written. BLAS runs on one thread. Pivots and bound flips are counted by
-reading `SimplexResult.pivots` and `SimplexResult.flips` through a wrapped
-`qrepair.lp.simplex_solve`.
+it must name a checkout whose `LPSolution` carries `pivots` and `flips`, as
+older ones lack the fields. The LPs always come from this checkout's
+tests/conftest.py, which needs pytest importable. --rungs picks the rungs
+(default: all). The exit status is 1 when a rung (or a head neuron) is not
+optimal or its gap is above 1e-9, after the record is written. BLAS runs on
+one thread.
 """
 
 import argparse
@@ -62,48 +65,34 @@ def cpu_model() -> str:
 
 
 def timed(name, call) -> tuple:
-    """Repeat `call` until REPEAT_S has passed, at most 5 times; its last
-    result, the median seconds, the repeats, and one run's pivots and flips."""
-    import qrepair.lp
-
-    solve = qrepair.lp.simplex_solve
-    count = [0, 0]
-
-    def counting_solve(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        count[0] += result.pivots
-        count[1] += result.flips
-        return result
-
+    """Repeat `call`, which returns a result and the LP solutions it made,
+    until REPEAT_S has passed, at most 5 times; the last result and
+    solutions, the median seconds, the repeats, and the pivots and flips
+    summed over one run's solutions."""
     times, counts = [], set()
-    qrepair.lp.simplex_solve = counting_solve
-    try:
-        while len(times) < 5 and (not times or sum(times) < REPEAT_S):
-            count[:] = [0, 0]
-            t0 = time.perf_counter()
-            out = call()
-            times.append(time.perf_counter() - t0)
-            counts.add(tuple(count))
-    finally:
-        qrepair.lp.simplex_solve = solve
+    while len(times) < 5 and (not times or sum(times) < REPEAT_S):
+        t0 = time.perf_counter()
+        out, solved = call()
+        times.append(time.perf_counter() - t0)
+        counts.add((sum(s.pivots for s in solved if s), sum(s.flips for s in solved if s)))
     if len(counts) != 1:
         raise RuntimeError(f"{name}: pivot and flip counts vary between repeats: {counts}")
-    return out, statistics.median(times), len(times), *counts.pop()
+    return out, solved, statistics.median(times), len(times), *counts.pop()
 
 
 def gap(sol):
-    if getattr(sol, "bound", None) is None:
+    if sol is None or sol.bound is None:
         return None
     return (sol.M - sol.bound) / sol.M if sol.M else 0.0
 
 
 def run_rung(m: int) -> dict:
-    import qrepair.lp
     from conftest import repair_lp
+    from qrepair.lp import solve_lp
 
     lp = repair_lp(m, K, 1000 + m)
-    sol, seconds, repeats, pivots, flips = timed(
-        m, lambda: qrepair.lp.solve_lp(lp, time_budget=BUDGET_S))
+    _, (sol,), seconds, repeats, pivots, flips = timed(
+        m, lambda: (None, [solve_lp(lp, time_budget=BUDGET_S)]))
     return {"rung": str(m), "m": m, "k": K, "status": sol.status, "seconds": seconds,
             "repeats": repeats, "pivots": pivots, "flips": flips,
             "M": None if sol.M is None else float(sol.M).hex(), "gap": gap(sol)}
@@ -131,32 +120,21 @@ def head_parts():
 
 
 def run_head() -> dict:
-    # through sys.modules: under --src, a checkout whose package re-exports the
-    # function `repair` binds that function to `import qrepair.repair as ...`
-    import qrepair.repair  # noqa: F401
+    from qrepair.repair import RepairConfig, prepare, repair
 
-    module = sys.modules["qrepair.repair"]
-    parts, solve, solved = head_parts(), module.solve_lp, []
+    parts, config = head_parts(), RepairConfig(top_n=3, time_budget=BUDGET_S)
 
-    def keeping_solve(*args, **kwargs):
-        solved.append(solve(*args, **kwargs))
-        return solved[-1]
+    def call():  # what repair(*parts, config) does, keeping its shared record
+        shared = prepare(*parts, config)
+        report = repair(*parts, config, shared=shared)[1]
+        return report, [shared.solutions.get(r.neuron) for r in report.records]
 
-    def call():
-        solved.clear()
-        return module.repair(*parts, module.RepairConfig(top_n=3, time_budget=BUDGET_S))
-
-    module.solve_lp = keeping_solve
-    try:
-        (_, report), seconds, repeats, pivots, flips = timed("head", call)
-    finally:
-        module.solve_lp = solve
-    gaps = [gap(sol) for sol in solved]
+    report, solved, seconds, repeats, pivots, flips = timed("head", call)
+    statuses, gaps = [r.status for r in report.records], [gap(sol) for sol in solved]
     return {"rung": "head", "m": HEAD_WIDTH, "k": None,
-            "status": "optimal" if all(s.status == "optimal" for s in solved) else
-            ",".join(s.status for s in solved), "seconds": seconds, "repeats": repeats,
-            "pivots": pivots, "flips": flips,
-            "M": [None if s.M is None else float(s.M).hex() for s in solved],
+            "status": "optimal" if all(s == "optimal" for s in statuses) else ",".join(statuses),
+            "seconds": seconds, "repeats": repeats, "pivots": pivots, "flips": flips,
+            "M": [None if r.M is None else float(r.M).hex() for r in report.records],
             "gap": None if None in gaps else max(gaps),
             "accuracy_after": report.accuracy_after}
 

@@ -144,8 +144,6 @@ def cmd_repair(float_model, quant, repair_set, val, out_dir, **options) -> int:
     qmodel = load_qmodel(quant)
     repair_rows = load_dataset(repair_set, num_classes=fmodel.num_classes)
     val_rows = load_dataset(val, num_classes=fmodel.num_classes)
-    if config.lp_dir:
-        Path(config.lp_dir).mkdir(parents=True, exist_ok=True)
     patched, report = repair(fmodel, qmodel, repair_rows, val_rows, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

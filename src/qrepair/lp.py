@@ -89,6 +89,8 @@ class LPSolution:
     deltas: np.ndarray | None = None
     bound: float | None = None  # optimal: a dual lower bound on M, from solve_lp
     y: np.ndarray | None = None  # optimal: the row duals >= 0 that give `bound`
+    pivots: int = 0  # the simplex's pivots and bound flips; 0 when no simplex ran
+    flips: int = 0
 
 
 def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1e-3,
@@ -162,12 +164,12 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
         spread = np.abs(g.T @ y).sum()
         bound = float(h @ y) / spread if spread > 0 else 0.0
         sol = LPSolution("optimal", float(1.0 / t), result.x[:m] / t, bound, y)
+    sol.pivots, sol.flips = (result.pivots, result.flips) if result else (0, 0)
     if log.isEnabledFor(logging.DEBUG):
         same = int(np.sum(lp.target_status == lp.current_status))
         log.debug("layer %d neuron %d: %d disagreeing + %d preserving rows, %d columns, "
                   "%d pivots, %d bound flips, %s, M %s", lp.layer_index, lp.neuron_index,
-                  len(g) - same, same, m + 1, result.pivots if result else 0,
-                  result.flips if result else 0, sol.status, sol.M)
+                  len(g) - same, same, m + 1, sol.pivots, sol.flips, sol.status, sol.M)
     return sol
 
 
@@ -231,4 +233,5 @@ def format_lp(lp: NeuronLP) -> str:
 
 
 def export_lp(lp: NeuronLP, path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)  # lp_dir need not exist yet
     Path(path).write_text(format_lp(lp))

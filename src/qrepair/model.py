@@ -159,6 +159,14 @@ def _int_entry(entries: dict, key: str, default) -> int:
     return int(value)
 
 
+def window(kind: str, hyperparams: dict) -> dict:
+    """`hyperparams` with their defaults filled in; {} for a kind that takes none."""
+    if kind not in HYPERPARAMS:
+        return {}
+    kernel = {"kernel": _int_entry(hyperparams, "kernel", 2)} if kind == "maxpool2d" else {}
+    return {**kernel, "stride": _int_entry(hyperparams, "stride", kernel.get("kernel", 1))}
+
+
 def _output_shape(shape, layer: Layer) -> tuple[int, ...]:
     """Check one layer against its input `shape` and return the shape it
     outputs (valid padding)."""
@@ -194,15 +202,11 @@ def _output_shape(shape, layer: Layer) -> tuple[int, ...]:
     if len(shape) != 3:
         raise ShapeMismatchError(f"{kind} expects [h, w, c] input, got {shape}")
     h, wd, c = shape
-    if kind == "conv2d":
-        kh, kw, in_ch, out_ch = w.shape
-        stride = _int_entry(hyperparams, "stride", 1)
-        if in_ch != c:
-            raise ShapeMismatchError(f"conv2d expects {in_ch} input channels, got {c}")
-    else:  # maxpool2d
-        kh = kw = _int_entry(hyperparams, "kernel", 2)
-        stride = _int_entry(hyperparams, "stride", kh)
-        out_ch = c
+    win = window(kind, hyperparams)
+    kh, kw, in_ch, out_ch = w.shape if kind == "conv2d" else (win["kernel"],) * 2 + (c, c)
+    if in_ch != c:
+        raise ShapeMismatchError(f"conv2d expects {in_ch} input channels, got {c}")
+    stride = win["stride"]
     if min(kh, kw, stride) < 1:
         raise ModelFormatError(f"{kind} window {kh}x{kw} and stride {stride} must be positive")
     ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
@@ -291,10 +295,9 @@ def apply_layer(layer_kind: str, x: np.ndarray, weights: np.ndarray | None,
     if layer_kind == "relu":
         return np.maximum(x, 0)
     if layer_kind == "conv2d":
-        return _conv2d(x, weights, bias, int(hyperparams.get("stride", 1)))
+        return _conv2d(x, weights, bias, **window(layer_kind, hyperparams))
     if layer_kind == "maxpool2d":
-        k = int(hyperparams.get("kernel", 2))
-        return _maxpool2d(x, k, int(hyperparams.get("stride", k)))
+        return _maxpool2d(x, **window(layer_kind, hyperparams))
     if layer_kind == "flatten":
         return x.reshape(len(x), math.prod(x.shape[1:]))
     raise ModelFormatError(f"unknown layer kind {layer_kind!r}")

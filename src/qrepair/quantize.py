@@ -33,20 +33,18 @@ from .model import (
     forward_batch,
     load_model,
     save_model,
+    window,
 )
 from .model import apply_layer  # noqa: F401  perfbench/test_perfbench.py expects it bound here
 from .model import capture_activations as capture_activations_q  # noqa: F401
 from .model import forward as quantized_forward  # noqa: F401
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest with halves away from zero (fixed for reproducibility)."""
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
 def quantize_values(values: np.ndarray, scale: float) -> np.ndarray:
-    """q = round(r/S), clamped to the int8 range."""
-    q = round_half_away(np.asarray(values, dtype=np.float64) / scale)
+    """q = round(r/S), halves away from zero (fixed for reproducibility),
+    clamped to the int8 range."""
+    r = np.asarray(values, dtype=np.float64) / scale
+    q = np.copysign(np.floor(np.abs(r) + 0.5), r)
     return np.clip(q, -INT8_MAX, INT8_MAX).astype(np.int8)
 
 
@@ -99,16 +97,17 @@ def clone_quantized(qmodel: Model) -> Model:
 
 
 def check_same_topology(model: Model, qmodel: Model) -> None:
-    """Raise ValueError unless the models have the same layer kinds and weight shapes."""
+    """Raise ValueError unless input shapes and each layer's kind, weight shape and window match."""
     def structure(m):
-        return [(l.kind, None if l.weights is None else l.eff_weights.shape) for l in m.layers]
+        return [(l.kind, None if l.weights is None else l.eff_weights.shape,
+                 window(l.kind, l.hyperparams)) for l in m.layers]
 
-    fs, qs = structure(model), structure(qmodel)
-    if len(fs) != len(qs):
-        raise ValueError("models differ in layer count")
-    for i, (f, q) in enumerate(zip(fs, qs)):
+    sizes = [(m.input_shape, len(m.layers)) for m in (model, qmodel)]
+    if sizes[0] != sizes[1]:
+        raise ValueError(f"input shape and layer count {sizes[0]} vs {sizes[1]}")
+    for i, (f, q) in enumerate(zip(structure(model), structure(qmodel))):
         if f != q:
-            raise ValueError(f"layer {i}: {f[0]} weights {f[1]} vs {q[0]} weights {q[1]}")
+            raise ValueError(f"layer {i}: kind, weight shape and window {f} vs {q}")
 
 
 def save_qmodel(qmodel: Model, path) -> None:

@@ -33,6 +33,15 @@ def dense_model(w, b=None, extra_relu=False, num_classes=None):
     return Model(layers, (w.shape[0],), num_classes or out)
 
 
+def pool_model(pool: dict, input_shape=(6, 6, 1)) -> Model:
+    """maxpool2d with hyperparameters `pool`, flatten, dense 9 -> 2; a 6x6 or
+    7x7 input pools to 3x3 under kernel 2, and 6x6 also under kernel 4 stride 1."""
+    w = np.linspace(-1.0, 1.0, 18, dtype=np.float32).reshape(9, 2)
+    return Model([Layer("maxpool2d", hyperparams=pool), Layer("flatten"),
+                  Layer("dense", Tensor.from_array(w), Tensor.from_array(np.zeros(2)))],
+                 input_shape, 2)
+
+
 def manual_qmodel(fmodel: Model, int_weights_per_layer, scales=None) -> Model:
     """Quantized twin of `fmodel` with hand-picked int8 codes and scales."""
     qlayers = []

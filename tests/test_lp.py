@@ -287,6 +287,19 @@ def test_solve_already_satisfied_gives_zero():
     np.testing.assert_allclose(sol.deltas, [0.0, 0.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("m,pivots,flips", [(24, 30, 61), (64, 34, 130)])
+def test_solution_carries_the_simplex_counts(m, pivots, flips):
+    # the first two rungs of scripts/lp_ladder.py
+    sol = solve_lp(repair_lp(m, 64, 1000 + m), 60.0)
+    assert (sol.status, sol.pivots, sol.flips) == ("optimal", pivots, flips)
+
+
+def test_no_simplex_runs_when_every_row_already_holds():
+    lp = NeuronLP(0, 0, np.array([1.0, 1.0]), 0.0, [[1.0, 1.0]], [1], [0], epsilon=1.0)
+    sol = solve_lp(lp, 10.0)
+    assert (sol.status, sol.M, sol.pivots, sol.flips) == ("optimal", 0.0, 0, 0)
+
+
 def test_solve_logs_one_debug_line(caplog):
     # classic_lp plus a preserving row
     lp = NeuronLP(0, 0, np.array([1.0, -2.0]), 0.0, [[1.0, 1.0], [2.0, 0.0]], [1, 1], [0, 1],
@@ -296,6 +309,7 @@ def test_solve_logs_one_debug_line(caplog):
     (line,) = [r.getMessage() for r in caplog.records]
     assert re.fullmatch(r"layer 0 neuron 0: 1 disagreeing \+ 1 preserving rows, 3 columns, "
                         r"\d+ pivots, \d+ bound flips, optimal, M 0\.[45]\d*", line), line
+    assert f" {sol.pivots} pivots, {sol.flips} bound flips," in line
     assert sol.M == pytest.approx(0.5)
 
 
@@ -433,6 +447,12 @@ def test_export_golden_b(tmp_path):
     out = tmp_path / "b.lp"
     export_lp(golden_b_lp(), out)
     assert out.read_bytes() == (GOLDEN / "neuron_b.lp").read_bytes()
+
+
+def test_export_creates_missing_directories(tmp_path):
+    out = tmp_path / "missing" / "lps" / "a.lp"
+    export_lp(classic_lp(epsilon=1e-3), out)
+    assert out.read_bytes() == (GOLDEN / "neuron_a.lp").read_bytes()
 
 
 def test_export_deterministic():

@@ -16,6 +16,7 @@ from qrepair.model import (
     forward,
     load_model,
     save_model,
+    window,
 )
 
 
@@ -248,6 +249,16 @@ def test_layer_kinds_take_only_their_hyperparameters():
         _conv_pool_model({"stride": 1, "padding": "same"})
     with pytest.raises(ModelFormatError, match=r"^layer 0: hyperparams must be an object"):
         _conv_pool_model([("stride", 1)])
+
+
+def test_window_fills_in_the_defaults():
+    assert window("conv2d", {}) == window("conv2d", {"stride": 1}) == {"stride": 1}
+    assert window("maxpool2d", {}) == {"kernel": 2, "stride": 2}
+    assert window("maxpool2d", {"kernel": 3}) == {"kernel": 3, "stride": 3}
+    assert window("maxpool2d", {"stride": 1}) == {"kernel": 2, "stride": 1}
+    assert window("dense", {}) == window("relu", {}) == window("flatten", {}) == {}
+    with pytest.raises(ModelFormatError, match=r"^kernel must be an integer, got 2\.0$"):
+        window("maxpool2d", {"kernel": 2.0})
 
 
 def test_save_load_roundtrip(tmp_path, conv3_model):

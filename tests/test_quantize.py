@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_model, grid_mlp
+from conftest import dense_model, grid_mlp, pool_model
 from oracles import quantization_error_bound
 from qrepair.model import (
     Layer,
@@ -23,6 +23,7 @@ from qrepair.model import (
 )
 from qrepair.quantize import (
     capture_activations_q,
+    check_same_topology,
     load_qmodel,
     quantize_model,
     quantize_tensor,
@@ -359,3 +360,17 @@ def test_load_qmodel_runs_a_float_model_file_bit_identically(tmp_path, conv3_mod
     assert all(layer.qweights is None for layer in loaded.layers)
     float_logits = forward_batch(conv3_model, conv3_val.features)[0]
     assert forward_batch(loaded, conv3_val.features)[0].tobytes() == float_logits.tobytes()
+
+
+def test_topology_check_compares_input_shapes_and_resolved_windows(conv3_model):
+    # both pool a 6x6 input to 3x3, so only the windows tell them apart
+    fmodel = pool_model({"kernel": 2})
+    with pytest.raises(ValueError, match=r"^layer 0: .*'kernel': 2, 'stride': 2.*"
+                                         r"'kernel': 4, 'stride': 1"):
+        check_same_topology(fmodel, quantize_model(pool_model({"kernel": 4, "stride": 1})))
+    with pytest.raises(ValueError, match=r"^input shape and layer count"):
+        check_same_topology(fmodel, quantize_model(pool_model({"kernel": 2}, (7, 7, 1))))
+    # a default written out is the same window
+    check_same_topology(fmodel, quantize_model(pool_model({"kernel": 2, "stride": 2})))
+    for model in (fmodel, conv3_model, grid_mlp(np.random.default_rng(0))):
+        check_same_topology(model, quantize_model(model))

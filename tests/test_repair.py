@@ -6,7 +6,15 @@ import pytest
 
 import qrepair.model as model_mod
 
-from conftest import GOLDEN, dense_model, grid_mlp, make_dataset, make_desk_parts, manual_qmodel
+from conftest import (
+    GOLDEN,
+    dense_model,
+    grid_mlp,
+    make_dataset,
+    make_desk_parts,
+    manual_qmodel,
+    pool_model,
+)
 from qrepair.experiment import PresetSpec
 from qrepair.localize import classify_tests, compare_at_layer
 from qrepair.lp import build_neuron_lp, solve_lp
@@ -39,6 +47,26 @@ def test_repair_rejects_topology_mismatch(desk_fixture):
     oq = quantize_model(other)
     with pytest.raises(ValueError):
         repair(fmodel, oq, repair_set, None, RepairConfig())
+
+
+def test_repair_rejects_a_twin_with_another_pooling_window():
+    # both pool the 6x6 input to 3x3, so the weight shapes match
+    fmodel, twin = pool_model({"kernel": 2}), quantize_model(pool_model({"kernel": 4, "stride": 1}))
+    rows = make_dataset(np.random.default_rng(0).normal(size=(40, 36)), num_classes=2)
+    with pytest.raises(ValueError, match=r"^layer 0: .*maxpool2d.*'kernel': 4"):
+        repair(fmodel, twin, rows, rows, RepairConfig(top_n=2))
+
+
+def test_repair_writes_one_lp_file_per_solved_neuron_into_a_missing_directory(
+        desk_fixture, tmp_path):
+    fmodel, qmodel, repair_set, val = desk_fixture
+    lp_dir = tmp_path / "missing" / "lps"
+    _, report = repair(fmodel, qmodel, repair_set, val,
+                       RepairConfig(top_n=3, lp_dir=str(lp_dir)))
+    solved = [r.neuron for r in report.records if r.status != "skipped"]
+    assert solved
+    assert sorted(p.name for p in lp_dir.iterdir()) == sorted(
+        f"neuron_L{report.target_layer}_N{n}.lp" for n in solved)
 
 
 def test_repair_rejects_non_dense_target(conv3_model, desk_fixture):

@@ -320,21 +320,14 @@ def test_beale_cycling_lp_terminates():
     np.testing.assert_allclose(res.x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_tall_repair_lp_terminates(monkeypatch):
+def test_tall_repair_lp_terminates():
     # a wide-head output neuron with a row for every repair test: each
     # disagreeing one and each agreeing one
     fmodel, qmodel, repair_set, _ = wide_head_parts()
     comparison = compare_at_layer(fmodel, qmodel, repair_set, 2)
     lp = build_neuron_lp(comparison, 1, max_constraints=len(repair_set))
     assert len(lp.constraints) == len(repair_set) == 300
-    steps = []
-
-    def counting(*args, **kwargs):
-        steps.append(simplex_solve(*args, **kwargs))
-        return steps[-1]
-
-    monkeypatch.setattr(qrepair.lp, "simplex_solve", counting)
     sol = solve_lp(lp, 60.0)
     assert sol.status == "optimal"
-    assert steps[0].pivots + steps[0].flips <= 2000
+    assert 0 < sol.pivots + sol.flips <= 2000
     assert check_solution(lp, sol)
