@@ -16,7 +16,11 @@ change reads better, and the traced per-layer counts of any `--trace 1`
 runs, pair by pair (`per_pair`) and as each side's median (`per_call`).
 `--controls` folds A/A logs, runs of the parent against a second copy of
 it, the same way into the `controls` list, as the noise to read the
-change against:
+change against. Each metric is `resolved` when the change reads better in at
+least 9 of 10 pairs, its median differs from the parent's by more than the
+parent's interquartile range and, where a control of the same workload and
+seed exists, its `median_change` is larger in size than the control's
+(`control_median_change`, recorded beside it):
 
     python3 scripts/bench_pairs.py summarize pairs.jsonl --controls aa.jsonl \\
         --out BENCH_4.json
@@ -128,15 +132,36 @@ def entries(logs: list) -> tuple[list, list]:
             metrics[name] = {"unit": spec["unit"], **sides,
                              "median_change": change / parent - 1 if parent else None,
                              "change_better_pairs": better, "pairs": len(pairs)}
+            metrics[name]["resolved"] = resolved(metrics[name])
         entry["metrics"] = metrics
         timed.append(entry)
     return timed, traced
+
+
+def resolved(metric: dict, control: dict | None = None) -> bool:
+    """Whether the change's difference on `metric` stands out of the noise:
+    better in 9 of 10 pairs or more, a median difference beyond the parent's
+    interquartile range and, given the A/A `control` of the same metric, a
+    larger median change than the control's."""
+    parent, change = metric["parent"], metric["change"]
+    if not (metric["pairs"] and 10 * metric["change_better_pairs"] >= 9 * metric["pairs"]
+            and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]):
+        return False
+    return control is None or abs(metric["median_change"] or 0) > abs(
+        control["median_change"] or 0)
 
 
 def summarize(args) -> None:
     timed, traced = entries(args.logs)
     controls = [{**entry, "change_is": CONTROL} for group in entries(args.controls)
                 for entry in group]
+    noise = {(c["workload"], c["seed"]): c["metrics"] for c in controls if "metrics" in c}
+    for entry in timed:
+        aa = noise.get((entry["workload"], entry["seed"]), {})
+        for name, metric in entry["metrics"].items():
+            if name in aa:
+                metric["control_median_change"] = aa[name]["median_change"]
+                metric["resolved"] = resolved(metric, aa[name])
     out = {"note": args.note, "timed": timed, "traced": traced, "controls": controls}
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 

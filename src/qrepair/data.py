@@ -31,11 +31,17 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
-        if self.features.ndim != 2:
-            self.features = self.features.reshape(len(self.labels), -1)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.size:
+        n = self.labels.size
+        if self.features.ndim != 2:
+            width = self.features.size // max(n, 1)
+            if self.features.size != n * width:
+                raise DatasetError(f"{self.features.size} feature values do not make {n} rows")
+            self.features = self.features.reshape(n, width)
+        if self.features.shape[0] != n:
             raise DatasetError("row count mismatch between features and labels")
+        if self.ids and len(self.ids) != n:
+            raise DatasetError(f"{len(self.ids)} ids for {n} rows")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             bad = int(self.labels.max() if self.labels.max() >= self.num_classes else self.labels.min())
             raise DatasetError(f"label {bad} out of range for {self.num_classes} classes")

@@ -260,18 +260,21 @@ def _conv2d(x, w, b, stride):
                          (sh, sw, sc, sh * stride, sw * stride, sr))
     wt = w.transpose(0, 1, 3, 2).reshape(kh * kw, out_ch, in_ch)
     out = np.empty((n, ho, wo, out_ch), dtype=x.dtype)
-    # Same bits as adding `patch @ w[a, bb]` to zeros tap by tap: one gemm per tap
-    # either way (exact products at in_ch = 1), summed in (a, bb) order from +0.0,
-    # over two rows or more, as numpy sums pairwise when the tap axis is all that
-    # is left. Not so at in_ch > 1 with out_ch = 1 or wo = 1 (a matrix-vector side).
+    # Same bits as adding `patch @ w[a, bb]` to zeros tap by tap, then the bias:
+    # taps summed in (a, bb) order from +0.0 over two rows or more (numpy would
+    # sum a lone column pairwise), by einsum at in_ch = 1 (exact products, no
+    # fused multiply-add in numpy 2.4.6 on x86-64), else by a gemm per tap and a
+    # reduce; not so at in_ch > 1 with out_ch = 1 or wo = 1 (a matrix-vector
+    # side). The README's "Semantics worth knowing" names the tests that pin it.
     for r0 in range(0, n, _CONV_BLOCK_ROWS):
         rows = min(_CONV_BLOCK_ROWS, n - r0)
         xt[..., :rows] = x[r0 : r0 + rows].transpose(3, 1, 2, 0)
         win = windows[..., : max(rows, 2)].reshape(kh * kw, in_ch, -1)
-        total = np.add.reduce(wt * win if in_ch == 1 else wt @ win, axis=0, initial=0.0)
+        total = (np.einsum("to,tn->on", wt[:, :, 0], win[:, 0, :]) if in_ch == 1
+                 else np.add.reduce(wt @ win, axis=0, initial=0.0))
+        if b is not None:
+            total += b[:, None]  # on the block, not on the narrow NHWC output
         out[r0 : r0 + rows] = total.reshape(out_ch, ho, wo, -1)[..., :rows].transpose(3, 1, 2, 0)
-    if b is not None:
-        out += b
     return out
 
 

@@ -97,3 +97,44 @@ def test_summarize_folds_control_logs_into_controls(bench_pairs, tmp_path):
     assert wall["change"]["median"] == 2.1 and wall["median_change"] == pytest.approx(0.05)
     # no control logs, an empty list
     assert _summarize(bench_pairs, tmp_path, log)["controls"] == []
+
+
+def _pairs(bench_pairs, values, seed=42):
+    return [{**_record(bench_pairs, side, pair, 0, value), "seed": seed}
+            for pair, (parent, change) in enumerate(values)
+            for side, value in (("parent", parent), ("change", change))]
+
+
+def test_summarize_resolves_a_change_only_beyond_the_noise(bench_pairs, tmp_path):
+    faster = _pairs(bench_pairs, [(2.0, 1.8), (2.1, 1.9), (2.0, 1.85), (1.9, 1.7), (2.0, 1.8)])
+    (entry,) = _summarize(bench_pairs, tmp_path, faster)["timed"]
+    wall = entry["metrics"]["adj_wall_s"]
+    # 5 of 5 pairs, and a median difference of 0.2 where the parent's quartiles are equal
+    assert wall["resolved"] is True and "control_median_change" not in wall
+    # a higher accuracy is the better one, so every pair reads worse
+    assert entry["metrics"]["val_accuracy_after"]["resolved"] is False
+    # 4 of 5 pairs better is under 9 in 10
+    slower_once = _pairs(bench_pairs, [(2.0, 1.8), (2.1, 1.9), (2.0, 1.85), (1.9, 1.7), (2.0, 2.5)])
+    (entry,) = _summarize(bench_pairs, tmp_path, slower_once)["timed"]
+    assert entry["metrics"]["adj_wall_s"]["change_better_pairs"] == 4
+    assert entry["metrics"]["adj_wall_s"]["resolved"] is False
+    # better in every pair, but by less than the parent's quartile spread
+    spread = _pairs(bench_pairs, [(1.0, 0.99), (2.0, 1.99), (3.0, 2.99)])
+    (entry,) = _summarize(bench_pairs, tmp_path, spread)["timed"]
+    assert entry["metrics"]["adj_wall_s"]["resolved"] is False
+
+
+def test_summarize_does_not_resolve_a_change_inside_the_aa_difference(bench_pairs, tmp_path):
+    change = _pairs(bench_pairs, [(2.0, 1.96), (2.01, 1.97), (2.0, 1.97)])  # -1.5%
+    aa = _pairs(bench_pairs, [(2.0, 1.95), (2.0, 1.96), (2.01, 1.96)])  # -2.0%
+    other_seed = _pairs(bench_pairs, [(2.0, 1.95), (2.0, 1.96), (2.01, 1.96)], seed=7)
+    alone = _summarize(bench_pairs, tmp_path, change)["timed"][0]["metrics"]["adj_wall_s"]
+    assert alone["resolved"] is True
+    bench = _summarize(bench_pairs, tmp_path, change, controls=[aa + other_seed])
+    wall = bench["timed"][0]["metrics"]["adj_wall_s"]
+    assert wall["median_change"] == pytest.approx(-0.015)
+    assert wall["control_median_change"] == pytest.approx(-0.02)
+    assert wall["resolved"] is False
+    # a control of another seed is not this change's noise
+    bench = _summarize(bench_pairs, tmp_path, change, controls=[other_seed])
+    assert bench["timed"][0]["metrics"]["adj_wall_s"]["resolved"] is True

@@ -391,6 +391,25 @@ def test_localize_csv_fingerprint(conv3_files, tmp_path, metric):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LOCALIZE_CSV_SHA256[metric]
 
 
+CONV3_REPAIR_SHA256 = {  # `qrepair repair --patch-mode requantize` on the conv3 fixtures
+    "repair_report.json": "53ea544502a987dfbdc14990a3afb7f267965c56b4965a193ceca0b404f164ab",
+    "repaired_model.json": "f31485e40834e33203efd4d7158a9524c48df64f14d192f949954c1326a28c0f",
+}
+
+
+def test_conv3_requantize_repair_fingerprint(conv3_files, tmp_path):
+    # an end-to-end conv repair, byte for byte: both conv stacks run over the
+    # repair and validation sets, the LPs solve and the patch is requantized
+    data = str(FIXTURES / "conv3_val.csv")
+    out = tmp_path / "run"
+    assert cli_main(["repair", "--float", str(conv3_files["float"]),
+                     "--quant", str(conv3_files["quant"]), "--repair-set", data,
+                     "--val", data, "--patch-mode", "requantize", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in CONV3_REPAIR_SHA256}
+    assert got == CONV3_REPAIR_SHA256
+
+
 @pytest.mark.parametrize("option,value", [
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--delta-bound", "nan"),
     ("--delta-bound", "-1"), ("--max-constraints", "0"), ("--max-constraints", "-3"),

@@ -144,6 +144,31 @@ def test_dataset_label_validation():
         Dataset(np.zeros((2, 2), np.float32), np.array([0, 7]), 3)
 
 
+def test_dataset_rejects_ids_that_do_not_match_the_rows():
+    # one id for two rows: subset([1]) would fail later with a bare IndexError
+    with pytest.raises(DatasetError, match="1 ids for 2 rows"):
+        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5])
+    with pytest.raises(DatasetError, match="3 ids for 2 rows"):
+        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5, 6, 7])
+    assert Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5, 6]).subset([1]).ids == [6]
+
+
+@pytest.mark.parametrize("features,labels", [
+    (np.zeros(3, np.float32), []),  # three values for no rows
+    (np.zeros(3, np.float32), [0, 1]),  # three values for two rows
+    (np.zeros((2, 2, 2), np.float32), [0, 1, 0]),
+])
+def test_dataset_rejects_features_that_do_not_reshape_to_the_rows(features, labels):
+    with pytest.raises(DatasetError, match="feature values do not make"):
+        Dataset(features, labels, 2)
+
+
+def test_dataset_reshapes_features_to_the_rows():
+    assert Dataset(np.zeros((2, 2, 3), np.float32), [0, 1], 2).features.shape == (2, 6)
+    assert Dataset(np.zeros(4, np.float32), [0, 1], 2).features.shape == (2, 2)
+    assert Dataset(np.zeros(0, np.float32), [], 2).features.shape == (0, 0)
+
+
 def _csv_writer_bytes(ds: Dataset) -> bytes:
     """The CSV bytes the standard library's csv.writer gives for a dataset."""
     out = io.StringIO(newline="")
