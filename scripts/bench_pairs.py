@@ -94,7 +94,8 @@ def pair_up(recs: list) -> list:
 def entries(logs: list) -> tuple[list, list]:
     """The timed and the traced entries of the runs in `logs`, one entry per
     workload and seed."""
-    records = [json.loads(line) for path in logs for line in open(path)]
+    records = [json.loads(line) for path in logs
+               for line in Path(path).read_text().splitlines()]
     groups = {}
     for rec in records:
         groups.setdefault((rec["workload"], rec["seed"], rec["trace"]), []).append(rec)

@@ -40,13 +40,15 @@ class Dataset:
             self.features = self.features.reshape(n, width)
         if self.features.shape[0] != n:
             raise DatasetError("row count mismatch between features and labels")
-        if self.ids and len(self.ids) != n:
-            raise DatasetError(f"{len(self.ids)} ids for {n} rows")
+        ids = np.asarray(self.ids)  # any sequence of integers; empty: the row numbers
+        if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"):
+            raise DatasetError(f"ids must be a sequence of integers, got {self.ids!r}")
+        if ids.size and ids.size != n:
+            raise DatasetError(f"{ids.size} ids for {n} rows")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             bad = int(self.labels.max() if self.labels.max() >= self.num_classes else self.labels.min())
             raise DatasetError(f"label {bad} out of range for {self.num_classes} classes")
-        if not self.ids:
-            self.ids = list(range(self.labels.size))
+        self.ids = ids.tolist() if ids.size else list(range(n))
 
     def __len__(self):
         return self.labels.size

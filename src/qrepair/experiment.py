@@ -269,7 +269,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     fmodel = train_mlp(np.random.default_rng(ss_train), train, spec)
     qmodel, acc_f, acc_q = damaged_quantized_model(fmodel, val, repair_set, ss_damage)
     # every repair below starts from the same models, sets and config, so they
-    # share one comparison, one before-repair evaluation and each neuron's LP
+    # share one comparison per set, the before-repair scores and each neuron's LP
     shared = prepare(fmodel, qmodel, repair_set, val, config)
 
     strategies = {}
@@ -306,7 +306,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
         "float_accuracy": round6(acc_f),
         "quantized_accuracy": round6(acc_q),
         "gap_points": round6(100.0 * (acc_f - acc_q)),
-        "fidelity_before": round6(shared.fidelity_before),
+        "fidelity_before": round6(shared.before.fidelity),
         "n_repair": len(repair_set),
         "n_val": len(val),
         "strategies": strategies,

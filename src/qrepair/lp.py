@@ -20,6 +20,7 @@ and a `NeuronLP` keeps its rows as one matrix `x` plus per-row arrays.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,7 @@ import numpy as np
 
 from .localize import LayerComparison
 from .model import capture_activations  # noqa: F401  perfbench/test_perfbench.py expects it bound here
+from .model import is_real
 from .simplex import FEAS_TOL, simplex_solve
 
 log = logging.getLogger("qrepair")
@@ -62,11 +64,22 @@ class NeuronLP:
         self.w, self.x = np.asarray(self.w, np.float64), np.asarray(self.x, np.float64)
         if self.w.ndim != 1 or self.x.ndim != 2 or self.x.shape[1] != self.m:
             raise ValueError(f"need w [m] and x [rows, m], got {self.w.shape}, {self.x.shape}")
+        for name in ("w", "x", "bias"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if not (is_real(self.epsilon) and 0 <= self.epsilon < math.inf):  # NaN fails too
+            raise ValueError(f"epsilon must be a finite real >= 0, got {self.epsilon!r}")
+        if self.big_M_bound is not None and not (is_real(self.big_M_bound)
+                                                 and 0 < self.big_M_bound < math.inf):
+            raise ValueError("big_M_bound must be None or finite and > 0, "
+                             f"got {self.big_M_bound!r}")
         for name in ("target_status", "current_status", "test_id"):
             value = getattr(self, name)
             value = np.full(len(self.x), -1) if value is None else np.asarray(value, np.int64)
             if value.shape != self.x.shape[:1]:
                 raise ValueError(f"{name} needs one entry per row of x, got {value.shape}")
+            if name != "test_id" and not ((value == 0) | (value == 1)).all():
+                raise ValueError(f"{name} must hold only 0 and 1")
             setattr(self, name, value)
 
     @property

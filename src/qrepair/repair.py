@@ -1,15 +1,14 @@
 """End-to-end repair: spectra, ranking, per-neuron LP solve, weight patching.
 
-`prepare` compares the float and the pre-repair quantized model on the
-repair set once, at the target dense layer (`localize.compare_at_layer`).
-It runs each model once over the validation set, keeping the float model's
-labels and the quantized target layer's input rows; the before-repair
-accuracy and fidelity come from those two passes. The comparison classifies
-the tests, gives the spectra the metric ranks neurons by, and supplies each
-top-N neuron's correction LP, solved once for all repairs that share the
-prepared record. The solved deltas are patched into a copy. A patch leaves
-every layer before the target as it was, so the repaired model is measured
-by running only the kept rows from the target layer on.
+`prepare` compares the float and the pre-repair quantized model once on
+each set, at the target dense layer (`localize.compare_at_layer`). The
+repair set's comparison classifies the tests, gives the spectra the metric
+ranks neurons by, and supplies each top-N neuron's correction LP, solved
+once for all repairs that share the prepared record. The validation set's
+comparison gives the before-repair accuracy and fidelity. The solved deltas
+are patched into a copy. A patch leaves every layer before the target as it
+was, so the repaired model is measured by running the validation set's
+target-layer input rows from the target layer on.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import evaluate, predict
+from .evaluate import EvalResult, evaluate
 from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
 from .model import Model, forward_batch, is_int, is_real
@@ -209,11 +208,9 @@ class Prepared:
 
     config: RepairConfig
     made_from: tuple  # (float model, quantized model, repair set, validation set)
-    comparison: LayerComparison
-    val_float_labels: np.ndarray | None = None  # the float model's validation labels
-    val_rows: np.ndarray | None = None  # validation input rows of the target layer
-    accuracy_before: float | None = None
-    fidelity_before: float | None = None
+    comparison: LayerComparison  # on the repair set
+    validation: LayerComparison | None = None  # None without validation rows
+    before: EvalResult | None = None  # the unrepaired model on validation
     solutions: dict[int, LPSolution | None] = field(default_factory=dict)
 
     def solution(self, n: int) -> LPSolution | None:
@@ -239,15 +236,13 @@ class Prepared:
 
 def prepare(fmodel: Model, qmodel: Model, repair_set, validation_set,
             config: RepairConfig) -> Prepared:
-    """Compare the models once and measure the unrepaired model on validation."""
+    """Compare the models once on each set and score the unrepaired model on validation."""
     comparison = compare_at_layer(fmodel, qmodel, repair_set, config.target_layer)
     prepared = Prepared(config, (fmodel, qmodel, repair_set, validation_set), comparison)
     if validation_set is not None and len(validation_set):
-        prepared.val_float_labels = predict(fmodel, validation_set)
-        logits, _, prepared.val_rows = forward_batch(qmodel, validation_set.features,
-                                                     input_of=comparison.layer_index)
-        before = evaluate(logits.argmax(axis=1), validation_set, prepared.val_float_labels)
-        prepared.accuracy_before, prepared.fidelity_before = before.accuracy, before.fidelity
+        prepared.validation = val = compare_at_layer(fmodel, qmodel, validation_set,
+                                                     comparison.layer_index)
+        prepared.before = evaluate(val.quant_labels, validation_set, val.float_labels)
     return prepared
 
 
@@ -276,9 +271,10 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
         raise ValueError(f"neuron_order must hold distinct integers in 0..{width - 1}, "
                          f"got {order!r}")
     patched = clone_quantized(qmodel)
+    before = shared.before
     report = RepairReport(target_layer=target, metric=config.metric,
-                          accuracy_before=shared.accuracy_before,
-                          fidelity_before=shared.fidelity_before)
+                          accuracy_before=before and before.accuracy,
+                          fidelity_before=before and before.fidelity)
 
     failing = comparison.failing
     report.n_failing = int(failing.sum())
@@ -306,8 +302,8 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
         report.records.append(NeuronRecord(n, rank, float(scores[n]), status, M,
                                            time.monotonic() - t0))
 
-    if shared.val_rows is not None:
-        logits = forward_batch(patched, shared.val_rows, start=target)[0]
-        after = evaluate(logits.argmax(axis=1), validation_set, shared.val_float_labels)
+    if shared.validation is not None:
+        logits = forward_batch(patched, shared.validation.inputs, start=target)[0]
+        after = evaluate(logits.argmax(axis=1), validation_set, shared.validation.float_labels)
         report.accuracy_after, report.fidelity_after = after.accuracy, after.fidelity
     return patched, report

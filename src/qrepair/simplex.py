@@ -181,6 +181,8 @@ def simplex_solve(c, a, upper, deadline=None, lower=None) -> SimplexResult:
         raise ValueError("inconsistent LP dimensions")
     if not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= 0) & (upper >= 0)):
         raise ValueError("bounds must be finite and satisfy lower <= 0 <= upper")
+    if not (np.isfinite(c).all() and np.isfinite(a).all()):
+        raise ValueError("costs and constraint coefficients must be finite")
     tab = _Tableau(c, a, lower, upper)
     for _ in range(MAX_STEPS):
         if deadline is not None and time.monotonic() >= deadline:

@@ -153,6 +153,22 @@ def test_dataset_rejects_ids_that_do_not_match_the_rows():
     assert Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5, 6]).subset([1]).ids == [6]
 
 
+@pytest.mark.parametrize("ids", [np.arange(2), np.array([7, 3], np.uint8), (7, 3), range(5, 7)])
+def test_dataset_takes_ids_as_any_sequence_of_integers(ids):
+    ds = Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=ids)
+    assert ds.ids == [int(i) for i in ids]
+    assert all(type(i) is int for i in ds.ids)
+    assert ds.subset([1]).ids == ds.ids[1:]
+    with pytest.raises(DatasetError, match="3 ids for 2 rows"):
+        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=np.arange(3))
+
+
+@pytest.mark.parametrize("ids", [[0.5, 1.0], [True, False], ["a", "b"], [[0], [1]]])
+def test_dataset_rejects_ids_that_are_not_integers(ids):
+    with pytest.raises(DatasetError, match="ids must be a sequence of integers"):
+        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=ids)
+
+
 @pytest.mark.parametrize("features,labels", [
     (np.zeros(3, np.float32), []),  # three values for no rows
     (np.zeros(3, np.float32), [0, 1]),  # three values for two rows

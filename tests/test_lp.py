@@ -64,6 +64,45 @@ def test_neuron_lp_rejects_test_ids_of_another_length():
         NeuronLP(0, 0, np.ones(2), 0.0, [[1.0, 1.0]], [1], [0], 0.0, test_id=[3, 4])
 
 
+def one_row_lp(**fields):
+    """NeuronLP(0, 0, [1.0], 0.0, [[1.0]], [0], [1], epsilon=1e-3), with `fields` replaced."""
+    args = {"layer_index": 0, "neuron_index": 0, "w": [1.0], "bias": 0.0, "x": [[1.0]],
+            "target_status": [0], "current_status": [1], "epsilon": 1e-3}
+    return NeuronLP(**{**args, **fields})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("w", [np.nan]), ("w", [np.inf]), ("x", [[np.inf]]), ("x", [[-np.inf]]),
+    ("bias", np.nan), ("bias", -np.inf),
+])
+def test_neuron_lp_rejects_non_finite_weights_rows_and_bias(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        one_row_lp(**{name: value})
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, -5.0, -1e-12, np.inf, True, "0.1", None])
+def test_neuron_lp_rejects_an_epsilon_that_is_not_a_finite_real_at_least_0(epsilon):
+    with pytest.raises(ValueError, match="^epsilon"):
+        one_row_lp(epsilon=epsilon)
+    assert one_row_lp(epsilon=0).epsilon == 0
+
+
+@pytest.mark.parametrize("name,value", [
+    ("target_status", [3]), ("target_status", [-1]), ("current_status", [2]),
+])
+def test_neuron_lp_rejects_a_status_outside_0_and_1(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must hold only 0 and 1"):
+        one_row_lp(**{name: value})
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf, True, "2"])
+def test_neuron_lp_rejects_a_big_M_bound_that_is_not_finite_and_positive(bound):
+    with pytest.raises(ValueError, match="^big_M_bound"):
+        one_row_lp(big_M_bound=bound)
+    assert one_row_lp(big_M_bound=None).big_M_bound is None
+    assert solve_lp(one_row_lp(big_M_bound=2.0)).status == "optimal"
+
+
 def test_constraints_list_the_rows_with_python_ints():
     lp = repair_lp(8, 6, 1008)
     cons = lp.constraints

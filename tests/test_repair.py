@@ -444,9 +444,67 @@ def test_after_repair_scores_equal_a_full_forward(case, config, conv3_model, con
     assert report.count("optimal") >= 1
     save_qmodel(patched, tmp_path / "patched.json")
     for model in (patched, load_qmodel(tmp_path / "patched.json")):
-        part = model_mod.forward_batch(model, shared.val_rows, start=report.target_layer)[0]
+        part = model_mod.forward_batch(model, shared.validation.inputs, start=report.target_layer)[0]
         assert part.tobytes() == model_mod.forward_batch(model, val.features)[0].tobytes()
     assert report.accuracy_before == accuracy(qmodel, val).accuracy
     assert report.fidelity_before == fidelity(fmodel, qmodel, val)
     assert report.accuracy_after == accuracy(patched, val).accuracy
     assert report.fidelity_after == fidelity(fmodel, patched, val)
+
+
+@pytest.mark.parametrize("case,config", [
+    ("conv3", RepairConfig(top_n=10)),
+    ("conv3", RepairConfig(top_n=10, target_layer=4)),
+    ("desk", RepairConfig(top_n=3)),
+], ids=["conv3", "conv3-hidden", "desk"])
+def test_prepare_compares_the_validation_set_as_it_compares_the_repair_set(
+        case, config, conv3_model, conv3_val, desk_fixture):
+    from qrepair.evaluate import evaluate
+    from qrepair.repair import prepare
+
+    fmodel, qmodel, repair_set, val = (_conv3_parts(conv3_model, conv3_val) if case == "conv3"
+                                       else desk_fixture)
+    shared = prepare(fmodel, qmodel, repair_set, val, config)
+    target = shared.comparison.layer_index
+    direct = compare_at_layer(fmodel, qmodel, val, target)
+    assert shared.validation.layer_index == direct.layer_index == target
+    for name in ("float_labels", "quant_labels", "status_float", "status_quant", "inputs",
+                 "weights", "bias"):
+        got, want = getattr(shared.validation, name), getattr(direct, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert shared.before == evaluate(direct.quant_labels, val, direct.float_labels)
+
+
+def test_an_empty_validation_set_is_measured_as_no_validation_set(desk_fixture, monkeypatch):
+    import qrepair.repair as repair_mod
+
+    fmodel, qmodel, repair_set, val = desk_fixture
+    empty = val.subset([])
+    assert len(empty) == 0
+    real_compare, real_forward = repair_mod.compare_at_layer, repair_mod.forward_batch
+    seen = []
+
+    def compare(fm, qm, dataset, *args, **kwargs):
+        seen.append(("compare", dataset))
+        return real_compare(fm, qm, dataset, *args, **kwargs)
+
+    def forward(model, inputs, *args, **kwargs):
+        seen.append(("forward", inputs))
+        return real_forward(model, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(repair_mod, "compare_at_layer", compare)
+    monkeypatch.setattr(repair_mod, "forward_batch", forward)
+    config = RepairConfig(top_n=3)
+    reports = []
+    for validation_set in (empty, None):
+        seen.clear()
+        shared = repair_mod.prepare(fmodel, qmodel, repair_set, validation_set, config)
+        assert shared.validation is None and shared.before is None
+        _, report = repair(fmodel, qmodel, repair_set, validation_set, config, shared=shared)
+        assert report.count("optimal") >= 1
+        assert (report.accuracy_before, report.accuracy_after, report.fidelity_before,
+                report.fidelity_after) == (None, None, None, None)
+        assert seen == [("compare", repair_set)]  # the repair set only; no validation pass
+        reports.append(report.to_json())
+    assert reports[0] == reports[1]

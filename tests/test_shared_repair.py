@@ -78,8 +78,8 @@ def test_experiment_reports_match_memo_free_repairs(seed, config, tmp_path, monk
     shared = calls[0][1]["shared"]
     assert all(kwargs["shared"] is shared for _, kwargs, _ in calls)
 
-    # one comparison, and each distinct neuron's LP built and solved once
-    assert counted["compare"] == 1
+    # one comparison per set, and each distinct neuron's LP built and solved once
+    assert counted["compare"] == 2
     attempted = {r.neuron for _, _, rep in calls for r in rep.records}
     assert set(counted["build"]) == attempted == set(shared.solutions)
     assert set(counted["build"].values()) == {1}

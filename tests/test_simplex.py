@@ -183,6 +183,17 @@ def test_rejects_bad_lower_bounds(lower, upper):
         simplex_solve(c=[1.0], a=[[1.0]], upper=upper, lower=lower)
 
 
+@pytest.mark.parametrize("c,a", [
+    ([-1.0, 0.0], [[np.nan, 1.0]]),
+    ([-1.0, 0.0], [[np.inf, 1.0]]),
+    ([np.nan, 0.0], [[1.0, 1.0]]),
+    ([-np.inf, 0.0], [[1.0, 1.0]]),
+], ids=["nan_a", "inf_a", "nan_c", "inf_c"])
+def test_rejects_non_finite_costs_and_coefficients(c, a):
+    with pytest.raises(ValueError, match="must be finite"):
+        simplex_solve(c, a, [1.0, 1.0])
+
+
 def random_instances(seed, count=60):
     rng = np.random.default_rng(seed)
     for _ in range(count):
