@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import check_number
+
 MAGIC = b"QNRD"
 _CSV_CHUNK_ROWS = 16  # rows turned to text at once by save_dataset
 
@@ -30,6 +32,7 @@ class Dataset:
     ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        self.num_classes = check_number("num_classes", self.num_classes, 1, integer=True)
         self.features = np.asarray(self.features, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.labels.size

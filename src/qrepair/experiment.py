@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, DatasetError, save_dataset
 from .evaluate import accuracy, predict
 from .localize import METRICS
-from .model import Layer, Model, QuantizedTensor, Tensor, is_int, is_real, save_model
+from .model import Layer, Model, QuantizedTensor, Tensor, check_number, save_model
 from .quantize import clone_quantized, quantize_model, save_qmodel
 from .repair import RepairConfig, prepare, repair, round6
 
@@ -55,13 +55,8 @@ class PresetSpec:
         least = {"dim": 1, "num_classes": 2, "hidden": 1, "n_train": 1, "n_repair": 1,
                  "n_val": 1, "epochs": 0, "batch": 1}
         for name, low in least.items():
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not (is_real(self.lr) and math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite real number > 0, got {self.lr!r}")
+            setattr(self, name, check_number(name, getattr(self, name), low, integer=True))
+        self.lr = check_number("lr", self.lr, 0, above=True)
 
 
 MLP_BLOBS = PresetSpec(dim=20, num_classes=3, hidden=24, n_train=600,
@@ -245,11 +240,8 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     """Full train/quantize/damage/repair cycle; returns the comparison report."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
-        if not is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:  # a seed below 0 has no SeedSequence; no trials, a NaN mean
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    seed = check_number("seed", seed, 0, integer=True)  # a seed below 0 has no SeedSequence
+    trials = check_number("trials", trials, 1, integer=True)  # no trials: a NaN mean
     spec = spec or (MLP_BLOBS if preset == "mlp-blobs" else MNIST_MINI)
     config = config or RepairConfig()
 

@@ -20,7 +20,6 @@ and a `NeuronLP` keeps its rows as one matrix `x` plus per-row arrays.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from .localize import LayerComparison
 from .model import capture_activations  # noqa: F401  perfbench/test_perfbench.py expects it bound here
-from .model import is_real
+from .model import check_number
 from .simplex import FEAS_TOL, simplex_solve
 
 log = logging.getLogger("qrepair")
@@ -67,12 +66,8 @@ class NeuronLP:
         for name in ("w", "x", "bias"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if not (is_real(self.epsilon) and 0 <= self.epsilon < math.inf):  # NaN fails too
-            raise ValueError(f"epsilon must be a finite real >= 0, got {self.epsilon!r}")
-        if self.big_M_bound is not None and not (is_real(self.big_M_bound)
-                                                 and 0 < self.big_M_bound < math.inf):
-            raise ValueError("big_M_bound must be None or finite and > 0, "
-                             f"got {self.big_M_bound!r}")
+        self.epsilon = check_number("epsilon", self.epsilon, 0)
+        self.big_M_bound = check_number("big_M_bound", self.big_M_bound, 0, above=True, none=True)
         for name in ("target_status", "current_status", "test_id"):
             value = getattr(self, name)
             value = np.full(len(self.x), -1) if value is None else np.asarray(value, np.int64)
@@ -146,7 +141,7 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     """
     if not len(lp.x):
         raise EmptyLPError("cannot solve an LP with no constraints")
-    deadline = time.monotonic() + time_budget
+    deadline = time.monotonic() + check_number("time_budget", time_budget, 0, inf=True)
     m = lp.m
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
     sign = 2.0 * lp.target_status - 1.0

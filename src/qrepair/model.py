@@ -71,9 +71,7 @@ class QuantizedTensor:
         if bad.size:
             raise ValueError(f"int8 codes must be integers in [-127, 127], got {bad[0]:g}")
         self.data = codes.astype(np.int8)
-        if not (is_real(self.scale) and math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be a positive finite real number, got {self.scale!r}")
-        self.scale = float(self.scale)
+        self.scale = check_number("scale", self.scale, 0, above=True)
         if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
             raise ValueError(f"shape {self.shape} does not match {self.data.size} values")
 
@@ -117,8 +115,9 @@ class Model:
     num_classes: int
 
     def __post_init__(self):
-        self.input_shape = tuple(int(d) for d in self.input_shape)
-        self.num_classes = int(self.num_classes)
+        self.input_shape = tuple(check_number(f"input_shape[{i}]", d, 1, integer=True)
+                                 for i, d in enumerate(self.input_shape))
+        self.num_classes = check_number("num_classes", self.num_classes, 1, integer=True)
         validate_topology(self)
 
     def dense_layer_indices(self) -> list[int]:
@@ -146,9 +145,23 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """A Python or numpy real number, but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def check_number(name: str, value, low, *, integer=False, above=False, inf=False, none=False):
+    """`value` as a Python int (with `integer`) or float, once it is a Python
+    or numpy number (a bool, np.bool_ or string is not), >= `low` (> `low`
+    with `above`; NaN fails) and finite unless `inf`; with `none`, None is
+    returned as it is. Raises ValueError naming `name` otherwise."""
+    if none and value is None:
+        return None
+    if not (is_int(value) if integer else
+            isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    number = int(value) if integer else float(value)
+    if not ((number > low if above else number >= low)
+            and (integer or inf or math.isfinite(number))):
+        finite = "" if integer or inf else "finite and "
+        raise ValueError(f"{name} must be {finite}{'>' if above else '>='} {low}, got {value!r}")
+    return number
 
 
 def _int_entry(entries: dict, key: str, default) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from .evaluate import EvalResult, evaluate
 from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
-from .model import Model, forward_batch, is_int, is_real
+from .model import Model, check_number, forward_batch, is_int
 from .quantize import clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
@@ -47,24 +47,14 @@ class RepairConfig:
     lp_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
-        for name in ("top_n", "max_constraints", "target_layer"):
-            value = getattr(self, name)
-            if not (is_int(value) or name == "target_layer" and value is None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("epsilon", "time_budget", "delta_bound"):
-            value = getattr(self, name)
-            if not (is_real(value) or name == "delta_bound" and value is None):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if not 0 <= self.epsilon < math.inf:  # written so that NaN fails each check
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not self.time_budget >= 0:  # inf means no deadline
-            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
-        if self.max_constraints < 1:
-            raise ValueError("max_constraints must be >= 1")
-        if self.delta_bound is not None and not 0 < self.delta_bound < math.inf:
-            raise ValueError(f"delta_bound must be finite and > 0, got {self.delta_bound}")
+        self.target_layer = check_number("target_layer", self.target_layer, -math.inf,
+                                         integer=True, none=True)  # compare_at_layer checks range
+        self.top_n = check_number("top_n", self.top_n, 1, integer=True)
+        self.max_constraints = check_number("max_constraints", self.max_constraints, 1,
+                                            integer=True)
+        self.epsilon = check_number("epsilon", self.epsilon, 0)
+        self.time_budget = check_number("time_budget", self.time_budget, 0, inf=True)  # no deadline
+        self.delta_bound = check_number("delta_bound", self.delta_bound, 0, above=True, none=True)
         if self.patch_mode not in PATCH_MODES:
             raise ValueError(f"patch_mode must be one of {PATCH_MODES}")
         if self.metric not in METRICS:

@@ -169,6 +169,26 @@ def test_dataset_rejects_ids_that_are_not_integers(ids):
         Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=ids)
 
 
+@pytest.mark.parametrize("num_classes,message", [
+    (2.5, "num_classes must be an integer, got 2.5"),
+    ("3", "num_classes must be an integer, got '3'"),
+    (np.bool_(True), "num_classes must be an integer, got "),
+    (0, "num_classes must be >= 1, got 0"),
+], ids=["float", "string", "np_bool", "zero"])
+def test_dataset_rejects_a_class_count_that_is_not_an_integer_at_least_1(num_classes, message):
+    # unchecked, 2.5 fails a later .bin save with a bare struct.error and "3"
+    # the label range check with numpy's UFuncTypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        Dataset(np.zeros((2, 3)), [0, 1], num_classes)
+
+
+def test_dataset_takes_a_numpy_class_count_as_a_python_int(tmp_path):
+    ds = Dataset(np.zeros((2, 3)), [0, 1], np.int64(3))
+    assert type(ds.num_classes) is int
+    save_dataset(ds, tmp_path / "d.bin")
+    assert load_dataset(tmp_path / "d.bin").num_classes == 3
+
+
 @pytest.mark.parametrize("features,labels", [
     (np.zeros(3, np.float32), []),  # three values for no rows
     (np.zeros(3, np.float32), [0, 1]),  # three values for two rows

@@ -270,6 +270,7 @@ def test_preset_spec_rejects_a_bad_field(field, value):
 @pytest.mark.parametrize("field,value", [
     ("dim", 2.5), ("epochs", 2.5), ("n_train", 300.0), ("batch", True), ("hidden", True),
     ("num_classes", "3"), ("n_repair", None), ("n_val", np.float64(10)),
+    ("batch", np.bool_(True)),
 ])
 def test_preset_spec_rejects_an_integer_field_that_is_not_an_integer(field, value):
     message = f"{field} must be an integer, got {value!r}"
@@ -288,6 +289,7 @@ def test_preset_spec_takes_numpy_integers():
     ({"seed": 7.5}, "seed must be an integer, got 7.5"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"trials": np.bool_(True)}, f"trials must be an integer, got {np.bool_(True)!r}"),
 ])
 def test_experiment_rejects_a_seed_or_trials_that_is_not_a_valid_integer(tmp_path, kwargs,
                                                                           message):

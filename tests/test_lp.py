@@ -80,7 +80,8 @@ def test_neuron_lp_rejects_non_finite_weights_rows_and_bias(name, value):
         one_row_lp(**{name: value})
 
 
-@pytest.mark.parametrize("epsilon", [np.nan, -5.0, -1e-12, np.inf, True, "0.1", None])
+@pytest.mark.parametrize("epsilon", [np.nan, -5.0, -1e-12, np.inf, True, "0.1", None,
+                                     np.bool_(True)])
 def test_neuron_lp_rejects_an_epsilon_that_is_not_a_finite_real_at_least_0(epsilon):
     with pytest.raises(ValueError, match="^epsilon"):
         one_row_lp(epsilon=epsilon)
@@ -95,7 +96,7 @@ def test_neuron_lp_rejects_a_status_outside_0_and_1(name, value):
         one_row_lp(**{name: value})
 
 
-@pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf, True, "2"])
+@pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf, True, "2", np.bool_(True)])
 def test_neuron_lp_rejects_a_big_M_bound_that_is_not_finite_and_positive(bound):
     with pytest.raises(ValueError, match="^big_M_bound"):
         one_row_lp(big_M_bound=bound)
@@ -361,6 +362,19 @@ def test_solve_contradictory_infeasible():
 def test_solve_timeout():
     sol = solve_lp(classic_lp(), time_budget=0.0)
     assert sol.status == "timeout"
+
+
+@pytest.mark.parametrize("budget,message", [
+    (np.nan, "time_budget must be >= 0, got nan"),  # a deadline that never passes
+    (-1.0, "time_budget must be >= 0, got -1.0"),
+    (True, "time_budget must be a real number, got True"),  # not 1 s
+    ("5", "time_budget must be a real number, got '5'"),  # not a bare TypeError
+    (np.bool_(False), "time_budget must be a real number, got "),
+], ids=["nan", "negative", "bool", "string", "np_bool"])
+def test_solve_rejects_a_time_budget_that_is_not_a_real_at_least_0(budget, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        solve_lp(classic_lp(), time_budget=budget)
+    assert solve_lp(classic_lp(), time_budget=np.inf).status == "optimal"
 
 
 def test_solve_respects_box_bound():

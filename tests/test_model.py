@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qrepair.model import (
     Tensor,
     argmax_label,
     capture_activations,
+    check_number,
     forward,
     load_model,
     save_model,
@@ -232,6 +235,56 @@ def test_final_layer_must_be_dense():
     with pytest.raises(ShapeMismatchError):
         # final dense width disagrees with num_classes
         dense_model(np.eye(2), num_classes=5)
+
+
+@pytest.mark.parametrize("input_shape,num_classes,message", [
+    ((2,), 2.7, "num_classes must be an integer, got 2.7"),
+    ((2,), "2", "num_classes must be an integer, got '2'"),
+    ((2,), np.bool_(True), "num_classes must be an integer, got "),
+    ((2.9,), 2, "input_shape[0] must be an integer, got 2.9"),
+    ((0,), 2, "input_shape[0] must be >= 1, got 0"),
+], ids=["float_classes", "string_classes", "np_bool_classes", "float_dim", "zero_dim"])
+def test_model_rejects_a_shape_or_class_count_that_is_not_an_integer_at_least_1(
+        input_shape, num_classes, message):
+    # an int() would make 2.7 classes 2 and input_shape (2.9,) into (2,), and take "2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        Model([Layer("dense", Tensor.from_array(np.eye(2)))], input_shape, num_classes)
+
+
+def test_model_takes_numpy_integers_as_python_ints():
+    model = Model([Layer("dense", Tensor.from_array(np.eye(2)))], (np.int64(2),), np.int32(2))
+    assert (model.input_shape, model.num_classes) == ((2,), 2)
+    assert list(map(type, model.input_shape + (model.num_classes,))) == [int, int]
+
+
+@pytest.mark.parametrize("value,flags,expected", [
+    (1, {}, 1.0),  # the bound passes >=
+    (1, {"above": True}, "x must be finite and > 1, got 1"),
+    (np.int64(1), {"integer": True}, 1),
+    (0, {"integer": True}, "x must be >= 1, got 0"),
+    (np.float32(1.5), {}, 1.5),
+    (math.inf, {}, "x must be finite and >= 1, got inf"),
+    (math.inf, {"inf": True}, math.inf),
+    (math.nan, {}, "x must be finite and >= 1, got nan"),
+    (math.nan, {"inf": True}, "x must be >= 1, got nan"),
+    (np.bool_(True), {}, "x must be a real number, got "),
+    (np.bool_(True), {"integer": True}, "x must be an integer, got "),
+    (True, {"integer": True}, "x must be an integer, got True"),
+    (1.0, {"integer": True}, "x must be an integer, got 1.0"),
+    ("2", {}, "x must be a real number, got '2'"),
+    (None, {}, "x must be a real number, got None"),
+    (None, {"none": True}, None),
+], ids=["at_bound", "at_bound_above", "np_int", "int_below", "np_float", "inf", "inf_allowed",
+        "nan", "nan_inf_allowed", "np_bool", "np_bool_integer", "bool_integer", "float_integer",
+        "string", "none", "none_allowed"])
+def test_check_number_edges(value, flags, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+            check_number("x", value, 1, **flags)
+    else:
+        got = check_number("x", value, 1, **flags)
+        assert got == expected
+        assert type(got) is type(expected)
 
 
 def _conv_pool_model(conv_hyperparams):

@@ -333,7 +333,7 @@ def test_save_load_save_is_byte_identical(tmp_path, conv3_model, conv3_val):
 def test_quantized_tensor_invariants():
     with pytest.raises(ValueError):
         QuantizedTensor((1,), np.array([1], np.int8), scale=0.0)
-    for scale in (math.nan, math.inf, True, "0.5"):  # a JSON 1e400 reads as inf
+    for scale in (math.nan, math.inf, True, "0.5", np.bool_(True)):  # a JSON 1e400 reads as inf
         with pytest.raises(ValueError, match="scale"):
             QuantizedTensor((1,), np.array([1], np.int8), scale=scale)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -88,6 +89,7 @@ def test_config_rejects_a_metric_it_cannot_rank_by(metric):
 @pytest.mark.parametrize("field,value", [
     ("top_n", 2.5), ("top_n", True), ("top_n", "3"), ("top_n", None),
     ("max_constraints", 1.5), ("max_constraints", False), ("max_constraints", np.float32(8)),
+    ("max_constraints", np.bool_(True)),
     ("target_layer", 1.0), ("target_layer", True), ("target_layer", "0"),
 ])
 def test_config_rejects_a_count_or_layer_that_is_not_an_integer(field, value):
@@ -114,12 +116,37 @@ def test_repair_takes_an_lp_dir_as_a_path(desk_fixture, tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("epsilon", "0.1"), ("epsilon", None), ("epsilon", True), ("epsilon", np.bool_(True)),
     ("time_budget", None), ("time_budget", False), ("time_budget", "60"),
+    ("time_budget", np.bool_(False)),
     ("delta_bound", True), ("delta_bound", "0.5"), ("delta_bound", [0.5]),
+    ("delta_bound", np.bool_(True)),
 ])
 def test_config_rejects_a_tolerance_or_budget_that_is_not_a_real_number(field, value):
     # caught when the config is built, with the field named, not by a comparison's bare TypeError
     with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
         RepairConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("top_n", 0, "top_n must be >= 1, got 0"),
+    ("max_constraints", 0, "max_constraints must be >= 1, got 0"),
+    ("epsilon", -1e-12, "epsilon must be finite and >= 0, got -1e-12"),
+    ("epsilon", np.inf, "epsilon must be finite and >= 0, got inf"),
+    ("epsilon", np.nan, "epsilon must be finite and >= 0, got nan"),
+    ("time_budget", -1.0, "time_budget must be >= 0, got -1.0"),
+    ("time_budget", np.nan, "time_budget must be >= 0, got nan"),
+    ("delta_bound", 0.0, "delta_bound must be finite and > 0, got 0.0"),
+    ("delta_bound", np.inf, "delta_bound must be finite and > 0, got inf"),
+], ids=["top_n_0", "max_constraints_0", "epsilon_negative", "epsilon_inf", "epsilon_nan",
+        "time_budget_negative", "time_budget_nan", "delta_bound_0", "delta_bound_inf"])
+def test_config_rejects_a_number_out_of_its_range(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RepairConfig(**{field: value})
+
+
+def test_config_takes_each_range_at_its_bound_and_an_infinite_time_budget():
+    config = RepairConfig(top_n=1, max_constraints=1, epsilon=0, time_budget=np.inf)
+    assert (config.top_n, config.max_constraints, config.epsilon) == (1, 1, 0.0)
+    assert config.time_budget == np.inf
 
 
 def test_config_takes_numpy_reals_integers_and_no_delta_bound():
