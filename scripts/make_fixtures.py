@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from qrepair.data import Dataset, save_dataset
 from qrepair.lp import NeuronLP, export_lp
 from qrepair.model import Layer, Model, Tensor, forward_batch, save_model
-from qrepair.quantize import quantize_model, save_qmodel
+from qrepair.quantize import quantize_model
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL_SEED = 13
@@ -77,7 +77,7 @@ def main():
     fixtures.mkdir(parents=True, exist_ok=True)
     model = build_conv3()
     save_model(model, fixtures / "conv3.json")
-    save_qmodel(quantize_model(model), fixtures / "conv3_quant.json")
+    save_model(quantize_model(model), fixtures / "conv3_quant.json")
     xs, labels = make_dataset(model)
     save_dataset(Dataset(xs, labels, model.num_classes), fixtures / "conv3_val.csv")
     write_goldens()

@@ -19,8 +19,8 @@ from . import experiment as exp
 from .data import load_dataset
 from .evaluate import accuracy
 from .localize import METRICS, compare_at_layer, importance_scores, spectra_csv
-from .model import load_model
-from .quantize import load_qmodel, quantize_model, save_qmodel
+from .model import load_model, save_model
+from .quantize import quantize_model
 from .repair import PATCH_MODES, RepairConfig, repair
 
 log = logging.getLogger("qrepair")
@@ -99,15 +99,15 @@ def build_parser() -> _Parser:
 
 
 def cmd_quantize(model, out) -> int:
-    save_qmodel(quantize_model(load_model(model)), out)
+    save_model(quantize_model(load_model(model)), out)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_eval(model, data, ref_model, out) -> int:
-    net = load_qmodel(model)
+    net = load_model(model)
     dataset = load_dataset(data, num_classes=net.num_classes)
-    ref = load_qmodel(ref_model) if ref_model else None
+    ref = load_model(ref_model) if ref_model else None
     result = accuracy(net, dataset, reference=ref)
     obj = {"dataset": str(data), "n": result.n, "correct": result.correct,
            "accuracy": result.accuracy, "fidelity": result.fidelity}
@@ -128,7 +128,7 @@ def cmd_eval(model, data, ref_model, out) -> int:
 def cmd_localize(float_model, quant, repair_set, out, **options) -> int:
     config = RepairConfig(**options)
     fmodel = load_model(float_model)
-    qmodel = load_qmodel(quant)
+    qmodel = load_model(quant)
     dataset = load_dataset(repair_set, num_classes=fmodel.num_classes)
     counters = compare_at_layer(fmodel, qmodel, dataset, config.target_layer).spectra()
     csv_text = spectra_csv(counters, importance_scores(counters, config.metric), config.metric)
@@ -141,14 +141,14 @@ def cmd_localize(float_model, quant, repair_set, out, **options) -> int:
 def cmd_repair(float_model, quant, repair_set, val, out_dir, **options) -> int:
     config = RepairConfig(**options)
     fmodel = load_model(float_model)
-    qmodel = load_qmodel(quant)
+    qmodel = load_model(quant)
     repair_rows = load_dataset(repair_set, num_classes=fmodel.num_classes)
     val_rows = load_dataset(val, num_classes=fmodel.num_classes)
     patched, report = repair(fmodel, qmodel, repair_rows, val_rows, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "repair_report.json").write_text(report.to_json())
-    save_qmodel(patched, out / "repaired_model.json")
+    save_model(patched, out / "repaired_model.json")
     print(report.table(), end="")
     return 0 if report.count("optimal") > 0 else ZERO_REPAIRS
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ class Dataset:
     features: np.ndarray  # float32 [rows, dim]
     labels: np.ndarray  # int64 [rows]
     num_classes: int
-    ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.num_classes = check_number("num_classes", self.num_classes, 1, integer=True)
@@ -43,27 +42,21 @@ class Dataset:
             self.features = self.features.reshape(n, width)
         if self.features.shape[0] != n:
             raise DatasetError("row count mismatch between features and labels")
-        ids = np.asarray(self.ids)  # any sequence of integers; empty: the row numbers
-        if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"):
-            raise DatasetError(f"ids must be a sequence of integers, got {self.ids!r}")
-        if ids.size and ids.size != n:
-            raise DatasetError(f"{ids.size} ids for {n} rows")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             bad = int(self.labels.max() if self.labels.max() >= self.num_classes else self.labels.min())
             raise DatasetError(f"label {bad} out of range for {self.num_classes} classes")
-        self.ids = ids.tolist() if ids.size else list(range(n))
 
     def __len__(self):
         return self.labels.size
 
     def subset(self, indices) -> "Dataset":
         idx = list(indices)
-        return Dataset(self.features[idx], self.labels[idx], self.num_classes,
-                       [self.ids[i] for i in idx])
+        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
 def load_dataset(path, *, num_classes: int | None = None) -> Dataset:
     """Load a `.bin` dataset, or a CSV one for any other suffix."""
+    num_classes = check_number("num_classes", num_classes, 1, integer=True, none=True)
     path = Path(path)
     return _load_bin(path, num_classes) if path.suffix == ".bin" else _load_csv(path, num_classes)
 

@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, DatasetError, save_dataset
-from .evaluate import accuracy, predict
+from .evaluate import evaluate
 from .localize import METRICS
 from .model import Layer, Model, QuantizedTensor, Tensor, check_number, save_model
-from .quantize import clone_quantized, quantize_model, save_qmodel
-from .repair import RepairConfig, prepare, repair, round6
+from .quantize import clone_quantized, quantize_model
+from .repair import Prepared, RepairConfig, prepare, repair, round6
 
 log = logging.getLogger("qrepair")
 
@@ -170,27 +170,30 @@ def damage_layer(qmodel: Model, layer_index: int,
 
 
 def damaged_quantized_model(fmodel: Model, val: Dataset, repair_set: Dataset,
-                            seed_seq: np.random.SeedSequence
-                            ) -> tuple[Model, float, float]:
+                            seed_seq: np.random.SeedSequence, config: RepairConfig | None = None
+                            ) -> tuple[Model, float, Prepared]:
     """Quantize and perturb until the float-vs-quantized val gap is >= 2 points.
 
     Also requires a handful of failing tests in the repair set, so the
     localization stage has evidence to work with. The float model is quantized
-    and run over each set once; each damage level damages and runs a copy.
+    once; each damage level damages a copy and scores it with `prepare`. Returns
+    the damaged model, the float val accuracy and the record its repairs share.
     """
+    if not len(val):
+        raise ValueError("cannot evaluate on an empty dataset")
+    config = config or RepairConfig()
     target = fmodel.last_dense_index()
-    acc_f = accuracy(fmodel, val).accuracy
-    float_repair_labels = predict(fmodel, repair_set)
     undamaged = quantize_model(fmodel)
     for level, child in zip(DAMAGE_LEVELS, seed_seq.spawn(len(DAMAGE_LEVELS))):
         qmodel = clone_quantized(undamaged)
         damage_layer(qmodel, target, np.random.default_rng(child), level)
-        acc_q = accuracy(qmodel, val).accuracy
-        failing = int(np.sum(predict(qmodel, repair_set) != float_repair_labels))
-        if acc_f - acc_q >= GAP_TARGET and failing >= 3:
+        record = prepare(fmodel, qmodel, repair_set, val, config)
+        acc_f = evaluate(record.validation.float_labels, val).accuracy
+        gap, failing = acc_f - record.before.accuracy, int(record.comparison.failing.sum())
+        if gap >= GAP_TARGET and failing >= 3:
             log.info("damage fraction %.2f: gap %.4f, %d failing repair tests",
-                     level, acc_f - acc_q, failing)
-            return qmodel, acc_f, acc_q
+                     level, gap, failing)
+            return qmodel, acc_f, record
     raise RuntimeError("could not reach the required accuracy gap")
 
 
@@ -259,10 +262,10 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     val = total.subset(range(spec.n_train + spec.n_repair, len(total)))
 
     fmodel = train_mlp(np.random.default_rng(ss_train), train, spec)
-    qmodel, acc_f, acc_q = damaged_quantized_model(fmodel, val, repair_set, ss_damage)
-    # every repair below starts from the same models, sets and config, so they
-    # share one comparison per set, the before-repair scores and each neuron's LP
-    shared = prepare(fmodel, qmodel, repair_set, val, config)
+    # every repair below shares the search's record of these models, sets and
+    # config: one comparison per set, the before-repair scores and each neuron's LP
+    qmodel, acc_f, shared = damaged_quantized_model(fmodel, val, repair_set, ss_damage, config)
+    acc_q = shared.before.accuracy
 
     strategies = {}
     reports = {}
@@ -310,7 +313,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_model(fmodel, out / "float_model.json")
-        save_qmodel(qmodel, out / "quantized_model.json")
+        save_model(qmodel, out / "quantized_model.json")
         save_dataset(repair_set, out / "repair_set.csv")
         save_dataset(val, out / "validation_set.csv")
         for metric, rep in reports.items():

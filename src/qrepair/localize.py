@@ -103,7 +103,7 @@ def classify_tests(fmodel: Model, qmodel: Model, dataset) -> list[TestOutcome]:
     """Label every repair-set input passing or failing by model agreement."""
     c = compare_at_layer(fmodel, qmodel, dataset)
     return [TestOutcome(test_id, int(fl), int(ql))
-            for test_id, fl, ql in zip(dataset.ids, c.float_labels, c.quant_labels)]
+            for test_id, (fl, ql) in enumerate(zip(c.float_labels, c.quant_labels))]
 
 
 def build_diff_matrix(fmodel: Model, qmodel: Model, dataset,

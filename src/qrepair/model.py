@@ -156,7 +156,10 @@ def check_number(name: str, value, low, *, integer=False, above=False, inf=False
             isinstance(value, numbers.Real) and not isinstance(value, bool)):
         kind = "an integer" if integer else "a real number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
-    number = int(value) if integer else float(value)
+    try:
+        number = int(value) if integer else float(value)
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{name} must be within float range, got {value!r}") from None
     if not ((number > low if above else number >= low)
             and (integer or inf or math.isfinite(number))):
         finite = "" if integer or inf else "finite and "

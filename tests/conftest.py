@@ -100,7 +100,7 @@ def make_desk_parts(spec, seed=4242):
     repair_set = total.subset(range(spec.n_train, spec.n_train + spec.n_repair))
     val = total.subset(range(spec.n_train + spec.n_repair, n))
     fmodel = train_mlp(np.random.default_rng(ss_train), train, spec)
-    qmodel, acc_f, acc_q = damaged_quantized_model(fmodel, val, repair_set, ss_damage)
+    qmodel, _, _ = damaged_quantized_model(fmodel, val, repair_set, ss_damage)
     return fmodel, qmodel, repair_set, val
 
 

@@ -16,7 +16,6 @@ def test_csv_two_rows(tmp_path):
     assert len(ds) == 2
     assert ds.labels.tolist() == [0, 1]
     np.testing.assert_allclose(ds.features, [[1.5, -2.0], [0.25, 3.0]])
-    assert ds.ids == [0, 1]
 
 
 def test_csv_label_out_of_range(tmp_path):
@@ -132,41 +131,17 @@ def test_row_order_preserved(tmp_path):
     assert ds.features[:, 0].tolist() == [9.0, 1.0, 5.0]
 
 
-def test_subset_keeps_ids():
-    ds = Dataset(np.zeros((5, 2), np.float32), np.zeros(5, np.int64), 1)
+def test_subset_takes_the_named_rows_in_order():
+    ds = Dataset(np.arange(10, dtype=np.float32).reshape(5, 2), [0, 1, 2, 0, 1], 3)
     sub = ds.subset([3, 1])
-    assert sub.ids == [3, 1]
-    assert len(sub) == 2
+    assert sub.labels.tolist() == [0, 1]
+    assert sub.features.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+    assert sub.num_classes == 3
 
 
 def test_dataset_label_validation():
     with pytest.raises(DatasetError):
         Dataset(np.zeros((2, 2), np.float32), np.array([0, 7]), 3)
-
-
-def test_dataset_rejects_ids_that_do_not_match_the_rows():
-    # one id for two rows: subset([1]) would fail later with a bare IndexError
-    with pytest.raises(DatasetError, match="1 ids for 2 rows"):
-        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5])
-    with pytest.raises(DatasetError, match="3 ids for 2 rows"):
-        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5, 6, 7])
-    assert Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=[5, 6]).subset([1]).ids == [6]
-
-
-@pytest.mark.parametrize("ids", [np.arange(2), np.array([7, 3], np.uint8), (7, 3), range(5, 7)])
-def test_dataset_takes_ids_as_any_sequence_of_integers(ids):
-    ds = Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=ids)
-    assert ds.ids == [int(i) for i in ids]
-    assert all(type(i) is int for i in ds.ids)
-    assert ds.subset([1]).ids == ds.ids[1:]
-    with pytest.raises(DatasetError, match="3 ids for 2 rows"):
-        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=np.arange(3))
-
-
-@pytest.mark.parametrize("ids", [[0.5, 1.0], [True, False], ["a", "b"], [[0], [1]]])
-def test_dataset_rejects_ids_that_are_not_integers(ids):
-    with pytest.raises(DatasetError, match="ids must be a sequence of integers"):
-        Dataset(np.zeros((2, 3), np.float32), [0, 1], 2, ids=ids)
 
 
 @pytest.mark.parametrize("num_classes,message", [
@@ -180,6 +155,25 @@ def test_dataset_rejects_a_class_count_that_is_not_an_integer_at_least_1(num_cla
     # the label range check with numpy's UFuncTypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         Dataset(np.zeros((2, 3)), [0, 1], num_classes)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+@pytest.mark.parametrize("num_classes,message", [
+    ("3", "num_classes must be an integer, got '3'"),
+    (True, "num_classes must be an integer, got True"),
+    (3.0, "num_classes must be an integer, got 3.0"),
+    (0, "num_classes must be >= 1, got 0"),
+], ids=["string", "bool", "float", "zero"])
+def test_load_dataset_checks_the_class_count_before_reading_either_format(
+        tmp_path, suffix, num_classes, message):
+    # unchecked, a .bin header compared with "3" reads "file says 3 classes,
+    # expected 3", and 3.0 passes where a CSV rejects it
+    path = tmp_path / f"d{suffix}"
+    save_dataset(Dataset(np.zeros((3, 2)), [0, 1, 2], 3), path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_dataset(path, num_classes=num_classes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_dataset(tmp_path / f"missing{suffix}", num_classes=num_classes)  # before the read
 
 
 def test_dataset_takes_a_numpy_class_count_as_a_python_int(tmp_path):

@@ -1,26 +1,34 @@
+import copy
 import gzip
 import hashlib
 import json
 import re
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qrepair.model as model_mod
 from qrepair import experiment
 from qrepair.experiment import (
+    DAMAGE_LEVELS,
     GAP_TARGET,
     MLP_BLOBS,
     PresetSpec,
     comparison_csv,
+    damage_layer,
+    damaged_quantized_model,
     load_mnist_idx,
     make_blobs,
     run_experiment,
     train_mlp,
 )
 from qrepair.data import Dataset, DatasetError
-from qrepair.evaluate import accuracy
+from qrepair.evaluate import accuracy, predict
+from qrepair.localize import METRICS
+from qrepair.quantize import clone_quantized, quantize_model
 from qrepair.repair import RepairConfig
 
 from oracles import loop_train_mlp
@@ -343,3 +351,74 @@ def test_every_written_json_file_is_strict_json(tiny_report):
     assert "experiment_report.json" in names and "repair_dstar.json" in names
     for name in names:
         json.loads((out / name).read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_experiment_runs_each_model_over_each_set_once(monkeypatch, seed):
+    # the damage search scores its accepted rung with the record all 17 repairs
+    # share: the float and the damaged model each run once over the repair and
+    # the validation set, then each repair runs validation rows from the target layer
+    real = model_mod.forward_batch
+    calls = []
+
+    def counting(model, inputs, capture=(), input_of=None, start=0):
+        calls.append((model, inputs, start))
+        return real(model, inputs, capture, input_of, start)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qrepair") and getattr(module, "forward_batch", None) is real:
+            monkeypatch.setattr(module, "forward_batch", counting)
+    run_experiment(preset="mlp-blobs", seed=seed)
+    full = {(id(model), id(inputs)) for model, inputs, start in calls if start == 0}
+    assert len(calls) == 4 + len(METRICS) + 10
+    assert len(full) == 4 and len({m for m, _ in full}) == len({x for _, x in full}) == 2
+    assert [start for _, _, start in calls[4:]] == [2] * (len(METRICS) + 10)
+
+
+def _old_damage_search(fmodel, val, repair_set, seed_seq):
+    """The damage search as it scored each rung before it used `prepare`:
+    float and quantized labels from full passes through `predict`."""
+    acc_f = accuracy(fmodel, val).accuracy
+    float_labels = predict(fmodel, repair_set)
+    undamaged = quantize_model(fmodel)
+    for level, child in zip(DAMAGE_LEVELS, seed_seq.spawn(len(DAMAGE_LEVELS))):
+        qmodel = clone_quantized(undamaged)
+        damage_layer(qmodel, fmodel.last_dense_index(), np.random.default_rng(child), level)
+        acc_q = accuracy(qmodel, val).accuracy
+        failing = int(np.sum(predict(qmodel, repair_set) != float_labels))
+        if acc_f - acc_q >= GAP_TARGET and failing >= 3:
+            return qmodel, acc_f, acc_q, failing
+    raise RuntimeError("could not reach the required accuracy gap")
+
+
+def _blobs_parts(seed, spec=MLP_BLOBS):
+    """The models, sets and damage stream run_experiment uses for this seed."""
+    ss_data, ss_train, ss_damage, _ = np.random.SeedSequence(seed).spawn(4)
+    n = spec.n_train + spec.n_repair + spec.n_val
+    total = make_blobs(np.random.default_rng(ss_data), spec, n)
+    fmodel = train_mlp(np.random.default_rng(ss_train), total.subset(range(spec.n_train)), spec)
+    repair_set = total.subset(range(spec.n_train, spec.n_train + spec.n_repair))
+    return fmodel, total.subset(range(spec.n_train + spec.n_repair, n)), repair_set, ss_damage
+
+
+NINETEEN_SEEDS = (42, 7, 1, 2, 3, 4, 5, *range(8, 16), *range(17, 21))
+
+
+@pytest.mark.parametrize("seed", NINETEEN_SEEDS)
+def test_damage_search_scores_each_rung_as_full_passes_do(seed):
+    fmodel, val, repair_set, ss_damage = _blobs_parts(seed)
+    want_q, want_f, want_acc_q, want_failing = _old_damage_search(
+        fmodel, val, repair_set, copy.deepcopy(ss_damage))
+    qmodel, acc_f, record = damaged_quantized_model(fmodel, val, repair_set, ss_damage)
+    assert (acc_f, record.before.accuracy, int(record.comparison.failing.sum())) == \
+        (want_f, want_acc_q, want_failing)
+    target = fmodel.last_dense_index()
+    assert qmodel.layers[target].qweights.data.tobytes() == \
+        want_q.layers[target].qweights.data.tobytes()
+    assert all(a is b for a, b in zip(record.made_from, (fmodel, qmodel, repair_set, val)))
+
+
+def test_damage_search_rejects_an_empty_validation_set():
+    fmodel, val, repair_set, ss_damage = _blobs_parts(42, TINY)
+    with pytest.raises(ValueError, match="empty dataset"):
+        damaged_quantized_model(fmodel, val.subset([]), repair_set, ss_damage)

@@ -274,9 +274,10 @@ def test_model_takes_numpy_integers_as_python_ints():
     ("2", {}, "x must be a real number, got '2'"),
     (None, {}, "x must be a real number, got None"),
     (None, {"none": True}, None),
+    (10**400, {"inf": True}, "x must be within float range, got 1000"),
 ], ids=["at_bound", "at_bound_above", "np_int", "int_below", "np_float", "inf", "inf_allowed",
         "nan", "nan_inf_allowed", "np_bool", "np_bool_integer", "bool_integer", "float_integer",
-        "string", "none", "none_allowed"])
+        "string", "none", "none_allowed", "int_beyond_float"])
 def test_check_number_edges(value, flags, expected):
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):

@@ -113,7 +113,7 @@ def test_classify_and_diff_match_rows(case):
     fmodel, qmodel, dataset = case
     outcomes = classify_tests(fmodel, qmodel, dataset)
     want_f, want_q = row_labels(fmodel, dataset), row_labels(qmodel, dataset)
-    assert [o.input_id for o in outcomes] == list(dataset.ids)
+    assert [o.input_id for o in outcomes] == list(range(len(dataset)))
     assert [o.float_label for o in outcomes] == want_f.tolist()
     assert [o.quant_label for o in outcomes] == want_q.tolist()
     for layer in fmodel.dense_layer_indices():
