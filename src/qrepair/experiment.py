@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,14 +270,10 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     strategies = {}
     reports = {}
     for metric in METRICS:
-        cfg = RepairConfig(**{**config.__dict__, "metric": metric})
-        _, rep = repair(fmodel, qmodel, repair_set, val, cfg, shared=shared)
-        reports[metric] = rep
-        strategies[metric] = {
-            "accuracy_after": round6(rep.accuracy_after),
-            "fidelity_after": round6(rep.fidelity_after),
-            "counts": rep.counts(),
-        }
+        _, rep = repair(fmodel, qmodel, repair_set, val, replace(config, metric=metric),
+                        shared=shared)
+        reports[metric], d = rep, rep.to_dict()
+        strategies[metric] = {k: d[k] for k in ("accuracy_after", "fidelity_after", "counts")}
         log.info("metric %-10s accuracy %.4f -> %.4f", metric,
                  rep.accuracy_before, rep.accuracy_after)
 
@@ -285,7 +281,7 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     rng_rand = np.random.default_rng(ss_random)
     rand_accs = []
     for _ in range(trials):
-        order = [int(v) for v in rng_rand.permutation(width)]
+        order = rng_rand.permutation(width).tolist()
         _, rep = repair(fmodel, qmodel, repair_set, val, config, neuron_order=order,
                         shared=shared)
         rand_accs.append(rep.accuracy_after)

@@ -244,7 +244,8 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
     `neuron_order`, distinct neuron indices of the target layer, overrides the
     metric ranking (used by the random-selection baseline); importance values
     are then reported as 0. `shared`, from `prepare` on the same models and
-    sets, serves repairs that differ in metric or order.
+    sets, serves repairs that differ in metric or order. A repair set without
+    failing tests solves and patches nothing, so the after-scores are the before-scores.
     """
     if shared is None:
         shared = prepare(fmodel, qmodel, repair_set, validation_set, config)
@@ -255,11 +256,16 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
         raise ValueError("the shared record was prepared from other models or data sets")
     comparison = shared.comparison
     target, width = comparison.layer_index, comparison.weights.shape[1]
-    order = None if neuron_order is None else list(neuron_order)
-    if order is not None and not (
-            all(is_int(n) and 0 <= n < width for n in order) and len(set(order)) == len(order)):
-        raise ValueError(f"neuron_order must hold distinct integers in 0..{width - 1}, "
-                         f"got {order!r}")
+    if neuron_order is not None:
+        order = list(neuron_order)
+        if not (all(is_int(n) and 0 <= n < width for n in order)
+                and len(set(order)) == len(order)):
+            raise ValueError(f"neuron_order must hold distinct integers in 0..{width - 1}, "
+                             f"got {order!r}")
+        order, scores = [int(n) for n in order], np.zeros(width)
+    else:
+        scores = importance_scores(comparison.spectra(), config.metric)
+        order = rank_neurons(scores)
     patched = clone_quantized(qmodel)
     before = shared.before
     report = RepairReport(target_layer=target, metric=config.metric,
@@ -272,18 +278,9 @@ def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,
     if report.n_failing == 0:
         report.warning = "no failing tests in the repair set; nothing to repair"
         log.warning(report.warning)
-        report.accuracy_after = report.accuracy_before
-        report.fidelity_after = report.fidelity_before
-        return patched, report
+        order = []  # the after-pass then scores the unpatched copy: the before-scores
 
-    if order is not None:
-        order, scores = [int(n) for n in order], np.zeros(width)
-    else:
-        scores = importance_scores(comparison.spectra(), config.metric)
-        order = rank_neurons(scores)
-    targets = order[: min(config.top_n, width)]
-
-    for rank, n in enumerate(targets, start=1):
+    for rank, n in enumerate(order[: config.top_n], start=1):
         t0 = time.monotonic()
         sol = shared.solution(n)
         status, M = ("skipped", None) if sol is None else (sol.status, sol.M)
