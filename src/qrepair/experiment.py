@@ -272,7 +272,8 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
     for metric in METRICS:
         _, rep = repair(fmodel, qmodel, repair_set, val, replace(config, metric=metric),
                         shared=shared)
-        reports[metric], d = rep, rep.to_dict()
+        reports[metric] = rep
+        d = rep.to_dict()
         strategies[metric] = {k: d[k] for k in ("accuracy_after", "fidelity_after", "counts")}
         log.info("metric %-10s accuracy %.4f -> %.4f", metric,
                  rep.accuracy_before, rep.accuracy_after)

@@ -259,7 +259,9 @@ def validate_topology(model) -> None:
 
 
 def _dense(x, w, b):
-    y = x @ w
+    # float32 products are exact in float64, so every BLAS kernel's sum rounds
+    # to the same float32 unless it sits on a rounding tie
+    y = (x.astype(np.float64) @ w.astype(np.float64)).astype(x.dtype)
     if b is not None:
         y = y + b
     return y

@@ -392,8 +392,8 @@ def test_localize_csv_fingerprint(conv3_files, tmp_path, metric):
 
 
 CONV3_REPAIR_SHA256 = {  # `qrepair repair --patch-mode requantize` on the conv3 fixtures
-    "repair_report.json": "53ea544502a987dfbdc14990a3afb7f267965c56b4965a193ceca0b404f164ab",
-    "repaired_model.json": "f31485e40834e33203efd4d7158a9524c48df64f14d192f949954c1326a28c0f",
+    "repair_report.json": "3008594641563e3dad3f47626da9f615d94bc44638fd2aa8ba72a3f3b783012f",
+    "repaired_model.json": "5aa60f050fa4c652edeaeb25ae06b80cba898f8e4cca7b0718f7cc1c546eb085",
 }
 
 

@@ -198,14 +198,14 @@ def output_neuron_lps(fmodel, qmodel, dataset, layer):
     return lps
 
 
-# each output-neuron LP's M as float.hex, as the bounded primal simplex that
-# preceded the dual one found it
-WIDE_HEAD_M = {0: "0x1.a22aabb011149p-5", 1: "0x1.12545e7e73aeep-3", 2: "0x1.ccbae6e93566cp-4",
-               3: "0x1.c158be45581edp-5", 4: "0x1.e51cc5959fd32p-4", 5: "0x1.dc9a218a989a6p-5",
-               6: "0x1.179db08c03c1fp-3", 7: "0x1.ba38a0a0d2799p-4", 8: "0x1.ba5fd4320d9eep-4",
-               9: "0x1.3424343083cb7p-3"}
-CONV3_M = {1: "0x1.ea76e55f9e33ep-15", 5: "0x1.95d756c47f17dp-10", 6: "0x1.5d1307540fa10p-8",
-           7: "0x1.e8001c37a5d4fp-9"}
+# each output-neuron LP's M as float.hex, on layer inputs whose dense products
+# are summed in float64 and rounded once (`model._dense`)
+WIDE_HEAD_M = {0: "0x1.a22aaa97467cfp-5", 1: "0x1.12545f24239aap-3", 2: "0x1.ccbae80fedd62p-4",
+               3: "0x1.c158bcc64cea0p-5", 4: "0x1.e51cc495e5f67p-4", 5: "0x1.dc9a1fe2234e7p-5",
+               6: "0x1.179dae4c0fcf3p-3", 7: "0x1.ba38a2fcfeb8ep-4", 8: "0x1.ba5fd21d89562p-4",
+               9: "0x1.3424343bc63bdp-3"}
+CONV3_M = {1: "0x1.ea84765abe89cp-15", 5: "0x1.95d833d130c8cp-10", 6: "0x1.5d132ee0074a5p-8",
+           7: "0x1.e80044ea3588fp-9"}
 
 
 def wide_head_lps():

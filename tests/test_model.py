@@ -13,6 +13,7 @@ from qrepair.model import (
     ModelFormatError,
     ShapeMismatchError,
     Tensor,
+    apply_layer,
     argmax_label,
     capture_activations,
     check_number,
@@ -435,6 +436,23 @@ def test_multichannel_conv_matches_per_tap_bits_on_exact_sums():
         w = rng.integers(-8, 9, size=(kh, kw, in_ch, out_ch)).astype(np.float32)
         b = rng.integers(-8, 9, size=out_ch).astype(np.float32) if case % 3 else None
         _assert_same_conv_bytes(x, w, b, stride)
+
+
+@pytest.mark.parametrize("n,k,out",
+                         [(1, 7, 3), (5, 1, 4), (4, 1280, 10), (33, 64, 1), (9, 20, 64)])
+def test_dense_rounds_the_exact_sum_of_products_once(n, k, out):
+    # each output is the correctly rounded float64 sum of its exact float64
+    # products, rounded once to float32, then the float32 bias is added; so
+    # any BLAS kernel gives these bits unless a sum sits on a rounding tie
+    rng = np.random.default_rng(n * 10_000 + k)
+    x = rng.normal(size=(n, k)).astype(np.float32)
+    w = rng.normal(size=(k, out)).astype(np.float32)
+    products = x.astype(np.float64)[:, :, None] * w.astype(np.float64)[None, :, :]
+    sums = np.array([[math.fsum(products[i, :, j]) for j in range(out)] for i in range(n)])
+    expected = sums.astype(np.float32)
+    assert apply_layer("dense", x, w, None, {}).tobytes() == expected.tobytes()
+    b = rng.normal(size=out).astype(np.float32)
+    assert apply_layer("dense", x, w, b, {}).tobytes() == (expected + b).tobytes()
 
 
 def test_conv3_layers_match_loop_oracle(conv3_model):

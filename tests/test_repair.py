@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import qrepair.model as model_mod
+import qrepair.repair as repair_mod
 
 from conftest import (
+    FIXTURES,
     GOLDEN,
     dense_model,
     grid_mlp,
@@ -190,6 +192,47 @@ def test_zero_failing_returns_unchanged():
     for before, after in zip(qm.layers, patched.layers):
         if before.eff_weights is not None:
             assert np.array_equal(before.eff_weights, after.eff_weights)
+
+
+@pytest.fixture
+def conv3_agreeing(conv3_model, conv3_val, monkeypatch):
+    """conv3's models and the conv3_val rows they label alike, with LP building
+    and solving made to fail: the target layer's statuses still disagree there."""
+    qmodel = load_qmodel(FIXTURES / "conv3_quant.json")
+    agreeing = conv3_val.subset(np.flatnonzero(
+        ~compare_at_layer(conv3_model, qmodel, conv3_val).failing))
+    c = compare_at_layer(conv3_model, qmodel, agreeing)
+    assert not c.failing.any() and (c.status_float != c.status_quant).sum() == 4
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was built or solved")
+
+    monkeypatch.setattr(repair_mod, "build_neuron_lp", no_lp)
+    monkeypatch.setattr(repair_mod, "solve_lp", no_lp)
+    return conv3_model, qmodel, agreeing, conv3_val
+
+
+@pytest.mark.parametrize("val", ["agreeing", "conv3_val", None])
+@pytest.mark.parametrize("order", [None, [3, 1, 7]])
+def test_no_failing_test_solves_nothing_and_keeps_the_before_scores(conv3_agreeing, val, order):
+    fmodel, qmodel, agreeing, conv3_val = conv3_agreeing
+    validation = {"agreeing": agreeing, "conv3_val": conv3_val, None: None}[val]
+    _, report = repair(fmodel, qmodel, agreeing, validation, RepairConfig(), neuron_order=order)
+    assert report.attempts == 0 and report.n_failing == 0 and report.n_passing == len(agreeing)
+    assert report.warning == "no failing tests in the repair set; nothing to repair"
+    # the after-pass scores the unpatched copy, so the scores match to the bit
+    assert report.accuracy_after == report.accuracy_before
+    assert report.fidelity_after == report.fidelity_before
+    assert (report.accuracy_before is None) == (val is None)
+    if val == "conv3_val":
+        assert report.accuracy_before < 1 and report.fidelity_before < 1
+
+
+@pytest.mark.parametrize("order", [[0, 0], [10], [-1], [1.5], ["2"]])
+def test_no_failing_test_still_checks_the_order(conv3_agreeing, order):
+    fmodel, qmodel, agreeing, conv3_val = conv3_agreeing
+    with pytest.raises(ValueError, match="neuron_order"):
+        repair(fmodel, qmodel, agreeing, conv3_val, RepairConfig(), neuron_order=order)
 
 
 def test_desk_fixture_constraint_fidelity(desk_fixture):
