@@ -276,20 +276,18 @@ def _conv2d(x, w, b, stride):
     sc, sh, sw, sr = xt.strides
     windows = np.ndarray((kh, kw, in_ch, ho, wo, xt.shape[3]), xt.dtype, xt, 0,
                          (sh, sw, sc, sh * stride, sw * stride, sr))
-    wt = w.transpose(0, 1, 3, 2).reshape(kh * kw, out_ch, in_ch)
+    w_rows = w.reshape(kh * kw * in_ch, out_ch)
     out = np.empty((n, ho, wo, out_ch), dtype=x.dtype)
-    # Same bits as adding `patch @ w[a, bb]` to zeros tap by tap, then the bias:
-    # taps summed in (a, bb) order from +0.0 over two rows or more (numpy would
-    # sum a lone column pairwise), by einsum at in_ch = 1 (exact products, no
-    # fused multiply-add in numpy 2.4.6 on x86-64), else by a gemm per tap and a
-    # reduce; not so at in_ch > 1 with out_ch = 1 or wo = 1 (a matrix-vector
-    # side). The README's "Semantics worth knowing" names the tests that pin it.
+    # One rule, no BLAS call: each output is its float32 products w[a, bb, c] *
+    # patch[c] added one by one in (a, bb, c) order from +0.0, then the bias.
+    # einsum sums its one reduced axis in order over two rows or more (numpy
+    # would sum a lone column pairwise) and multiplies and adds separately in
+    # numpy 2.4.6 on x86-64. The README's "Semantics worth knowing" names the tests.
     for r0 in range(0, n, _CONV_BLOCK_ROWS):
         rows = min(_CONV_BLOCK_ROWS, n - r0)
         xt[..., :rows] = x[r0 : r0 + rows].transpose(3, 1, 2, 0)
-        win = windows[..., : max(rows, 2)].reshape(kh * kw, in_ch, -1)
-        total = (np.einsum("to,tn->on", wt[:, :, 0], win[:, 0, :]) if in_ch == 1
-                 else np.add.reduce(wt @ win, axis=0, initial=0.0))
+        win = windows[..., : max(rows, 2)].reshape(kh * kw * in_ch, -1)
+        total = np.einsum("ko,kn->on", w_rows, win)
         if b is not None:
             total += b[:, None]  # on the block, not on the narrow NHWC output
         out[r0 : r0 + rows] = total.reshape(out_ch, ho, wo, -1)[..., :rows].transpose(3, 1, 2, 0)

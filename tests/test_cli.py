@@ -392,8 +392,8 @@ def test_localize_csv_fingerprint(conv3_files, tmp_path, metric):
 
 
 CONV3_REPAIR_SHA256 = {  # `qrepair repair --patch-mode requantize` on the conv3 fixtures
-    "repair_report.json": "3008594641563e3dad3f47626da9f615d94bc44638fd2aa8ba72a3f3b783012f",
-    "repaired_model.json": "5aa60f050fa4c652edeaeb25ae06b80cba898f8e4cca7b0718f7cc1c546eb085",
+    "repair_report.json": "4c8f626156d56835afb929059a6f499db8b8ab11f3a6b8051b8b4a52ab550668",
+    "repaired_model.json": "e51e96b9e196dacb73a114098fd080323f27644a79e5fad76ab7f376a6c7e502",
 }
 
 

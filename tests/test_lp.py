@@ -199,13 +199,14 @@ def output_neuron_lps(fmodel, qmodel, dataset, layer):
 
 
 # each output-neuron LP's M as float.hex, on layer inputs whose dense products
-# are summed in float64 and rounded once (`model._dense`)
+# are summed in float64 and rounded once (`model._dense`) and whose conv
+# products are added in float32 in (a, bb, c) order (`model._conv2d`)
 WIDE_HEAD_M = {0: "0x1.a22aaa97467cfp-5", 1: "0x1.12545f24239aap-3", 2: "0x1.ccbae80fedd62p-4",
                3: "0x1.c158bcc64cea0p-5", 4: "0x1.e51cc495e5f67p-4", 5: "0x1.dc9a1fe2234e7p-5",
                6: "0x1.179dae4c0fcf3p-3", 7: "0x1.ba38a2fcfeb8ep-4", 8: "0x1.ba5fd21d89562p-4",
                9: "0x1.3424343bc63bdp-3"}
-CONV3_M = {1: "0x1.ea84765abe89cp-15", 5: "0x1.95d833d130c8cp-10", 6: "0x1.5d132ee0074a5p-8",
-           7: "0x1.e80044ea3588fp-9"}
+CONV3_M = {1: "0x1.ea981f0aef0d1p-15", 5: "0x1.95d7bd51458fdp-10", 6: "0x1.5d13e9ae1c3fep-8",
+           7: "0x1.e80133aa479d2p-9"}
 
 
 def wide_head_lps():

@@ -365,14 +365,17 @@ def test_concurrent_inference_safe(conv3_model):
 
 
 def _per_tap_conv(x, w, b, stride):
-    """conv2d as `patch @ w[a, bb]` added to zeros tap by tap, then the bias."""
-    kh, kw, _, out_ch = w.shape
+    """conv2d as each float32 product of tap (a, bb) and channel c added to
+    zeros in (a, bb, c) order, then the bias: no matrix product, so no BLAS."""
+    kh, kw, in_ch, out_ch = w.shape
     n, h, wd, _ = x.shape
     ho, wo = (h - kh) // stride + 1, (wd - kw) // stride + 1
     out = np.zeros((n, ho, wo, out_ch), np.float32)
     for a in range(kh):
         for bb in range(kw):
-            out += x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :] @ w[a, bb]
+            patch = x[:, a : a + stride * ho : stride, bb : bb + stride * wo : stride, :]
+            for c in range(in_ch):
+                out += patch[..., c, None] * w[a, bb, c]
     return out if b is None else out + b
 
 
@@ -417,6 +420,30 @@ def test_single_channel_conv_matches_stacked_matmul_bits():
         w = -rng.uniform(0.5, 2, size=(3, 3, 1, 2)).astype(np.float32)
         _assert_same_conv_bytes(x, w, None, 1)
         _assert_same_conv_bytes(x, w, np.array([-0.0, 0.0], np.float32), 1)
+
+
+def test_multichannel_conv_adds_its_products_in_tap_then_channel_order():
+    # on random values the sums round, so their order shows in the bits: every
+    # channel count must add its products in (a, bb, c) order, whatever BLAS
+    # kernel the machine has; out_ch = 1 and wo = 1 included
+    rng = np.random.default_rng(35)
+    for case in range(300):
+        kh, kw = (int(v) for v in rng.integers(1, 4, size=2))
+        stride = int(rng.integers(1, 3))
+        h, wd = kh + int(rng.integers(0, 6)), kw + int(rng.integers(0, 6))
+        if case % 5 == 0:
+            wd = kw  # wo = 1
+        n = int(rng.choice(BATCH_SIZES)) if case % 2 else int(rng.integers(1, 5))
+        in_ch = int(rng.integers(2, 17))
+        out_ch = 1 if case % 4 == 0 else int(rng.integers(1, 9))
+        x = rng.normal(size=(n, h, wd, in_ch)).astype(np.float32)
+        if case % 3 == 0:
+            x = np.asfortranarray(x)
+        elif case % 3 == 1:
+            x = np.repeat(x, 2, axis=3)[..., ::2]  # strided channels
+        w = rng.normal(size=(kh, kw, in_ch, out_ch)).astype(np.float32)
+        b = rng.normal(size=out_ch).astype(np.float32) if rng.random() < 0.5 else None
+        _assert_same_conv_bytes(x, w, b, stride)
 
 
 def test_multichannel_conv_matches_per_tap_bits_on_exact_sums():
