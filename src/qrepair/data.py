@@ -33,8 +33,10 @@ class Dataset:
     def __post_init__(self):
         self.num_classes = check_number("num_classes", self.num_classes, 1, integer=True)
         self.features = np.asarray(self.features, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = self.labels.size
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":  # an int cast would truncate 1.7
+            raise DatasetError(f"labels must be integers, got {labels.dtype} values")
+        n = labels.size
         if self.features.ndim != 2:
             width = self.features.size // max(n, 1)
             if self.features.size != n * width:
@@ -42,9 +44,10 @@ class Dataset:
             self.features = self.features.reshape(n, width)
         if self.features.shape[0] != n:
             raise DatasetError("row count mismatch between features and labels")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            bad = int(self.labels.max() if self.labels.max() >= self.num_classes else self.labels.min())
+        if n and (labels.min() < 0 or labels.max() >= self.num_classes):  # before a uint64 wraps
+            bad = int(labels.max() if labels.max() >= self.num_classes else labels.min())
             raise DatasetError(f"label {bad} out of range for {self.num_classes} classes")
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self):
         return self.labels.size
@@ -111,7 +114,7 @@ def _load_bin(path: Path, num_classes: int | None) -> Dataset:
     if len(raw) != expected:
         raise DatasetError(f"{path}: expected {expected} bytes, got {len(raw)}")
     rows = np.frombuffer(raw, dtype=row, count=n_rows, offset=16)
-    return Dataset(rows["x"].copy(), rows["label"].astype(np.int64), n_classes)
+    return Dataset(rows["x"].copy(), rows["label"], n_classes)
 
 
 def save_dataset(ds: Dataset, path) -> None:

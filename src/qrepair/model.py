@@ -330,12 +330,16 @@ def forward_batch(model, inputs, capture=(), input_of: int | None = None, start:
     dense or conv2d layer), and, when `input_of` is a layer index, the flat
     input [N, d] of that layer (else None). With `start`, the rows are the
     input of layer `start` (flat, as `input_of` returns them) and only the
-    layers from `start` on run. Raises ValueError when an input row or a
-    logit is not finite.
+    layers from `start` on run. Raises IndexError when `start`, a `capture`
+    index or `input_of` names no layer that runs, and ValueError when an
+    input row or a logit is not finite.
     """
     layers = model.layers
     if not 0 <= start < len(layers):
         raise IndexError(f"start layer {start} out of range 0..{len(layers) - 1}")
+    for i in (*capture, input_of):
+        if i is not None and not start <= i < len(layers):
+            raise IndexError(f"layer {i} is not run: the layers run are {start}..{len(layers) - 1}")
     shape = model.input_shape
     for layer in layers[:start]:
         shape = _output_shape(shape, layer)

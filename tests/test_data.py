@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 import struct
 
@@ -142,6 +143,25 @@ def test_subset_takes_the_named_rows_in_order():
 def test_dataset_label_validation():
     with pytest.raises(DatasetError):
         Dataset(np.zeros((2, 2), np.float32), np.array([0, 7]), 3)
+
+
+@pytest.mark.parametrize("label", [1.5, 1.0, "1", True, math.nan],
+                         ids=["fraction", "integral_float", "string", "bool", "nan"])
+def test_dataset_rejects_labels_that_are_not_integers(label):
+    # an int64 cast would read 1.5 as 1 and "1" as 1, and NaN would fail with
+    # numpy's own ValueError
+    with pytest.raises(DatasetError, match="^labels must be integers, got "):
+        Dataset(np.zeros((2, 2), np.float32), [label, label], 3)
+
+
+def test_dataset_takes_unsigned_and_empty_labels():
+    # an IDX file's labels are uint8, and an empty set has no dtype to speak of;
+    # a uint64 label is checked before the int64 cast, which would wrap it
+    ds = Dataset(np.zeros((2, 2), np.float32), np.array([2, 0], np.uint8), 3)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0]
+    assert Dataset(np.zeros((0, 2), np.float32), [], 3).labels.dtype == np.int64
+    with pytest.raises(DatasetError, match="^label 9223372036854775808 out of range"):
+        Dataset(np.zeros((1, 2), np.float32), np.array([2**63], np.uint64), 3)
 
 
 @pytest.mark.parametrize("num_classes,message", [

@@ -46,7 +46,7 @@ def test_fidelity_identical_models():
     model = grid_mlp(rng)
     qm = quantize_model(model)  # grid weights quantize losslessly
     ds = make_dataset(rng.normal(size=(12, 6)).astype(np.float32),
-                      labels=np.zeros(12), num_classes=model.num_classes)
+                      labels=np.zeros(12, np.int64), num_classes=model.num_classes)
     assert fidelity(model, qm, ds) == 1.0
 
 
@@ -64,7 +64,7 @@ def test_fidelity_symmetric_and_order_invariant():
     qmodel = manual_qmodel(fmodel, [np.array([[1, 0], [0, 2]])])
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(16, 2)).astype(np.float32)
-    ds = make_dataset(feats, labels=np.zeros(16), num_classes=2)
+    ds = make_dataset(feats, labels=np.zeros(16, np.int64), num_classes=2)
     f_ab = fidelity(fmodel, qmodel, ds)
     # symmetric: model arguments can swap (quantized first)
     swapped = fidelity(qmodel, fmodel, ds)

@@ -142,7 +142,7 @@ def test_classify_exact_quantization_no_failures():
     model = grid_mlp(rng)
     qm = quantize_model(model)
     ds = make_dataset(rng.normal(size=(20, 6)).astype(np.float32),
-                      labels=np.zeros(20), num_classes=model.num_classes)
+                      labels=np.zeros(20, np.int64), num_classes=model.num_classes)
     outcomes = classify_tests(model, qm, ds)
     assert len(outcomes) == 20
     assert all(not o.is_failing for o in outcomes)
@@ -170,7 +170,7 @@ def test_diff_matrix_zero_when_statuses_match():
     model = grid_mlp(rng)
     qm = quantize_model(model)
     ds = make_dataset(rng.normal(size=(8, 6)).astype(np.float32),
-                      labels=np.zeros(8), num_classes=model.num_classes)
+                      labels=np.zeros(8, np.int64), num_classes=model.num_classes)
     layer = model.last_dense_index()
     diff = build_diff_matrix(model, qm, ds, layer)
     assert diff.shape == (8, model.layers[layer].weights.shape[1])

@@ -185,7 +185,7 @@ def test_zero_failing_returns_unchanged():
     model = grid_mlp(rng)
     qm = quantize_model(model)  # lossless: behavior identical
     ds = make_dataset(rng.normal(size=(10, 6)).astype(np.float32),
-                      labels=np.zeros(10), num_classes=model.num_classes)
+                      labels=np.zeros(10, np.int64), num_classes=model.num_classes)
     patched, report = repair(model, qm, ds, ds, RepairConfig(metric="tarantula"))
     assert report.warning is not None
     assert report.attempts == 0

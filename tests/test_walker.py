@@ -192,3 +192,15 @@ def test_forward_batch_start_is_checked(conv3_model):
         forward_batch(conv3_model, np.zeros((2, 31), np.float32), start=4)
     with pytest.raises(ValueError, match="finite"):
         forward_batch(conv3_model, np.full((2, 32), np.inf, np.float32), start=4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"input_of": 2, "start": 4}, {"input_of": 99}, {"input_of": -1},
+    {"capture": {99}}, {"capture": {1, 5}, "start": 4}, {"capture": {-1}},
+], ids=["input_of_before_start", "input_of_past_end", "input_of_negative",
+        "capture_past_end", "capture_before_start", "capture_negative"])
+def test_forward_batch_rejects_a_layer_it_does_not_run(conv3_model, kwargs):
+    # unchecked, the layer input reads None and the capture dict lacks the layer
+    width = 64 if kwargs.get("start", 0) == 0 else 32
+    with pytest.raises(IndexError, match="is not run: the layers run are "):
+        forward_batch(conv3_model, np.zeros((2, width), np.float32), **kwargs)
