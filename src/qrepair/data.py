@@ -34,6 +34,9 @@ class Dataset:
         self.num_classes = check_number("num_classes", self.num_classes, 1, integer=True)
         self.features = np.asarray(self.features, dtype=np.float32)
         labels = np.asarray(self.labels)
+        if not isinstance(self.labels, np.ndarray) and any(  # asarray makes [0, True] int64
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(self.labels, object).flat):
+            raise DatasetError("labels must be integers, got bool values")
         if labels.size and labels.dtype.kind not in "iu":  # an int cast would truncate 1.7
             raise DatasetError(f"labels must be integers, got {labels.dtype} values")
         n = labels.size

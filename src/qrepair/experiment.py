@@ -311,8 +311,8 @@ def run_experiment(preset: str = "mlp-blobs", seed: int = 42, out_dir=None,
         out.mkdir(parents=True, exist_ok=True)
         save_model(fmodel, out / "float_model.json")
         save_model(qmodel, out / "quantized_model.json")
-        save_dataset(repair_set, out / "repair_set.csv")
-        save_dataset(val, out / "validation_set.csv")
+        save_dataset(repair_set, out / "repair_set.bin")
+        save_dataset(val, out / "validation_set.bin")
         for metric, rep in reports.items():
             (out / f"repair_{metric}.json").write_text(rep.to_json())
         (out / "comparison.csv").write_text(comparison_csv(report))

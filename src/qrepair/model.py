@@ -382,14 +382,11 @@ def capture_activations(model: Model, inp, layer_filter) -> list[ActivationRecor
     `layer_filter` must contain indices of dense or conv2d layers.
     """
     capture = set(int(i) for i in layer_filter)
-    for i in capture:
-        if i < 0 or i >= len(model.layers):
-            raise IndexError(f"layer index {i} out of range")
-        if model.layers[i].kind not in ("dense", "conv2d"):
-            raise ValueError(f"layer {i} is {model.layers[i].kind}, not dense/conv2d")
-    _, pre, _ = forward_batch(model, _one_row(inp), capture)
+    _, pre, _ = forward_batch(model, _one_row(inp), capture)  # IndexError for a layer not run
     records = []
     for i in sorted(capture):
+        if model.layers[i].kind not in ("dense", "conv2d"):
+            raise ValueError(f"layer {i} is {model.layers[i].kind}, not dense/conv2d")
         flat = pre[i][0].reshape(-1)
         records.append(ActivationRecord(i, Tensor(pre[i].shape[1:], flat.copy()),
                                         (flat > 0).astype(np.uint8)))

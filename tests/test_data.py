@@ -154,6 +154,13 @@ def test_dataset_rejects_labels_that_are_not_integers(label):
         Dataset(np.zeros((2, 2), np.float32), [label, label], 3)
 
 
+@pytest.mark.parametrize("labels", [[0, True], [np.True_, 1]], ids=["bool", "numpy_bool"])
+def test_dataset_rejects_a_bool_among_integer_labels(labels):
+    # np.asarray makes both lists int64, so the dtype rule alone cannot see the bool
+    with pytest.raises(DatasetError, match="^labels must be integers, got bool values$"):
+        Dataset(np.zeros((2, 2), np.float32), labels, 3)
+
+
 def test_dataset_takes_unsigned_and_empty_labels():
     # an IDX file's labels are uint8, and an empty set has no dtype to speak of;
     # a uint64 label is checked before the int64 cast, which would wrap it

@@ -25,7 +25,8 @@ from qrepair.experiment import (
     run_experiment,
     train_mlp,
 )
-from qrepair.data import Dataset, DatasetError
+from qrepair.cli import cli_main
+from qrepair.data import Dataset, DatasetError, load_dataset
 from qrepair.evaluate import accuracy, predict
 from qrepair.localize import METRICS
 from qrepair.quantize import clone_quantized, quantize_model
@@ -125,10 +126,41 @@ def test_all_strategies_present(tiny_report):
 
 def test_artifacts_written(tiny_report):
     _, out = tiny_report
-    for name in ("float_model.json", "quantized_model.json", "repair_set.csv",
-                 "validation_set.csv", "comparison.csv", "experiment_report.json",
+    for name in ("float_model.json", "quantized_model.json", "repair_set.bin",
+                 "validation_set.bin", "comparison.csv", "experiment_report.json",
                  "repair_tarantula.json", "repair_euclid.json"):
         assert (out / name).exists(), name
+    assert not list(out.glob("*_set.csv"))
+
+
+def test_written_sets_load_bit_identical_to_the_sets_used(tiny_report):
+    # the sets run_experiment draws for this seed, rebuilt from its data stream
+    _, out = tiny_report
+    ss_data = np.random.SeedSequence(7).spawn(4)[0]
+    total = make_blobs(np.random.default_rng(ss_data), TINY,
+                       TINY.n_train + TINY.n_repair + TINY.n_val)
+    n = TINY.n_train + TINY.n_repair
+    for name, rows in (("repair_set.bin", range(TINY.n_train, n)),
+                       ("validation_set.bin", range(n, len(total)))):
+        used, got = total.subset(rows), load_dataset(out / name)
+        assert got.features.dtype == used.features.dtype == np.float32
+        assert got.features.tobytes() == used.features.tobytes(), name
+        assert got.labels.dtype == used.labels.dtype
+        assert got.labels.tobytes() == used.labels.tobytes(), name
+        assert got.num_classes == used.num_classes == TINY.num_classes
+
+
+def test_cli_repair_on_the_written_files_rewrites_the_experiment_report(tmp_path):
+    exp = tmp_path / "experiment"
+    assert cli_main(["experiment", "--preset", "mlp-blobs", "--seed", "42", "--trials", "1",
+                     "--out", str(exp)]) == 0
+    assert cli_main(["repair", "--float", str(exp / "float_model.json"),
+                     "--quant", str(exp / "quantized_model.json"),
+                     "--repair-set", str(exp / "repair_set.bin"),
+                     "--val", str(exp / "validation_set.bin"), "--metric", "tarantula",
+                     "--out", str(tmp_path / "repair")]) == 0
+    assert (tmp_path / "repair" / "repair_report.json").read_bytes() == \
+        (exp / "repair_tarantula.json").read_bytes()
 
 
 def test_comparison_csv_shape(tiny_report):

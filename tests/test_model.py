@@ -131,6 +131,9 @@ def test_capture_rejects_bad_layers():
     model = dense_model(np.eye(2), extra_relu=True)
     with pytest.raises(IndexError):
         capture_activations(model, np.zeros(2, dtype=np.float32), {9})
+    for negative in ({-1}, {-2}):  # an IndexError, not a kind check of layer 2 (dense) or 1 (relu)
+        with pytest.raises(IndexError):
+            capture_activations(model, np.zeros(2, dtype=np.float32), negative)
     with pytest.raises(ValueError):
         capture_activations(model, np.zeros(2, dtype=np.float32), {1})  # relu
 
