@@ -44,7 +44,8 @@ TRACE_KEYS = ("lp.solve_lp.calls", "simplex.simplex_solve.calls", "simplex.pivot
               "model.apply_layer.conv2d.s", "evaluate.accuracy.calls",
               "lp.build_neuron_lp.s", "lp.solve_lp.s",
               "lp.cols_max", "simplex.pivots_per_lp_max", "simplex.simplex_solve.s",
-              "data.load_dataset.s", "cli.cli_main.s", "experiment.train_mlp.s")
+              "data.load_dataset.calls", "data.load_dataset.s", "data.load_dataset.self_s",
+              "cli.cli_main.s", "experiment.train_mlp.s")
 SIDES = ("parent", "change")
 CONTROL = "a second copy of the parent (A/A): the same code on both sides"
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import check_number
+from .model import check_number, not_utf8
 
 MAGIC = b"QNRD"
 _CSV_CHUNK_ROWS = 16  # rows turned to text at once by save_dataset
@@ -68,14 +68,21 @@ def load_dataset(path, *, num_classes: int | None = None) -> Dataset:
 
 
 def _load_csv(path: Path, num_classes: int | None) -> Dataset:
-    numbered = [(i, ln) for i, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
-    if not numbered:
+    # splitlines ends rows at \n, \r\n and \r alike, so no universal-newline
+    # pass is needed; line numbers are made only for an error message
+    try:
+        lines = path.read_bytes().decode().splitlines()
+    except UnicodeDecodeError as e:
+        raise DatasetError(not_utf8(path, e)) from None
+    kept = [ln for ln in lines if ln.strip()]
+    if not kept:
         return Dataset(np.zeros((0, 0), np.float32), np.zeros(0, np.int64),
                        num_classes or 1)
-    row = _row_dtype("<i8", numbered[0][1].count(","))
+    row = _row_dtype("<i8", kept[0].count(","))
     try:
-        rows = _parse_csv([ln for _, ln in numbered], row)
+        rows = _parse_csv(kept, row)
     except ValueError as e:
+        numbered = [(i, ln) for i, ln in enumerate(lines, 1) if ln.strip()]
         raise DatasetError(_csv_error(path, numbered, row, e)) from None
     if num_classes is None:
         num_classes = int(rows["label"].max()) + 1

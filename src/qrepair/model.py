@@ -476,13 +476,20 @@ def _array_to_json(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": flat.tolist()}
 
 
+def not_utf8(path, error: UnicodeDecodeError) -> str:
+    """The message for a file that does not decode: its path and the first bad byte."""
+    return f"{path}: not UTF-8 text ({error.reason} at byte {error.start})"
+
+
 def load_model(path) -> Model:
     """The model in a JSON file, with float weights, int8 codes or both per
     layer; sidecar (`data_file`) tensors resolve next to it. A malformed
     layer raises ModelFormatError naming its index."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(not_utf8(path, e)) from None
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{path}: {e}") from None
     for key in ("input_shape", "num_classes", "layers"):

@@ -5,6 +5,8 @@ plain-loop forward passes, exhaustive grid search for the minimax LPs, and
 interval propagation for quantization error bounds.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -191,3 +193,13 @@ def loop_train_mlp(rng, train, spec):
             w2 -= spec.lr * dw2
             b2 -= spec.lr * db2
     return w1, b1, w2, b2
+
+
+def read_text_csv(path):
+    """A CSV dataset read through `read_text`'s universal newlines, blank and
+    whitespace-only lines dropped, then the loader's own `np.loadtxt` call.
+    Returns (features, labels, num_classes)."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    row = np.dtype([("label", "<i8"), ("x", "<f4", (lines[0].count(","),))])
+    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=row)
+    return rows["x"], rows["label"], int(rows["label"].max()) + 1

@@ -249,6 +249,17 @@ def test_bad_layer_fails_with_error_naming_it(artifacts, tmp_path, capsys, comma
     assert f"error: layer {layer} is out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["data", "model"])
+def test_eval_on_a_file_that_is_not_utf8_fails_naming_it(artifacts, tmp_path, capsys, bad):
+    paths = {"model": artifacts / "quant.json", "data": artifacts / "val.csv"}
+    paths[bad] = tmp_path / f"latin1.{'csv' if bad == 'data' else 'json'}"
+    paths[bad].write_bytes(b"\xff" + (artifacts / "val.csv").read_bytes())
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", str(paths["model"]), "--data", str(paths["data"])]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[bad]}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def _edited_quant_json(artifacts, tmp_path, edit):
     obj = json.loads((artifacts / "quant.json").read_text())
     edit(obj)

@@ -7,6 +7,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import FIXTURES
+from oracles import read_text_csv
 from qrepair.data import Dataset, DatasetError, load_dataset, save_dataset
 
 
@@ -67,6 +69,75 @@ def test_csv_error_names_the_file_line(tmp_path, text, lineno, reason):
     path = tmp_path / "d.csv"
     path.write_text(text)
     with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:{lineno}: {reason}')}"):
+        load_dataset(path)
+
+
+def _assert_loads_as_read_text_csv(path):
+    features, labels, num_classes = read_text_csv(path)
+    ds = load_dataset(path)
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == labels.tolist()
+    assert ds.num_classes == num_classes
+
+
+@pytest.mark.parametrize("text", [
+    "0,1.5,-2\n1,0.25,3\n2,-0.0,1e-45\n",
+    "0,1.5,-2\r\n1,0.25,3\r\n2,-0.0,1e-45\r\n",
+    "0,1.5,-2\r1,0.25,3\r2,-0.0,1e-45\r",
+    "0,1.5,-2\r\n1,0.25,3\r2,-0.0,1e-45\n\r\n3,7,8",
+    "\n  \r\n0,1.5,-2\n\t \r1,0.25,3\r\n \n2,-0.0,1e-45\n   ",
+    "0,1.5,-2\n\f\n1,0.25,3\f2,-0.0,1e-45\r\n \f \r\n",
+], ids=["lf", "crlf", "cr", "mixed", "whitespace_lines", "form_feed"])
+def test_csv_loads_what_a_read_text_reader_loads(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    _assert_loads_as_read_text_csv(path)
+
+
+def test_csv_fixture_loads_what_a_read_text_reader_loads():
+    _assert_loads_as_read_text_csv(FIXTURES / "conv3_val.csv")
+
+
+def test_csv_1000_random_rows_load_what_a_read_text_reader_loads(tmp_path):
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2**32, size=(1000, 6), dtype=np.uint64).astype(np.uint32)
+    features = bits.view(np.float32)
+    features[~np.isfinite(features)] = 0.5
+    ds = Dataset(features, rng.integers(0, 7, 1000), 7)
+    path = tmp_path / "d.csv"
+    save_dataset(ds, path)
+    _assert_loads_as_read_text_csv(path)
+    # the same rows with a random line end each and blank lines between
+    rows = path.read_bytes().decode().splitlines()
+    ends = rng.choice(["\n", "\r\n", "\r", "\n \n", "\r\n\r\n"], size=len(rows))
+    path.write_bytes("".join(r + e for r, e in zip(rows, ends)).encode())
+    _assert_loads_as_read_text_csv(path)
+    assert load_dataset(path).features.tobytes() == ds.features.tobytes()
+
+
+@pytest.mark.parametrize("raw,lineno,reason", [
+    (b"0,1\r\n\r\n  \r\n1,2\r\nx,3\r\n", 5,
+     "could not convert string 'x' to int64 in column 1"),
+    (b"\r\n0,1\r\n\r\n1,2,3\r\n", 4, "expected 2 fields, got 3"),
+    (b"0,1\r\r\n1,y\r", 3, "could not convert string 'y' to float32 in column 2"),
+], ids=["crlf_bad_value", "crlf_extra_field", "cr_then_crlf"])
+def test_csv_error_names_the_file_line_across_line_ends(tmp_path, raw, lineno, reason):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}:{lineno}: {reason}')}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("raw,reason,at", [
+    (b"\xff0,1\n", "invalid start byte", 0),
+    (b"0,1\r\n1,\xe9\r\n", "invalid continuation byte", 7),
+    (b"0,1\n1,2\xe2\x82", "unexpected end of data", 7),
+], ids=["first_byte", "mid_file", "cut_sequence"])
+def test_csv_that_is_not_utf8_fails_naming_the_file(tmp_path, raw, reason, at):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetError,
+                       match=f"^{re.escape(f'{path}: not UTF-8 text ({reason} at byte {at})')}$"):
         load_dataset(path)
 
 

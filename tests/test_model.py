@@ -61,6 +61,18 @@ def test_load_malformed_json(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("raw,reason,at", [
+    (b"\xff{}", "invalid start byte", 0),
+    (b'{"input_shape": [2],\r\n "layers": "\xe9t\xe9"}', "invalid continuation byte", 34),
+], ids=["first_byte", "in_a_string"])
+def test_load_model_that_is_not_utf8_fails_naming_the_file(tmp_path, raw, reason, at):
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    with pytest.raises(ModelFormatError,
+                       match=f"^{re.escape(f'{path}: not UTF-8 text ({reason} at byte {at})')}$"):
+        load_model(path)
+
+
 def test_conv3_fixture_layer_count(conv3_model):
     assert len(conv3_model.layers) == 6
     kinds = [l.kind for l in conv3_model.layers]
