@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
 """Compare two checkouts with alternating perfbench runs, and summarise them.
 
-`run` times one workload in pairs of `perfbench/run.py` runs, one in each
+`run` times one workload in pairs of `perfbench/run.py` runs, one of each
 checkout, swapping which side goes first every pair so that a slow stretch
-of the machine hits both sides alike. Each run appends one JSON line (side,
-pair, the run's final JSON object) to --log:
+of the machine hits both sides alike. Both sides run from one path: before
+each run, the side's `src/`, `perfbench/` and `tests/fixtures/` are copied
+into --run-dir and `perfbench/run.py` runs there, because the length of the
+paths and of the environment moves the process's memory layout, and with it
+the time (Mytkowicz et al., ASPLOS 2009). The layout is also varied on
+purpose, as Stabilizer does (Curtsinger and Berger, ASPLOS 2013): each pair
+draws one environment pad of 0-4,096 bytes, seeded by the workload seed, and
+both of its runs get it in PAD_VAR, so the layout's effect is noise that the
+pairs average out instead of a bias. Each run appends one JSON line (side,
+pair, pad, the run's final JSON object) to --log:
 
     python3 scripts/bench_pairs.py run --parent ../parent --change . \\
-        --workload blobs-experiment --seed 42 --pairs 10 --log pairs.jsonl
+        --workload blobs-experiment --seed 42 --pairs 10 --log pairs.jsonl \\
+        --run-dir /tmp/bench-run
 
 `summarize` folds one or more logs into a BENCH file: per workload and seed
 and per end-to-end metric, each side's median and quartiles, the change's
@@ -25,15 +34,19 @@ seed exists, its `median_change` is larger in size than the control's
     python3 scripts/bench_pairs.py summarize pairs.jsonl --controls aa.jsonl \\
         --out BENCH_4.json
 
-Both checkouts run their own `perfbench/`, so it must be the same code on
-both sides.
+Each side runs its own `perfbench/`, so it must be the same code on both
+sides.
 """
 
 import argparse
 import json
+import os
+import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,23 +61,39 @@ TRACE_KEYS = ("lp.solve_lp.calls", "simplex.simplex_solve.calls", "simplex.pivot
               "cli.cli_main.s", "experiment.train_mlp.s")
 SIDES = ("parent", "change")
 CONTROL = "a second copy of the parent (A/A): the same code on both sides"
+STAGED = ("src", "perfbench", "tests/fixtures")  # what a perfbench run reads of a checkout
+PAD_VAR, MAX_PAD = "BENCH_PAIRS_PAD", 4096
+
+
+def stage(checkout, run_dir: Path) -> None:
+    """Put `checkout`'s copy of each STAGED directory at its place in
+    `run_dir`, in place of the last run's."""
+    for part in STAGED:
+        shutil.rmtree(run_dir / part, ignore_errors=True)
+        shutil.copytree(Path(checkout) / part, run_dir / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
 
 
 def run(args) -> None:
     dirs = {"parent": args.parent, "change": args.change}
+    run_dir = Path(args.run_dir).resolve()
+    pads = random.Random(args.seed)
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pad = pads.randint(0, MAX_PAD)
         for side in order:
+            stage(dirs[side], run_dir)
             t0 = time.time()
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", args.workload,
                  "--seed", str(args.seed), "--seconds", str(args.seconds),
                  "--trace", str(args.trace)],
-                cwd=dirs[side], capture_output=True, text=True)
+                cwd=run_dir, env={**os.environ, PAD_VAR: "x" * pad},
+                capture_output=True, text=True)
             lines = proc.stdout.strip().splitlines()
             last = lines[-1] if lines else ""
             rec = {"workload": args.workload, "seed": args.seed, "pair": i, "side": side,
-                   "trace": args.trace, "rc": proc.returncode,
+                   "pad": pad, "trace": args.trace, "rc": proc.returncode,
                    "elapsed": round(time.time() - t0, 1),
                    "result": json.loads(last) if last.startswith("{") else None}
             if args.trace or proc.returncode:
@@ -181,6 +210,8 @@ def main() -> None:
     p_run.add_argument("--seconds", type=float, default=30.0)
     p_run.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p_run.add_argument("--log", required=True, help="JSON-lines file to append to")
+    p_run.add_argument("--run-dir", default=str(Path(tempfile.gettempdir()) / "bench-pairs-run"),
+                       help="the one directory both sides run from (default: %(default)s)")
     p_sum = sub.add_parser("summarize", help="fold run logs into a BENCH file")
     p_sum.add_argument("logs", nargs="+")
     p_sum.add_argument("--controls", nargs="*", default=[], metavar="LOG",

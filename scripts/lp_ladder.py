@@ -10,15 +10,17 @@ MobileNetV2's last layer) over ReLU'd normal features: 1,000 repair and
 `experiment.damaged_quantized_model` (`head_parts`). For each rung the
 record holds the status, the median seconds over the repeats, the pivot and
 bound-flip counts (`LPSolution.pivots` and `.flips`, summed over one run's
-solutions), M as float.hex and the certificate gap (M - bound) / M against
-the LP's dual bound (`LPSolution.bound`; null when not optimal). The head
-rung runs `repair.prepare`, then `repair.repair` on the record it returns
-(the work `repair` does alone), and holds each neuron's status and M from
-the report, in report order, the largest gap over the solutions in the
-record and the validation accuracy after repair. A rung that runs past the
-budget is recorded as a timeout. Runs of different checkouts go under their
-own --label in one file, so the same LPs can be compared across solver
-versions:
+solutions), the `path_digest` (the sha256 of the (row, col) of every
+`simplex._pivot` call in one more, untimed run, so two solver versions can
+be seen to take the same pivots), M as float.hex and the certificate gap
+(M - bound) / M against the LP's dual bound (`LPSolution.bound`; null when
+not optimal). The head rung runs `repair.prepare`, then `repair.repair` on
+the record it returns (the work `repair` does alone), and holds each
+neuron's status and M from the report, in report order, the largest gap
+over the solutions in the record and the validation accuracy after repair.
+A rung that runs past the budget is recorded as a timeout. Runs of
+different checkouts go under their own --label in one file, so the same LPs
+can be compared across solver versions:
 
     python3 scripts/lp_ladder.py --label change --out BENCH_7.json
     python3 scripts/lp_ladder.py --label parent --src ../parent/src --out BENCH_7.json
@@ -34,6 +36,7 @@ one thread.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -64,11 +67,31 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+def path_digest(call) -> str:
+    """The sha256 of the pivot path of one run of `call`: "row,col;" for every
+    `simplex._pivot` call in order, taken by wrapping the module global, as
+    perfbench's tracer does."""
+    from qrepair import simplex
+
+    pivot, digest = simplex._pivot, hashlib.sha256()
+
+    def traced(tableau, row, col, *scratch):
+        digest.update(f"{row},{col};".encode())
+        pivot(tableau, row, col, *scratch)
+
+    simplex._pivot = traced
+    try:
+        call()
+    finally:
+        simplex._pivot = pivot
+    return digest.hexdigest()
+
+
 def timed(name, call) -> tuple:
     """Repeat `call`, which returns a result and the LP solutions it made,
     until REPEAT_S has passed, at most 5 times; the last result and
-    solutions, the median seconds, the repeats, and the pivots and flips
-    summed over one run's solutions."""
+    solutions, the median seconds, the repeats, the pivots and flips
+    summed over one run's solutions, and the path digest of one more run."""
     times, counts = [], set()
     while len(times) < 5 and (not times or sum(times) < REPEAT_S):
         t0 = time.perf_counter()
@@ -77,7 +100,7 @@ def timed(name, call) -> tuple:
         counts.add((sum(s.pivots for s in solved if s), sum(s.flips for s in solved if s)))
     if len(counts) != 1:
         raise RuntimeError(f"{name}: pivot and flip counts vary between repeats: {counts}")
-    return out, solved, statistics.median(times), len(times), *counts.pop()
+    return out, solved, statistics.median(times), len(times), *counts.pop(), path_digest(call)
 
 
 def gap(sol):
@@ -91,10 +114,10 @@ def run_rung(m: int) -> dict:
     from qrepair.lp import solve_lp
 
     lp = repair_lp(m, K, 1000 + m)
-    _, (sol,), seconds, repeats, pivots, flips = timed(
+    _, (sol,), seconds, repeats, pivots, flips, digest = timed(
         m, lambda: (None, [solve_lp(lp, time_budget=BUDGET_S)]))
     return {"rung": str(m), "m": m, "k": K, "status": sol.status, "seconds": seconds,
-            "repeats": repeats, "pivots": pivots, "flips": flips,
+            "repeats": repeats, "pivots": pivots, "flips": flips, "path_digest": digest,
             "M": None if sol.M is None else float(sol.M).hex(), "gap": gap(sol)}
 
 
@@ -129,11 +152,12 @@ def run_head() -> dict:
         report = repair(*parts, config, shared=shared)[1]
         return report, [shared.solutions.get(r.neuron) for r in report.records]
 
-    report, solved, seconds, repeats, pivots, flips = timed("head", call)
+    report, solved, seconds, repeats, pivots, flips, digest = timed("head", call)
     statuses, gaps = [r.status for r in report.records], [gap(sol) for sol in solved]
     return {"rung": "head", "m": HEAD_WIDTH, "k": None,
             "status": "optimal" if all(s == "optimal" for s in statuses) else ",".join(statuses),
             "seconds": seconds, "repeats": repeats, "pivots": pivots, "flips": flips,
+            "path_digest": digest,
             "M": [None if r.M is None else float(r.M).hex() for r in report.records],
             "gap": None if None in gaps else max(gaps),
             "accuracy_after": report.accuracy_after}
@@ -174,7 +198,8 @@ def main(argv=None) -> int:
         rungs.append(run_head() if name == "head" else run_rung(int(name)))
         r = rungs[-1]
         print(f"{name:>5}  {r['status']:8s} {r['seconds']:8.3f} s  pivots {r['pivots']:6d}"
-              f"  flips {r['flips']:6d}  M {r['M']}  gap {r['gap']}", flush=True)
+              f"  flips {r['flips']:6d}  path {r['path_digest'][:12]}  M {r['M']}"
+              f"  gap {r['gap']}", flush=True)
 
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
@@ -190,13 +215,17 @@ def main(argv=None) -> int:
     runs = record["lp_ladder"]
     if len(runs) > 1:
         labels = sorted(runs)
-        print("rung  " + "  ".join(f"{label:>10}" for label in labels) + "  M within 1e-9")
+        print("rung  " + "  ".join(f"{label:>10}" for label in labels)
+              + "  M within 1e-9  same pivots")
         for name in names:
             row = [next((r for r in runs[label]["rungs"]
                          if r.get("rung", str(r["m"])) == name), None) for label in labels]
             same = None not in row and same_M(row)
+            # a record made before the digest was kept has none to compare
+            digests = {None} if None in row else {r.get("path_digest") for r in row}
+            path = None not in digests and len(digests) == 1
             print(f"{name:<5} " + "  ".join(f"{r['seconds']:10.3f}" if r else f"{'-':>10}"
-                                         for r in row) + f"  {same}")
+                                         for r in row) + f"  {same!s:13}  {path}")
     certified = all(r["gap"] is None or r["gap"] <= MAX_GAP for r in rungs)
     return 0 if certified and all(r["status"] == "optimal" for r in rungs) else 1
 

@@ -9,19 +9,21 @@ cost), so the start is dual feasible. The costs are perturbed by
 the zero right-hand side by 1e-7 (1 + i/k) in row i against degenerate
 stalls. Dual simplex steps then drive out every basic value that misses its
 bounds (Koberstein 2005; Huangfu and Hall 2018): the leaving row has the
-largest miss^2 / (||tableau row||^2 + 1), its dual steepest-edge score, and
-the bound-flipping ratio test moves every boxed column whose breakpoint the
-step passes to its other bound without a pivot. When no basic value misses,
-both perturbations are removed once (Wolfe 1963; Harris 1973): the basic
-values are recomputed, the basis is priced with the true costs, each row
-slack gets an upper bound its row cannot reach, and every column whose true
-reduced cost prefers its other bound flips there, which makes the basis dual
-feasible again. Dual steps then restore any bound the basic values miss. The
-dense tableau has a column per nonbasic variable; `_pivot` subtracts each
-rank-1 exchange as one two-term BLAS product made in scratch arrays, which
-keeps every nonzero bit of a broadcast product (only a sign of zero, which no
-comparison sees, can differ). At an optimum the reduced costs of the nonbasic
-slacks are a dual solution y >= 0 of the rows.
+largest miss^2 / (||tableau row||^2 + 1), its dual steepest-edge score
+(Forrest and Goldfarb 1992), and the bound-flipping ratio test moves every
+boxed column whose breakpoint the step passes to its other bound without a
+pivot. The squared row norms come from one np.vecdot per step, so their last
+bits follow the BLAS build; only the choice of the leaving row reads them.
+When no basic value misses, both perturbations are removed once (Wolfe 1963;
+Harris 1973): the basic values are recomputed, the basis is priced with the
+true costs, each row slack gets an upper bound its row cannot reach, and every
+column whose true reduced cost prefers its other bound flips there, which
+makes the basis dual feasible again. Dual steps then restore any bound the
+basic values miss. The dense tableau has a column per nonbasic variable;
+`_pivot` subtracts each rank-1 exchange as one two-term BLAS product made in
+scratch arrays, which keeps every nonzero bit of a broadcast product (only a
+sign of zero, which no comparison sees, can differ). At an optimum the reduced
+costs of the nonbasic slacks are a dual solution y >= 0 of the rows.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int, f: np.ndarray, r: np.ndarray
     f[row, 0] = 0.0
     r[0] = tableau[row]
     tableau -= np.matmul(f, r, out=product)
-    tableau[:, col] = -f[:, 0] / pivot
+    np.divide(f[:, 0], -pivot, out=tableau[:, col])
     tableau[row, col] = 1.0 / pivot
 
 
@@ -73,6 +75,7 @@ class _Tableau:
         k, n = a.shape
         self.at = np.where(c <= 0, upper, lower)  # the bound each column's variable rests at
         self.direction = np.where(self.at == lower, 1.0, -1.0)  # +1: it moves up from there; -1: down
+        self.other = np.where(self.direction > 0, upper, lower)  # the bound a flip moves it to
         self.t = np.vstack([a, c + self.direction * PERTURBATION * (1.0 + np.arange(n) / n)])
         self.costs = np.append(c, np.zeros(k))
         self.lower = np.append(lower, np.zeros(k))
@@ -88,10 +91,9 @@ class _Tableau:
 
     def flip(self, cols) -> None:
         """Move each of `cols`' variables to its other bound, without a pivot."""
-        var = self.cols[cols]
-        to = np.where(self.direction[cols] > 0, self.upper[var], self.lower[var])
+        to = self.other[cols]
         self.values -= self.t[:-1, cols] @ (to - self.at[cols])
-        self.at[cols] = to
+        self.other[cols], self.at[cols] = self.at[cols], to
         self.direction[cols] = -self.direction[cols]
         self.flips += len(cols)
 
@@ -104,7 +106,7 @@ class _Tableau:
         bad, body = miss > FEAS_TOL, t[:-1]
         if not np.count_nonzero(bad):
             return "optimal"
-        row = np.where(bad, miss ** 2 / (np.einsum("ij,ij->i", body, body) + 1.0), -1.0).argmax()
+        row = np.where(bad, miss ** 2 / (np.vecdot(body, body) + 1.0), -1.0).argmax()
         to_upper = values[row] > self.row_upper[row]
         push = t[row] * self.direction * (1.0 if to_upper else -1.0)  # each column's closing rate
         cand = (push > PIVOT_TOL).nonzero()[0]
@@ -128,6 +130,7 @@ class _Tableau:
         var, leaving = self.cols[col], self.rows[row]
         self.values[row] = self.at[col] + step * self.direction[col]
         self.at[col] = missed[row]
+        self.other[col] = self.row_lower[row] if to_upper else self.row_upper[row]
         self.width[col] = self.row_upper[row] - self.row_lower[row]
         self.direction[col] = -1.0 if to_upper else 1.0
         self.rows[row], self.cols[col] = var, leaving
@@ -146,6 +149,7 @@ class _Tableau:
         self.upper = self.boxed  # a bound that never binds, so a slack can flip too
         self.row_upper = self.upper[self.rows]
         self.width = self.upper[self.cols] - self.lower[self.cols]
+        self.other = np.where(self.direction > 0, self.upper[self.cols], self.lower[self.cols])
         self.flip(np.flatnonzero(self.t[-1] * self.direction < -PIVOT_TOL))
         self.perturbed = False
 

@@ -138,3 +138,63 @@ def test_summarize_does_not_resolve_a_change_inside_the_aa_difference(bench_pair
     # a control of another seed is not this change's noise
     bench = _summarize(bench_pairs, tmp_path, change, controls=[other_seed])
     assert bench["timed"][0]["metrics"]["adj_wall_s"]["resolved"] is True
+
+
+FAKE_RUN = """\
+import json, os, sys
+from pathlib import Path
+here = Path.cwd()
+print("a human-readable line first")
+print(json.dumps({"cwd": str(here), "script": str(Path(sys.argv[0]).resolve().parent.parent),
+                  "side": (here / "src" / "side.txt").read_text(),
+                  "fixture": (here / "tests" / "fixtures" / "data.txt").read_text(),
+                  "files": sorted(p.name for p in (here / "src").iterdir()),
+                  "pad": os.environ.get("BENCH_PAIRS_PAD"), "args": sys.argv[1:]}))
+"""
+
+
+def _checkout(root, side):
+    for part in ("src", "perfbench", "tests/fixtures"):
+        (root / part).mkdir(parents=True)
+    (root / "src" / "side.txt").write_text(side)
+    (root / "src" / f"only_{side}.py").write_text("")
+    (root / "tests" / "fixtures" / "data.txt").write_text(f"{side} fixture")
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    return root
+
+
+def _run(bench_pairs, tmp_path, name, pairs=4, seed=42):
+    log = tmp_path / f"{name}.jsonl"
+    bench_pairs.run(Namespace(
+        parent=_checkout(tmp_path / name / "parent", "parent"),
+        change=_checkout(tmp_path / name / "other-and-longer-change", "change"),
+        workload="wide-head", seed=seed, pairs=pairs, seconds=1.0, trace=0, log=log,
+        run_dir=tmp_path / "run"))
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def test_run_times_both_sides_from_one_directory(bench_pairs, tmp_path):
+    recs = _run(bench_pairs, tmp_path, "a")
+    assert [(r["pair"], r["side"]) for r in recs] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+        (2, "parent"), (2, "change"), (3, "change"), (3, "parent")]
+    run_dir = str((tmp_path / "run").resolve())
+    for r in recs:
+        got = r["result"]
+        assert r["rc"] == 0 and got["cwd"] == got["script"] == run_dir
+        # each run reads its own side's code and fixtures, none of the other side's
+        assert got["side"] == r["side"] and got["fixture"] == f"{r['side']} fixture"
+        assert got["files"] == sorted(["side.txt", f"only_{r['side']}.py"])
+        assert got["args"] == ["--workload", "wide-head", "--seed", "42", "--seconds", "1.0",
+                               "--trace", "0"]
+
+
+def test_run_gives_both_runs_of_a_pair_one_seeded_pad(bench_pairs, tmp_path):
+    recs = _run(bench_pairs, tmp_path, "a", pairs=6)
+    pads = [r["pad"] for r in recs]
+    assert all(0 <= pad <= bench_pairs.MAX_PAD for pad in pads)
+    assert all(r["result"]["pad"] == "x" * r["pad"] for r in recs)
+    assert pads[::2] == pads[1::2] and len(set(pads)) > 1
+    # the workload seed draws the pads
+    assert [r["pad"] for r in _run(bench_pairs, tmp_path, "b", pairs=6)] == pads
+    assert [r["pad"] for r in _run(bench_pairs, tmp_path, "c", pairs=6, seed=7)] != pads

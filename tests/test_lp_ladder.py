@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,6 +17,35 @@ def test_ladder_records_the_counts_of_each_rung(tmp_path):
     assert [(r["rung"], r["status"], r["pivots"], r["flips"]) for r in rungs] == [
         ("24", "optimal", 30, 61), ("64", "optimal", 34, 130)]
     assert all(abs(r["gap"]) <= 1e-9 for r in rungs)
+    assert [r["path_digest"] for r in rungs] == [
+        "502e89961339bf1c8ccbdd59e8f793fb8700ed7821b0ff06c204fc24fd2d6ef7",
+        "1ebcfca199f56010d6a0fdc983a05227010b748f13ce45b5539fca832b33e059"]
+
+
+def test_path_digest_hashes_every_pivot_in_order(monkeypatch):
+    import qrepair.simplex as simplex
+    from conftest import repair_lp
+    from qrepair.lp import solve_lp
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # what the script sets on import, undone after
+    spec = importlib.util.spec_from_file_location("lp_ladder", SCRIPT)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    pivots, real = [], simplex._pivot
+
+    def recorded(tableau, row, col, *scratch):
+        pivots.append((row, col))
+        real(tableau, row, col, *scratch)
+
+    monkeypatch.setattr(simplex, "_pivot", recorded)
+    lp, solved = repair_lp(24, 64, 1024), []
+    digest = ladder.path_digest(lambda: solved.append(solve_lp(lp, time_budget=60.0)))
+    assert simplex._pivot is recorded  # put back after the run
+    assert len(pivots) == solved[0].pivots > 0
+    want = hashlib.sha256("".join(f"{row},{col};" for row, col in pivots).encode())
+    assert digest == want.hexdigest()
+    assert ladder.path_digest(lambda: None) == hashlib.sha256().hexdigest()
 
 
 def test_a_head_neuron_that_times_out_fails_the_run(tmp_path):

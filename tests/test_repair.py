@@ -578,3 +578,27 @@ def test_an_empty_validation_set_is_measured_as_no_validation_set(desk_fixture, 
         assert seen == [("compare", repair_set)]  # the repair set only; no validation pass
         reports.append(report.to_json())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("patch_mode", ["float_patch", "requantize"])
+def test_the_validation_set_never_steers_a_repair(patch_mode, conv3_model, conv3_val, tmp_path):
+    # the fixture's first 30 rows repair; the validation set is its other 30
+    # rows, 30 random rows with random labels, or absent
+    import hashlib
+
+    qmodel = load_qmodel(FIXTURES / "conv3_quant.json")
+    repair_set, rest = conv3_val.subset(range(30)), conv3_val.subset(range(30, 60))
+    rng = np.random.default_rng(36)
+    noise = make_dataset(rng.normal(size=(30, 64)), labels=rng.integers(0, 10, size=30),
+                         num_classes=10)
+    config = RepairConfig(top_n=4, patch_mode=patch_mode)
+    outcomes = set()
+    for i, val in enumerate([rest, noise, None]):
+        patched, report = repair(conv3_model, qmodel, repair_set, val, config)
+        save_qmodel(patched, tmp_path / f"patched{i}.json")
+        digest = hashlib.sha256((tmp_path / f"patched{i}.json").read_bytes()).hexdigest()
+        outcomes.add((digest, tuple((r.neuron, r.status, r.M) for r in report.records)))
+        assert (report.accuracy_after is None) == (val is None)
+    (outcome,) = outcomes
+    # the repair did patch something, so the three runs had something to differ in
+    assert any(status == "optimal" for _, status, _ in outcome[1])
