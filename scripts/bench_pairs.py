@@ -12,7 +12,9 @@ purpose, as Stabilizer does (Curtsinger and Berger, ASPLOS 2013): each pair
 draws one environment pad of 0-4,096 bytes, seeded by the workload seed, and
 both of its runs get it in PAD_VAR, so the layout's effect is noise that the
 pairs average out instead of a bias. Each run appends one JSON line (side,
-pair, pad, the run's final JSON object) to --log:
+pair, pad, the run's final JSON object and `reports`, the report sha256 of
+each instance from the record the run wrote under .perfbench_out/, or null
+when it wrote none) to --log:
 
     python3 scripts/bench_pairs.py run --parent ../parent --change . \\
         --workload blobs-experiment --seed 42 --pairs 10 --log pairs.jsonl \\
@@ -23,6 +25,8 @@ and per end-to-end metric, each side's median and quartiles, the change's
 median over the parent's minus 1 (`median_change`), the pairs in which the
 change reads better, and the traced per-layer counts of any `--trace 1`
 runs, pair by pair (`per_pair`) and as each side's median (`per_call`).
+Each entry's `same_reports` is true when every run of both sides wrote the
+same report sha256 for each instance.
 `--controls` folds A/A logs, runs of the parent against a second copy of
 it, the same way into the `controls` list, as the noise to read the
 change against. Each metric is `resolved` when the change reads better in at
@@ -74,15 +78,25 @@ def stage(checkout, run_dir: Path) -> None:
                         ignore=shutil.ignore_patterns("__pycache__"))
 
 
+def report_hashes(record: Path) -> dict | None:
+    """Each instance's report sha256 in a perfbench record; None without one."""
+    if not record.is_file():
+        return None
+    return {inst: o["sha256"] for inst, o in json.loads(record.read_text())["outcomes"].items()}
+
+
 def run(args) -> None:
     dirs = {"parent": args.parent, "change": args.change}
     run_dir = Path(args.run_dir).resolve()
+    record = (run_dir / ".perfbench_out"
+              / f"{args.workload}-seed{args.seed}-trace{args.trace}.json")
     pads = random.Random(args.seed)
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pad = pads.randint(0, MAX_PAD)
         for side in order:
             stage(dirs[side], run_dir)
+            record.unlink(missing_ok=True)  # so a run that writes none shows no reports
             t0 = time.time()
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -95,7 +109,8 @@ def run(args) -> None:
             rec = {"workload": args.workload, "seed": args.seed, "pair": i, "side": side,
                    "pad": pad, "trace": args.trace, "rc": proc.returncode,
                    "elapsed": round(time.time() - t0, 1),
-                   "result": json.loads(last) if last.startswith("{") else None}
+                   "result": json.loads(last) if last.startswith("{") else None,
+                   "reports": report_hashes(record)}
             if args.trace or proc.returncode:
                 rec["stdout"], rec["stderr"] = proc.stdout[-20000:], proc.stderr[-3000:]
             with open(args.log, "a") as fh:
@@ -139,6 +154,9 @@ def entries(logs: list) -> tuple[list, list]:
                             for s in SIDES},
                  "attempted": {s: sum(r["result"]["attempted"] for r in recs if r["side"] == s)
                                for s in SIDES}}
+        reports = [r.get("reports") for r in recs]
+        entry["same_reports"] = bool(all(entry["runs"].values()) and reports[0]
+                                     and all(r == reports[0] for r in reports))
         pairs = pair_up(recs)
         if trace:
             counts = [{s: {k: p[s]["result"]["metrics"][k]["value"] for k in TRACE_KEYS}

@@ -128,12 +128,11 @@ def head_parts():
     import numpy as np
     from qrepair.data import Dataset
     from qrepair.experiment import damaged_quantized_model
-    from qrepair.model import Layer, Model, Tensor, forward_batch
+    from qrepair.model import Layer, Model, forward_batch
 
     rng = np.random.default_rng(HEAD_SEED)
     w = rng.normal(0, np.sqrt(2.0 / HEAD_WIDTH), size=(HEAD_WIDTH, 10)).astype(np.float32)
-    fmodel = Model([Layer("dense", Tensor.from_array(w),
-                          Tensor.from_array(np.zeros(10, np.float32)))], (HEAD_WIDTH,), 10)
+    fmodel = Model([Layer("dense", w, np.zeros(10, np.float32))], (HEAD_WIDTH,), 10)
     xs = np.maximum(rng.normal(size=(2000, HEAD_WIDTH)), 0.0).astype(np.float32)
     both = Dataset(xs, np.argmax(forward_batch(fmodel, xs)[0], axis=1), 10)
     repair_set, val = both.subset(range(1000)), both.subset(range(1000, 2000))

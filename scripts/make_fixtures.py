@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qrepair.data import Dataset, save_dataset
 from qrepair.lp import NeuronLP, export_lp
-from qrepair.model import Layer, Model, Tensor, forward_batch, save_model
+from qrepair.model import Layer, Model, forward_batch, save_model
 from qrepair.quantize import quantize_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,7 +37,7 @@ def build_conv3() -> Model:
 
     def t(shape, fan_in):
         vals = rng.normal(0, np.sqrt(2.0 / fan_in), size=shape)
-        return Tensor.from_array(vals.astype(np.float32))
+        return vals.astype(np.float32)
 
     layers = [
         Layer("conv2d", t((3, 3, 1, 4), 9), t((4,), 1)),

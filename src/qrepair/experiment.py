@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, DatasetError, save_dataset
 from .evaluate import evaluate
 from .localize import METRICS
-from .model import Layer, Model, QuantizedTensor, Tensor, check_number, save_model
+from .model import Layer, Model, QuantizedTensor, check_number, save_model
 from .quantize import clone_quantized, quantize_model
 from .repair import Prepared, RepairConfig, prepare, repair, round6
 
@@ -144,14 +144,7 @@ def train_mlp(rng: np.random.Generator, train: Dataset, spec: PresetSpec) -> Mod
             row_sum(da1, axis=0, out=gb1)
             multiply(spec.lr, grads, out=grads)
             subtract(params, grads, out=params)
-    layers = [
-        Layer("dense", Tensor.from_array(w1.astype(np.float32)),
-              Tensor.from_array(b1.astype(np.float32))),
-        Layer("relu"),
-        Layer("dense", Tensor.from_array(w2.astype(np.float32)),
-              Tensor.from_array(b2.astype(np.float32))),
-    ]
-    return Model(layers, (d,), c)
+    return Model([Layer("dense", w1, b1), Layer("relu"), Layer("dense", w2, b2)], (d,), c)
 
 
 def _split(flat: np.ndarray, d: int, h: int, c: int) -> tuple[np.ndarray, ...]:

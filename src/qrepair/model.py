@@ -85,7 +85,8 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
 class Layer:
     """One layer. `weights` are the float32 values inference uses; `qweights`,
     when set, are the int8 codes they dequantize to (given alone, they fill
-    in `weights`). A layer a `float_patch` repair wrote has no codes."""
+    in `weights`). A layer a `float_patch` repair wrote has no codes. Arrays
+    or lists given as `weights` or `bias` are stored as float32 `Tensor`s."""
 
     kind: str
     weights: Tensor | None = None
@@ -96,6 +97,8 @@ class Layer:
     def __post_init__(self):
         if self.weights is None and self.qweights is not None:
             self.set_codes(self.qweights)
+        self.weights, self.bias = (t if t is None or isinstance(t, Tensor) else Tensor.from_array(t)
+                                   for t in (self.weights, self.bias))
 
     @property
     def eff_weights(self) -> np.ndarray | None:
@@ -120,11 +123,8 @@ class Model:
         self.num_classes = check_number("num_classes", self.num_classes, 1, integer=True)
         validate_topology(self)
 
-    def dense_layer_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.layers) if l.kind == "dense"]
-
     def last_dense_index(self) -> int:
-        return self.dense_layer_indices()[-1]  # validation makes the final layer dense
+        return len(self.layers) - 1  # validation makes the final layer dense
 
 
 @dataclass
@@ -167,20 +167,16 @@ def check_number(name: str, value, low, *, integer=False, above=False, inf=False
     return number
 
 
-def _int_entry(entries: dict, key: str, default) -> int:
-    """entries[key] (default when absent), which must be an integer, not a bool."""
-    value = entries.get(key, default)
-    if not is_int(value):
-        raise ModelFormatError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def window(kind: str, hyperparams: dict) -> dict:
     """`hyperparams` with their defaults filled in; {} for a kind that takes none."""
     if kind not in HYPERPARAMS:
         return {}
-    kernel = {"kernel": _int_entry(hyperparams, "kernel", 2)} if kind == "maxpool2d" else {}
-    return {**kernel, "stride": _int_entry(hyperparams, "stride", kernel.get("kernel", 1))}
+    win = {"kernel": hyperparams.get("kernel", 2)} if kind == "maxpool2d" else {}
+    win["stride"] = hyperparams.get("stride", win.get("kernel", 1))
+    try:  # the range is checked with the input shape, in _output_shape
+        return {key: check_number(key, v, -math.inf, integer=True) for key, v in win.items()}
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from None
 
 
 def _output_shape(shape, layer: Layer) -> tuple[int, ...]:
@@ -440,7 +436,8 @@ def _tensor_from_json(obj, base_dir: Path) -> Tensor:
         data = np.asarray(_numbers_from_json(obj, "data"), dtype=np.float32)
     elif "data_file" in obj:
         path = base_dir / obj["data_file"]
-        data = np.fromfile(path, dtype="<f4", count=count, offset=_int_entry(obj, "offset", 0))
+        offset = check_number("offset", obj.get("offset", 0), 0, integer=True)
+        data = np.fromfile(path, dtype="<f4", count=count, offset=offset)
         if data.size != count:
             raise ModelFormatError(f"sidecar {path} has {data.size} values, need {count}")
     else:
@@ -482,9 +479,9 @@ def not_utf8(path, error: UnicodeDecodeError) -> str:
 
 
 def load_model(path) -> Model:
-    """The model in a JSON file, with float weights, int8 codes or both per
-    layer; sidecar (`data_file`) tensors resolve next to it. A malformed
-    layer raises ModelFormatError naming its index."""
+    """The model in a JSON file, which stores each layer's weights as float
+    values or as int8 codes, never both; sidecar (`data_file`) tensors resolve
+    next to it. A malformed layer raises ModelFormatError naming its index."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrepair.data import Dataset
-from qrepair.model import Layer, Model, QuantizedTensor, Tensor
+from qrepair.model import Layer, Model, QuantizedTensor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,14 +23,11 @@ BEALE_LP = ([-0.75, 150.0, -0.02, 6.0],
 
 def dense_model(w, b=None, extra_relu=False, num_classes=None):
     """Single dense layer model (optionally dense+relu+identity-dense)."""
-    w = np.asarray(w, dtype=np.float32)
-    bias = Tensor.from_array(np.asarray(b, dtype=np.float32)) if b is not None else None
-    layers = [Layer("dense", Tensor.from_array(w), bias)]
-    out = w.shape[1]
+    layers = [Layer("dense", w, b)]
+    d_in, out = layers[0].weights.shape
     if extra_relu:
-        layers.append(Layer("relu"))
-        layers.append(Layer("dense", Tensor.from_array(np.eye(out, dtype=np.float32))))
-    return Model(layers, (w.shape[0],), num_classes or out)
+        layers += [Layer("relu"), Layer("dense", np.eye(out))]
+    return Model(layers, (d_in,), num_classes or out)
 
 
 def pool_model(pool: dict, input_shape=(6, 6, 1)) -> Model:
@@ -38,8 +35,7 @@ def pool_model(pool: dict, input_shape=(6, 6, 1)) -> Model:
     7x7 input pools to 3x3 under kernel 2, and 6x6 also under kernel 4 stride 1."""
     w = np.linspace(-1.0, 1.0, 18, dtype=np.float32).reshape(9, 2)
     return Model([Layer("maxpool2d", hyperparams=pool), Layer("flatten"),
-                  Layer("dense", Tensor.from_array(w), Tensor.from_array(np.zeros(2)))],
-                 input_shape, 2)
+                  Layer("dense", w, np.zeros(2))], input_shape, 2)
 
 
 def manual_qmodel(fmodel: Model, int_weights_per_layer, scales=None) -> Model:
@@ -51,9 +47,7 @@ def manual_qmodel(fmodel: Model, int_weights_per_layer, scales=None) -> Model:
             codes = np.asarray(int_weights_per_layer[di], dtype=np.int8)
             scale = 1.0 if scales is None else scales[di]
             qw = QuantizedTensor(layer.weights.shape, codes.reshape(-1), scale)
-            bias = None
-            if layer.bias is not None:
-                bias = Tensor(layer.bias.shape, layer.bias.data.copy())
+            bias = None if layer.bias is None else layer.bias.array().copy()
             qlayers.append(Layer(layer.kind, None, bias, dict(layer.hyperparams), qw))
             di += 1
         else:
@@ -82,7 +76,7 @@ def grid_mlp(rng: np.random.Generator, dims=(6, 5, 4)) -> Model:
         codes.reshape(-1)[0] = 127  # pin the per-tensor max so S = step exactly
         w = (codes * step).astype(np.float32)
         b = (rng.integers(-64, 65, size=d_out) * step).astype(np.float32)
-        layers.append(Layer("dense", Tensor.from_array(w), Tensor.from_array(b)))
+        layers.append(Layer("dense", w, b))
         if d_out != dims[-1]:
             layers.append(Layer("relu"))
     return Model(layers, (dims[0],), dims[-1])
@@ -152,8 +146,7 @@ def wide_head_parts(instance: int = 0):
 
     def dense(fan_in, fan_out):
         w = rng.normal(0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)).astype(np.float32)
-        return Layer("dense", Tensor.from_array(w),
-                     Tensor.from_array(np.zeros(fan_out, np.float32)))
+        return Layer("dense", w, np.zeros(fan_out, np.float32))
 
     fmodel = Model([dense(20, 64), Layer("relu"), dense(64, 10)], (20,), 10)
     xs = np.random.default_rng([2306, instance]).normal(0, 1, size=(800, 20)).astype(np.float32)

@@ -144,6 +144,11 @@ FAKE_RUN = """\
 import json, os, sys
 from pathlib import Path
 here = Path.cwd()
+report = here / "src" / "report.txt"
+if report.is_file():  # a checkout without one writes no record
+    (here / ".perfbench_out").mkdir(exist_ok=True)
+    (here / ".perfbench_out" / "wide-head-seed42-trace0.json").write_text(json.dumps(
+        {"outcomes": {"0": {"sha256": report.read_text()}, "1": {"sha256": "b"}}}))
 print("a human-readable line first")
 print(json.dumps({"cwd": str(here), "script": str(Path(sys.argv[0]).resolve().parent.parent),
                   "side": (here / "src" / "side.txt").read_text(),
@@ -153,21 +158,23 @@ print(json.dumps({"cwd": str(here), "script": str(Path(sys.argv[0]).resolve().pa
 """
 
 
-def _checkout(root, side):
+def _checkout(root, side, report="a"):
     for part in ("src", "perfbench", "tests/fixtures"):
         (root / part).mkdir(parents=True)
     (root / "src" / "side.txt").write_text(side)
+    if report is not None:
+        (root / "src" / "report.txt").write_text(report)
     (root / "src" / f"only_{side}.py").write_text("")
     (root / "tests" / "fixtures" / "data.txt").write_text(f"{side} fixture")
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     return root
 
 
-def _run(bench_pairs, tmp_path, name, pairs=4, seed=42):
+def _run(bench_pairs, tmp_path, name, pairs=4, seed=42, change_report="a"):
     log = tmp_path / f"{name}.jsonl"
     bench_pairs.run(Namespace(
         parent=_checkout(tmp_path / name / "parent", "parent"),
-        change=_checkout(tmp_path / name / "other-and-longer-change", "change"),
+        change=_checkout(tmp_path / name / "other-and-longer-change", "change", change_report),
         workload="wide-head", seed=seed, pairs=pairs, seconds=1.0, trace=0, log=log,
         run_dir=tmp_path / "run"))
     return [json.loads(line) for line in log.read_text().splitlines()]
@@ -184,7 +191,7 @@ def test_run_times_both_sides_from_one_directory(bench_pairs, tmp_path):
         assert r["rc"] == 0 and got["cwd"] == got["script"] == run_dir
         # each run reads its own side's code and fixtures, none of the other side's
         assert got["side"] == r["side"] and got["fixture"] == f"{r['side']} fixture"
-        assert got["files"] == sorted(["side.txt", f"only_{r['side']}.py"])
+        assert got["files"] == sorted(["report.txt", "side.txt", f"only_{r['side']}.py"])
         assert got["args"] == ["--workload", "wide-head", "--seed", "42", "--seconds", "1.0",
                                "--trace", "0"]
 
@@ -198,3 +205,31 @@ def test_run_gives_both_runs_of_a_pair_one_seeded_pad(bench_pairs, tmp_path):
     # the workload seed draws the pads
     assert [r["pad"] for r in _run(bench_pairs, tmp_path, "b", pairs=6)] == pads
     assert [r["pad"] for r in _run(bench_pairs, tmp_path, "c", pairs=6, seed=7)] != pads
+
+
+@pytest.mark.parametrize("change_report,same", [("a", True), ("c", False), (None, False)],
+                         ids=["same", "different", "no_record"])
+def test_run_logs_each_report_hash_and_summarize_compares_them(bench_pairs, tmp_path,
+                                                               change_report, same):
+    recs = _run(bench_pairs, tmp_path, "a", change_report=change_report)
+    written = None if change_report is None else {"0": change_report, "1": "b"}
+    for r in recs:
+        # the parent's record from the run before does not stand in for a missing one
+        assert r["reports"] == ({"0": "a", "1": "b"} if r["side"] == "parent" else written)
+    timed = [{**r, "result": _record(bench_pairs, r["side"], r["pair"], 0, 1.0)["result"]}
+             for r in recs]
+    (entry,) = _summarize(bench_pairs, tmp_path, timed)["timed"]
+    assert entry["same_reports"] is same
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_summarize_needs_the_same_reports_from_both_sides(bench_pairs, tmp_path, trace):
+    group = "traced" if trace else "timed"
+    log = [{**_record(bench_pairs, side, 0, trace, 1.0), "reports": {"0": "a"}}
+           for side in ("parent", "change")]
+    assert _summarize(bench_pairs, tmp_path, log)[group][0]["same_reports"] is True
+    # a log written before runs kept their reports
+    bare = [_record(bench_pairs, side, 0, trace, 1.0) for side in ("parent", "change")]
+    assert _summarize(bench_pairs, tmp_path, bare)[group][0]["same_reports"] is False
+    if trace:  # one side alone (a timed entry needs both)
+        assert _summarize(bench_pairs, tmp_path, log[:1])[group][0]["same_reports"] is False

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dense_model
+from conftest import dense_model, pool_model
 from oracles import dense_status_oracle, loop_forward
 from qrepair.model import (
     Layer,
@@ -96,9 +96,9 @@ def test_forward_deterministic():
     rng = np.random.default_rng(42)
     model = Model(
         [
-            Layer("dense", Tensor.from_array(rng.normal(size=(4, 5)).astype(np.float32))),
+            Layer("dense", rng.normal(size=(4, 5)).astype(np.float32)),
             Layer("relu"),
-            Layer("dense", Tensor.from_array(rng.normal(size=(5, 3)).astype(np.float32))),
+            Layer("dense", rng.normal(size=(5, 3)).astype(np.float32)),
         ],
         (4,),
         3,
@@ -210,8 +210,8 @@ def test_forward_matches_loop_oracle_random_models():
             layers.append(
                 Layer(
                     "dense",
-                    Tensor.from_array(rng.normal(size=(a, b)).astype(np.float32)),
-                    Tensor.from_array(rng.normal(size=b).astype(np.float32)),
+                    rng.normal(size=(a, b)).astype(np.float32),
+                    rng.normal(size=b).astype(np.float32),
                 )
             )
             if li != depth - 1:
@@ -235,7 +235,7 @@ def test_conv_and_pool_match_loop_oracle(conv3_model):
             Layer("conv2d", conv3_model.layers[0].weights, conv3_model.layers[0].bias),
             Layer("maxpool2d"),
             Layer("flatten"),
-            Layer("dense", Tensor.from_array(rng.normal(size=(36, 3)).astype(np.float32))),
+            Layer("dense", rng.normal(size=(36, 3)).astype(np.float32)),
         ],
         (8, 8, 1),
         3,
@@ -264,11 +264,11 @@ def test_model_rejects_a_shape_or_class_count_that_is_not_an_integer_at_least_1(
         input_shape, num_classes, message):
     # an int() would make 2.7 classes 2 and input_shape (2.9,) into (2,), and take "2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        Model([Layer("dense", Tensor.from_array(np.eye(2)))], input_shape, num_classes)
+        Model([Layer("dense", np.eye(2))], input_shape, num_classes)
 
 
 def test_model_takes_numpy_integers_as_python_ints():
-    model = Model([Layer("dense", Tensor.from_array(np.eye(2)))], (np.int64(2),), np.int32(2))
+    model = Model([Layer("dense", np.eye(2))], (np.int64(2),), np.int32(2))
     assert (model.input_shape, model.num_classes) == ((2,), 2)
     assert list(map(type, model.input_shape + (model.num_classes,))) == [int, int]
 
@@ -305,11 +305,10 @@ def test_check_number_edges(value, flags, expected):
 
 
 def _conv_pool_model(conv_hyperparams):
-    return Model([Layer("conv2d", Tensor.from_array(np.ones((2, 2, 1, 1))),
-                        hyperparams=conv_hyperparams),
+    return Model([Layer("conv2d", np.ones((2, 2, 1, 1)), hyperparams=conv_hyperparams),
                   Layer("maxpool2d", hyperparams={"kernel": 2, "stride": 1}),
                   Layer("flatten"),
-                  Layer("dense", Tensor.from_array(np.ones((1, 2))))], (3, 3, 1), 2)
+                  Layer("dense", np.ones((1, 2)))], (3, 3, 1), 2)
 
 
 def test_layer_kinds_take_only_their_hyperparameters():
@@ -329,6 +328,63 @@ def test_window_fills_in_the_defaults():
     assert window("dense", {}) == window("relu", {}) == window("flatten", {}) == {}
     with pytest.raises(ModelFormatError, match=r"^kernel must be an integer, got 2\.0$"):
         window("maxpool2d", {"kernel": 2.0})
+
+
+def test_window_takes_numpy_integers_as_python_ints():
+    got = window("maxpool2d", {"kernel": np.int64(3), "stride": np.int32(1)})
+    assert got == {"kernel": 3, "stride": 1}
+    assert list(map(type, got.values())) == [int, int]
+
+
+@pytest.mark.parametrize("key", ["kernel", "stride"])
+@pytest.mark.parametrize("value", [True, 1.5, "2"], ids=["bool", "float", "string"])
+def test_window_refuses_a_non_integer_with_the_one_number_rule(key, value):
+    with pytest.raises(ValueError) as rule:
+        check_number(key, value, 1, integer=True)
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(rule.value))}$"):
+        window("maxpool2d", {key: value})
+    with pytest.raises(ModelFormatError, match=f"^layer 0: {re.escape(str(rule.value))}$"):
+        pool_model({key: value})
+
+
+def test_sidecar_offset_must_not_be_negative(tmp_path):
+    (tmp_path / "w.bin").write_bytes(np.eye(2, dtype="<f4").tobytes())
+    obj = {"input_shape": [2], "num_classes": 2, "layers": [
+        {"kind": "dense", "weights": {"shape": [2, 2], "data_file": "w.bin", "offset": -4}}]}
+    (tmp_path / "m.json").write_text(json.dumps(obj))
+    with pytest.raises(ModelFormatError, match=r"^layer 0: offset must be >= 0, got -4$"):
+        load_model(tmp_path / "m.json")
+
+
+def _arrays_model(given):
+    """A conv2d-flatten-dense model whose weights and biases are `given(x)`
+    for seeded float64 arrays x."""
+    rng = np.random.default_rng(3)
+    w1, b1, w2, b2 = (rng.normal(size=s) for s in ((2, 2, 1, 2), 2, (8, 3), 3))
+    return Model([Layer("conv2d", given(w1), given(b1)), Layer("flatten"),
+                  Layer("dense", given(w2), given(b2))], (3, 3, 1), 3)
+
+
+@pytest.mark.parametrize("given", [lambda x: x, lambda x: x.astype(np.float32),
+                                   lambda x: x.tolist()], ids=["float64", "float32", "list"])
+def test_layers_built_from_arrays_equal_layers_built_from_tensors(tmp_path, given):
+    model = _arrays_model(given)
+    want = _arrays_model(lambda x: Tensor.from_array(x.astype(np.float32)))
+    for layer, ref in zip(model.layers, want.layers):
+        for got, t in ((layer.weights, ref.weights), (layer.bias, ref.bias)):
+            assert (got is None) == (t is None)
+            if t is not None:
+                assert isinstance(got, Tensor) and got.shape == t.shape
+                assert got.data.dtype == np.float32 and got.data.tobytes() == t.data.tobytes()
+    save_model(model, tmp_path / "arrays.json")
+    save_model(want, tmp_path / "tensors.json")
+    assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "tensors.json").read_bytes()
+
+
+def test_layer_stores_a_given_tensor_as_it_is():
+    w, b = Tensor.from_array(np.eye(2)), Tensor.from_array(np.ones(2))
+    layer = Layer("dense", w, b)
+    assert layer.weights is w and layer.bias is b
 
 
 def test_save_load_roundtrip(tmp_path, conv3_model):

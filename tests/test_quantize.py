@@ -13,7 +13,6 @@ from qrepair.model import (
     Model,
     ModelFormatError,
     QuantizedTensor,
-    Tensor,
     argmax_label,
     dequantize,
     forward,
@@ -123,7 +122,7 @@ def test_quantize_model_shares_no_array_or_hyperparameters_with_its_input():
     rng = np.random.default_rng(0)
 
     def t(*shape):
-        return Tensor.from_array(rng.normal(size=shape))
+        return rng.normal(size=shape)
 
     model = Model([Layer("conv2d", t(2, 2, 1, 2), t(2), {"stride": 1}),
                    Layer("maxpool2d", hyperparams={"kernel": 2}), Layer("flatten"),
@@ -169,11 +168,11 @@ def test_quantized_error_within_interval_bound():
         from qrepair.model import Layer, Model
 
         layers = [
-            Layer("dense", Tensor.from_array(rng.normal(size=(dims[0], dims[1])).astype(np.float32)),
-                  Tensor.from_array(rng.normal(size=dims[1]).astype(np.float32))),
+            Layer("dense", rng.normal(size=(dims[0], dims[1])).astype(np.float32),
+                  rng.normal(size=dims[1]).astype(np.float32)),
             Layer("relu"),
-            Layer("dense", Tensor.from_array(rng.normal(size=(dims[1], dims[2])).astype(np.float32)),
-                  Tensor.from_array(rng.normal(size=dims[2]).astype(np.float32))),
+            Layer("dense", rng.normal(size=(dims[1], dims[2])).astype(np.float32),
+                  rng.normal(size=dims[2]).astype(np.float32)),
         ]
         model = Model(layers, (dims[0],), dims[2])
         qm = quantize_model(model)
@@ -214,7 +213,7 @@ def test_capture_q_matches_float_on_grid_weights():
     qm = quantize_model(model)
     from qrepair.model import capture_activations
 
-    idx = model.dense_layer_indices()
+    idx = [i for i, layer in enumerate(model.layers) if layer.kind == "dense"]
     for _ in range(10):
         x = rng.normal(size=model.input_shape[0]).astype(np.float32)
         recs_f = capture_activations(model, x, set(idx))

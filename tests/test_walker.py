@@ -17,7 +17,6 @@ from qrepair.lp import EmptyLPError, build_neuron_lp
 from qrepair.model import (
     Layer,
     Model,
-    Tensor,
     argmax_label,
     capture_activations,
     forward,
@@ -39,8 +38,8 @@ def pooled_model(conv3_model) -> Model:
     rng = np.random.default_rng(5)
 
     def dense(d_in, d_out):
-        return Layer("dense", Tensor.from_array(rng.normal(size=(d_in, d_out)).astype(np.float32)),
-                     Tensor.from_array(rng.normal(size=d_out).astype(np.float32)))
+        return Layer("dense", rng.normal(size=(d_in, d_out)).astype(np.float32),
+                     rng.normal(size=d_out).astype(np.float32))
 
     conv = conv3_model.layers[0]
     layers = [Layer("conv2d", conv.weights, conv.bias), Layer("relu"), Layer("maxpool2d"),
@@ -89,6 +88,10 @@ def weight_layers(model):
     return [i for i, l in enumerate(model.layers) if l.kind in ("dense", "conv2d")]
 
 
+def dense_indices(model):
+    return [i for i, l in enumerate(model.layers) if l.kind == "dense"]
+
+
 def test_forward_batch_matches_rows(case):
     fmodel, qmodel, dataset = case
     for model in (fmodel, qmodel):
@@ -116,7 +119,7 @@ def test_classify_and_diff_match_rows(case):
     assert [o.input_id for o in outcomes] == list(range(len(dataset)))
     assert [o.float_label for o in outcomes] == want_f.tolist()
     assert [o.quant_label for o in outcomes] == want_q.tolist()
-    for layer in fmodel.dense_layer_indices():
+    for layer in dense_indices(fmodel):
         diff = build_diff_matrix(fmodel, qmodel, dataset, layer)
         want = (row_pre(fmodel, dataset, layer) > 0) != (row_pre(qmodel, dataset, layer) > 0)
         assert np.array_equal(diff, want), layer
@@ -128,7 +131,7 @@ def test_lp_constraints_match_rows(case, max_constraints):
     failing = row_labels(fmodel, dataset) != row_labels(qmodel, dataset)
     order = [i for i in range(len(dataset)) if failing[i]]
     order += [i for i in range(len(dataset)) if not failing[i]]
-    for layer in fmodel.dense_layer_indices():
+    for layer in dense_indices(fmodel):
         status_f = (row_pre(fmodel, dataset, layer) > 0).astype(int)
         status_q = (row_pre(qmodel, dataset, layer) > 0).astype(int)
         x_in = [layer_input_vector(qmodel, x, layer) for x in rows(qmodel, dataset)]
@@ -168,7 +171,7 @@ def test_forward_batch_rejects_non_finite_rows_and_logits(conv3_model):
     for model in (conv3_model, quantize_model(conv3_model)):
         with pytest.raises(ValueError, match="finite"):
             forward_batch(model, x)
-    huge = Model([Layer("dense", Tensor.from_array(np.full((2, 2), 3e38, np.float32)))], (2,), 2)
+    huge = Model([Layer("dense", np.full((2, 2), 3e38, np.float32))], (2,), 2)
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
         forward_batch(huge, np.ones((4, 2), dtype=np.float32))
 
