@@ -167,6 +167,10 @@ def entries(logs: list) -> tuple[list, list]:
                                  for s in SIDES if entry["runs"][s]}
             traced.append(entry)
             continue
+        for side in SIDES:
+            if not entry["runs"][side]:
+                sys.exit(f"workload {workload} seed {seed}: the timed runs hold no {side} side "
+                         "to compare with")
         metrics = {}
         for name, spec in recs[0]["result"]["metrics"].items():
             side_values = {s: [r["result"]["metrics"][name]["value"] for r in recs

@@ -45,56 +45,68 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def build_parser() -> _Parser:
-    """The parser. A repair, localize or experiment option left out is absent
-    from the parsed namespace, so `RepairConfig` and `run_experiment` supply
-    its default; those options are named after the fields they set."""
+COMMANDS = ("quantize", "eval", "localize", "repair", "experiment")
+
+
+def _add_model_pair(p: _Parser) -> None:
+    """The options `localize` and `repair` share."""
+    p.add_argument("--float", dest="float_model", required=True)
+    p.add_argument("--quant", required=True)
+    p.add_argument("--repair-set", required=True)
+    p.add_argument("--layer", dest="target_layer", type=int,
+                   help="dense layer index (default: last)")
+    p.add_argument("--metric", choices=METRICS)
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser for `argv`: when it starts with a command, only that command's
+    subparser is added, and otherwise every one, so help and usage errors
+    read the same either way. A repair, localize or experiment option left out
+    is absent from the parsed namespace, so `RepairConfig` and
+    `run_experiment` supply its default; those options are named after the
+    fields they set."""
     parser = _Parser(prog="qrepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     leave_out = {"argument_default": argparse.SUPPRESS}  # a flag left out stays absent
-
-    p_quant = sub.add_parser("quantize", help="quantize a float model to int8")
-    p_quant.set_defaults(func=cmd_quantize)
-    p_quant.add_argument("--model", required=True)
-    p_quant.add_argument("--out", required=True)
-
-    p_eval = sub.add_parser("eval", help="accuracy (and fidelity) on a dataset")
-    p_eval.set_defaults(func=cmd_eval)
-    p_eval.add_argument("--model", required=True, help="a float or a quantized model")
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--ref-model", help="second model for fidelity")
-    p_eval.add_argument("--out", help="write the result JSON (or, for *.csv, CSV) here")
-
-    p_loc = sub.add_parser("localize", help="rank neurons by suspiciousness", **leave_out)
-    p_loc.set_defaults(func=cmd_localize)
-    p_rep = sub.add_parser("repair", help="repair a quantized model", **leave_out)
-    p_rep.set_defaults(func=cmd_repair)
-    for p in (p_loc, p_rep):
-        p.add_argument("--float", dest="float_model", required=True)
-        p.add_argument("--quant", required=True)
-        p.add_argument("--repair-set", required=True)
-        p.add_argument("--layer", dest="target_layer", type=int,
-                       help="dense layer index (default: last)")
-        p.add_argument("--metric", choices=METRICS)
-    p_loc.add_argument("--out", default=None, help="write the spectra CSV here")
-
-    p_rep.add_argument("--val", required=True)
-    p_rep.add_argument("--top", dest="top_n", type=int)
-    p_rep.add_argument("--epsilon", type=float)
-    p_rep.add_argument("--time-budget", type=float)
-    p_rep.add_argument("--patch-mode", choices=PATCH_MODES)
-    p_rep.add_argument("--max-constraints", type=int)
-    p_rep.add_argument("--delta-bound", type=float)
-    p_rep.add_argument("--lp-dir", help="dump every generated LP file here")
-    p_rep.add_argument("--out", dest="out_dir", required=True, help="output directory")
-
-    p_exp = sub.add_parser("experiment", help="train/quantize/repair harness", **leave_out)
-    p_exp.set_defaults(func=cmd_experiment)
-    p_exp.add_argument("--preset", choices=exp.PRESETS)
-    p_exp.add_argument("--seed", type=int)
-    p_exp.add_argument("--trials", type=int, help="random-selection baseline repetitions")
-    p_exp.add_argument("--data-dir", help="IDX files for the mnist-mini preset")
-    p_exp.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    wanted = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+    if "quantize" in wanted:
+        p = sub.add_parser("quantize", help="quantize a float model to int8")
+        p.set_defaults(func=cmd_quantize)
+        p.add_argument("--model", required=True)
+        p.add_argument("--out", required=True)
+    if "eval" in wanted:
+        p = sub.add_parser("eval", help="accuracy (and fidelity) on a dataset")
+        p.set_defaults(func=cmd_eval)
+        p.add_argument("--model", required=True, help="a float or a quantized model")
+        p.add_argument("--data", required=True)
+        p.add_argument("--ref-model", help="second model for fidelity")
+        p.add_argument("--out", help="write the result JSON (or, for *.csv, CSV) here")
+    if "localize" in wanted:
+        p = sub.add_parser("localize", help="rank neurons by suspiciousness", **leave_out)
+        p.set_defaults(func=cmd_localize)
+        _add_model_pair(p)
+        p.add_argument("--out", default=None, help="write the spectra CSV here")
+    if "repair" in wanted:
+        p = sub.add_parser("repair", help="repair a quantized model", **leave_out)
+        p.set_defaults(func=cmd_repair)
+        _add_model_pair(p)
+        p.add_argument("--val", required=True)
+        p.add_argument("--top", dest="top_n", type=int)
+        p.add_argument("--epsilon", type=float)
+        p.add_argument("--time-budget", type=float)
+        p.add_argument("--patch-mode", choices=PATCH_MODES)
+        p.add_argument("--max-constraints", type=int)
+        p.add_argument("--delta-bound", type=float)
+        p.add_argument("--lp-dir", help="dump every generated LP file here")
+        p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    if "experiment" in wanted:
+        p = sub.add_parser("experiment", help="train/quantize/repair harness", **leave_out)
+        p.set_defaults(func=cmd_experiment)
+        p.add_argument("--preset", choices=exp.PRESETS)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--trials", type=int, help="random-selection baseline repetitions")
+        p.add_argument("--data-dir", help="IDX files for the mnist-mini preset")
+        p.add_argument("--out", dest="out_dir", required=True, help="output directory")
     return parser
 
 
@@ -160,8 +172,9 @@ def cmd_experiment(**options) -> int:
 
 def cli_main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        options = vars(build_parser().parse_args(argv))
+        options = vars(build_parser(argv).parse_args(argv))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE_ERROR

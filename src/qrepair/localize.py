@@ -19,6 +19,7 @@ score per neuron and `rank_neurons` the order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +55,8 @@ class SpectraCounters(NamedTuple):
 @dataclass(frozen=True)
 class LayerComparison:
     """Two models compared on one dataset at one dense layer; the quantized
-    layer's weights and bias are copies, so later patches leave them be."""
+    layer's weights and bias are copies, so later patches leave them be.
+    What every neuron's LP reads of the rows is derived once, on first use."""
 
     layer_index: int
     float_labels: np.ndarray  # int [tests]: each model's predicted label
@@ -69,6 +71,16 @@ class LayerComparison:
     def failing(self) -> np.ndarray:
         """bool [tests]: the models disagree on the label."""
         return self.float_labels != self.quant_labels
+
+    @cached_property
+    def row_order(self) -> np.ndarray:
+        """int [tests]: the failing tests, then the passing ones, each in dataset order."""
+        return np.concatenate([np.flatnonzero(self.failing), np.flatnonzero(~self.failing)])
+
+    @cached_property
+    def inputs64(self) -> np.ndarray:
+        """float64 [tests, in_dim]: `inputs` as the LPs read them."""
+        return self.inputs.astype(np.float64)
 
     def spectra(self) -> SpectraCounters:
         return accumulate_spectra(self.status_float != self.status_quant, self.failing)

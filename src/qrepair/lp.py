@@ -73,7 +73,7 @@ class NeuronLP:
             value = np.full(len(self.x), -1) if value is None else np.asarray(value, np.int64)
             if value.shape != self.x.shape[:1]:
                 raise ValueError(f"{name} needs one entry per row of x, got {value.shape}")
-            if name != "test_id" and not ((value == 0) | (value == 1)).all():
+            if name != "test_id" and (value & ~1).any():  # a bit set above the lowest
                 raise ValueError(f"{name} must hold only 0 and 1")
             setattr(self, name, value)
 
@@ -119,16 +119,16 @@ def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1
     bias = float(c.bias[neuron]) if c.bias is not None else 0.0
     cap = max(max_constraints, 0)
     agree = status_f == status_q
-    order = np.concatenate([np.flatnonzero(c.failing), np.flatnonzero(~c.failing)])
+    order = c.row_order
     disagreeing = order[~agree[order]][:cap]
     if not disagreeing.size:
         raise EmptyLPError(f"neuron ({c.layer_index},{neuron}) has no status-disagreeing tests")
-    kept = np.flatnonzero(agree)
-    distance = np.abs(c.inputs[kept].astype(np.float64) @ w + bias)
+    kept, x = np.flatnonzero(agree), c.inputs64
+    distance = np.abs(x[kept] @ w + bias)
     preserving = kept[np.argsort(distance, kind="stable")][:cap]
     rows = np.concatenate([disagreeing, preserving])
-    return NeuronLP(c.layer_index, neuron, w, bias, c.inputs[rows].astype(np.float64),
-                    status_f[rows], status_q[rows], epsilon, big_M_bound, rows)
+    return NeuronLP(c.layer_index, neuron, w, bias, x[rows], status_f[rows], status_q[rows],
+                    epsilon, big_M_bound, rows)
 
 
 def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
@@ -142,20 +142,24 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     if not len(lp.x):
         raise EmptyLPError("cannot solve an LP with no constraints")
     deadline = time.monotonic() + check_number("time_budget", time_budget, 0, inf=True)
-    m = lp.m
+    (k, m), result = lp.x.shape, None
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
     sign = 2.0 * lp.target_status - 1.0
     g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
     # a row with h_j > 0 needs h_j t <= G_j u <= ||G_j||_1, so t <= t_max, the least
     # such ratio: a bound that leaves the optimum where it is and that t can start at
-    reach = np.abs(g).sum(axis=1) / np.where(h > 0, h, np.nan)
-    result = None
-    if np.any(h > 0):
-        first = int(np.nanargmin(reach))
+    raised = np.flatnonzero(h > 0)
+    if raised.size:
+        reach = np.abs(g[raised]).sum(axis=1) / h[raised]
+        j = reach.argmin()
+        first, t_max = raised[j], reach[j]
         # u = d/M, t = 1/M: min -t s.t. -G u + h t <= 0, u in [-1, 1], t in [0, t_max]
-        result = simplex_solve(np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]]),
-                               np.append(np.ones(m), reach[first]), deadline=deadline,
-                               lower=np.append(np.full(m, -1.0), 0.0))
+        a = np.empty((k, m + 1))
+        np.negative(g, out=a[:, :m])
+        a[:, m] = h
+        c, upper, lower = np.zeros(m + 1), np.ones(m + 1), np.full(m + 1, -1.0)
+        c[m], upper[m], lower[m] = -1.0, t_max, 0.0
+        result = simplex_solve(c, a, upper, deadline=deadline, lower=lower)
     if result is None:  # every h <= 0: d = 0 already holds
         sol = LPSolution("optimal", 0.0, np.zeros(m), bound=0.0)
     elif result.status != "optimal":
@@ -165,8 +169,8 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
         sol = LPSolution("infeasible")
     else:
         y = result.y
-        if t >= reach[first]:  # t rests at t_max: every slack dual may be 0, row `first` proves M
-            y = np.zeros(len(h))
+        if t >= t_max:  # t rests at t_max: every slack dual may be 0, row `first` proves M
+            y = np.zeros(k)
             y[first] = 1.0
         # weak duality: M >= h.y / ||G^T y||_1 for every y >= 0
         spread = np.abs(g.T @ y).sum()
@@ -177,7 +181,7 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
         same = int(np.sum(lp.target_status == lp.current_status))
         log.debug("layer %d neuron %d: %d disagreeing + %d preserving rows, %d columns, "
                   "%d pivots, %d bound flips, %s, M %s", lp.layer_index, lp.neuron_index,
-                  len(g) - same, same, m + 1, sol.pivots, sol.flips, sol.status, sol.M)
+                  k - same, same, m + 1, sol.pivots, sol.flips, sol.status, sol.M)
     return sol
 
 

@@ -65,12 +65,15 @@ class QuantizedTensor:
 
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
-        # checked before the int8 cast, which would wrap a wider integer (129 -> -127)
-        codes = np.asarray(self.data, dtype=np.float64).reshape(-1)
-        bad = codes[(codes != np.round(codes)) | (np.abs(codes) > INT8_MAX)]
+        codes = self.data
+        if isinstance(codes, np.ndarray) and codes.dtype == np.int8:  # only -128 is out of range
+            bad = codes[codes < -INT8_MAX]
+        else:  # checked before the int8 cast, which would wrap a wider integer (129 -> -127)
+            codes = np.asarray(codes, dtype=np.float64)
+            bad = codes[(codes != np.round(codes)) | (np.abs(codes) > INT8_MAX)]
         if bad.size:
             raise ValueError(f"int8 codes must be integers in [-127, 127], got {bad[0]:g}")
-        self.data = codes.astype(np.int8)
+        self.data = codes.reshape(-1).astype(np.int8)
         self.scale = check_number("scale", self.scale, 0, above=True)
         if min(self.shape, default=0) < 0 or math.prod(self.shape) != self.data.size:
             raise ValueError(f"shape {self.shape} does not match {self.data.size} values")
@@ -461,6 +464,10 @@ def _layer_from_json(lobj, base_dir: Path) -> Layer:
     bias = _tensor_from_json(lobj["bias"], base_dir) if "bias" in lobj else None
     wobj, weights, codes = lobj.get("weights"), None, None
     if isinstance(wobj, dict) and "data_i8" in wobj:
+        for key in ("data", "data_file"):
+            if key in wobj:
+                raise ModelFormatError(f"weights hold int8 'data_i8' and float {key!r}; "
+                                       "a layer stores one or the other")
         codes = _codes_from_json(wobj)
     elif wobj is not None:
         weights = _tensor_from_json(wobj, base_dir)

@@ -20,6 +20,7 @@ quantized stage.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -45,7 +46,7 @@ def quantize_values(values: np.ndarray, scale: float) -> np.ndarray:
     clamped to the int8 range."""
     r = np.asarray(values, dtype=np.float64) / scale
     q = np.copysign(np.floor(np.abs(r) + 0.5), r)
-    return np.clip(q, -INT8_MAX, INT8_MAX).astype(np.int8)
+    return q.clip(-INT8_MAX, INT8_MAX).astype(np.int8)
 
 
 def quantize_tensor(values) -> QuantizedTensor:
@@ -54,9 +55,9 @@ def quantize_tensor(values) -> QuantizedTensor:
     An all-zero tensor gets S = 1 so the mapping stays defined.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot quantize non-finite values")
     peak = float(np.max(np.abs(values))) if values.size else 0.0
+    if not math.isfinite(peak):  # the maximum carries any NaN or infinity through
+        raise ValueError("cannot quantize non-finite values")
     scale = peak / INT8_MAX if peak > 0 else 1.0
     return QuantizedTensor(values.shape, quantize_values(values, scale), scale)
 

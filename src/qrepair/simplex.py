@@ -76,11 +76,16 @@ class _Tableau:
         self.at = np.where(c <= 0, upper, lower)  # the bound each column's variable rests at
         self.direction = np.where(self.at == lower, 1.0, -1.0)  # +1: it moves up from there; -1: down
         self.other = np.where(self.direction > 0, upper, lower)  # the bound a flip moves it to
-        self.t = np.vstack([a, c + self.direction * PERTURBATION * (1.0 + np.arange(n) / n)])
-        self.costs = np.append(c, np.zeros(k))
-        self.lower = np.append(lower, np.zeros(k))
-        self.upper = np.append(upper, np.full(k, np.inf))  # slacks: boxed once unperturbed
-        self.boxed = np.append(upper, np.maximum(-a * lower, -a * upper).sum(axis=1) + 1.0)
+        self.t = np.empty((k + 1, n))
+        self.t[:-1] = a
+        self.t[-1] = c + self.direction * PERTURBATION * (1.0 + np.arange(n) / n)
+        # one entry per variable, the n columns' and then the k slacks'; the
+        # slacks get upper bounds 1 above the most -a x can reach once unperturbed
+        self.costs, self.lower = np.zeros(n + k), np.zeros(n + k)
+        self.upper, self.boxed = np.full(n + k, np.inf), np.empty(n + k)
+        self.costs[:n], self.lower[:n], self.upper[:n], self.boxed[:n] = c, lower, upper, upper
+        reach = a * -lower
+        np.add(np.maximum(reach, a * -upper, out=reach).sum(axis=1), 1.0, out=self.boxed[n:])
         self.rows, self.cols = np.arange(n, n + k), np.arange(n)  # the slacks s = -a x start basic
         self.row_lower, self.row_upper = np.zeros(k), np.full(k, np.inf)  # each row's variable's
         self.width = upper - lower  # each column's variable's
@@ -148,9 +153,12 @@ class _Tableau:
         self.t[-1] = self.costs[self.cols] - self.costs[self.rows] @ self.t[:-1]
         self.upper = self.boxed  # a bound that never binds, so a slack can flip too
         self.row_upper = self.upper[self.rows]
-        self.width = self.upper[self.cols] - self.lower[self.cols]
-        self.other = np.where(self.direction > 0, self.upper[self.cols], self.lower[self.cols])
-        self.flip(np.flatnonzero(self.t[-1] * self.direction < -PIVOT_TOL))
+        upper, lower = self.upper[self.cols], self.lower[self.cols]
+        self.width = upper - lower
+        self.other = np.where(self.direction > 0, upper, lower)
+        wrong = np.flatnonzero(self.t[-1] * self.direction < -PIVOT_TOL)
+        if wrong.size:
+            self.flip(wrong)
         self.perturbed = False
 
     def result(self, status: str, n: int) -> SimplexResult:
@@ -158,7 +166,7 @@ class _Tableau:
         if status == "optimal":
             x = np.zeros(self.upper.size)
             x[self.cols] = self.at
-            x[self.rows] = np.clip(self.values, self.row_lower, self.row_upper)
+            x[self.rows] = self.values.clip(self.row_lower, self.row_upper)
             prices = np.zeros(self.upper.size)
             prices[self.cols] = self.t[-1]  # a basic variable's reduced cost is 0
             res.x, res.objective = x[:n], float(self.costs[:n] @ x[:n])
@@ -183,7 +191,8 @@ def simplex_solve(c, a, upper, deadline=None, lower=None) -> SimplexResult:
     lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=np.float64)
     if c.shape != (n,) or upper.shape != (n,) or lower.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= 0) & (upper >= 0)):
+    if not (-np.inf < lower.min(initial=0.0) and lower.max(initial=0.0) <= 0  # NaN fails too
+            and upper.min(initial=0.0) >= 0 and upper.max(initial=0.0) < np.inf):
         raise ValueError("bounds must be finite and satisfy lower <= 0 <= upper")
     if not (np.isfinite(c).all() and np.isfinite(a).all()):
         raise ValueError("costs and constraint coefficients must be finite")

@@ -2,12 +2,17 @@
 
 Everything here deliberately avoids the package's own computation paths:
 plain-loop forward passes, exhaustive grid search for the minimax LPs, and
-interval propagation for quantization error bounds.
+interval propagation for quantization error bounds. The exception is
+`stacked_solve_lp`, a bit-level reference for the LP set-up alone, which
+shares the solver's dual steps.
 """
 
 from pathlib import Path
 
 import numpy as np
+
+from qrepair.lp import LPSolution
+from qrepair.simplex import FEAS_TOL, MAX_STEPS, PERTURBATION, PIVOT_TOL, _Tableau
 
 
 def loop_forward(model, x):
@@ -152,6 +157,85 @@ def outer_pivot(tableau, row, col):
     tableau -= factors[:, None] * tableau[row]
     tableau[:, col] = -factors / pivot
     tableau[row, col] = 1.0 / pivot
+
+
+def stacked_solve_lp(lp):
+    """`lp.solve_lp` with every piece of its set-up made as its own array.
+
+    G, h and the ratio ||G_j||_1 / h_j come from every row (NaN where h_j <= 0),
+    the solver's [-G | h], costs and bounds from hstack and append, and the
+    tableau from `StackedTableau`; the dual steps, flips and read-out are the
+    package's. The one-pass set-up of `solve_lp` and `simplex._Tableau` makes
+    the same floating-point operations on the same operands, so the two give
+    the same bits under any BLAS kernel.
+    """
+    m = lp.m
+    sign = 2.0 * lp.target_status - 1.0
+    g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
+    if not np.any(h > 0):
+        return LPSolution("optimal", 0.0, np.zeros(m), bound=0.0)
+    reach = np.abs(g).sum(axis=1) / np.where(h > 0, h, np.nan)
+    first = int(np.nanargmin(reach))
+    tab = StackedTableau(np.append(np.zeros(m), -1.0), np.hstack([-g, h[:, None]]),
+                         np.append(np.full(m, -1.0), 0.0), np.append(np.ones(m), reach[first]))
+    status = "timeout"
+    for _ in range(MAX_STEPS):
+        step = tab.dual_step()
+        if step == "optimal" and tab.perturbed:
+            tab.remove_perturbations()
+        elif step:
+            status = step
+            break
+    result = tab.result(status, m + 1)
+    if result.status != "optimal":
+        sol = LPSolution(result.status)
+    elif (t := result.x[-1]) <= FEAS_TOL or (lp.big_M_bound is not None
+                                             and 1.0 / t > lp.big_M_bound):
+        sol = LPSolution("infeasible")
+    else:
+        y = result.y
+        if t >= reach[first]:
+            y = np.zeros(len(h))
+            y[first] = 1.0
+        spread = np.abs(g.T @ y).sum()
+        bound = float(h @ y) / spread if spread > 0 else 0.0
+        sol = LPSolution("optimal", float(1.0 / t), result.x[:m] / t, bound, y)
+    sol.pivots, sol.flips = result.pivots, result.flips
+    return sol
+
+
+class StackedTableau(_Tableau):
+    """`simplex._Tableau` set up by vstack and append, each temporary its own
+    array, and with every perturbation removed by the same steps."""
+
+    def __init__(self, c, a, lower, upper):
+        k, n = a.shape
+        self.at = np.where(c <= 0, upper, lower)
+        self.direction = np.where(self.at == lower, 1.0, -1.0)
+        self.other = np.where(self.direction > 0, upper, lower)
+        self.t = np.vstack([a, c + self.direction * PERTURBATION * (1.0 + np.arange(n) / n)])
+        self.costs = np.append(c, np.zeros(k))
+        self.lower = np.append(lower, np.zeros(k))
+        self.upper = np.append(upper, np.full(k, np.inf))
+        self.boxed = np.append(upper, np.maximum(-a * lower, -a * upper).sum(axis=1) + 1.0)
+        self.rows, self.cols = np.arange(n, n + k), np.arange(n)
+        self.row_lower, self.row_upper = np.zeros(k), np.full(k, np.inf)
+        self.width = upper - lower
+        self.values = PERTURBATION * (1.0 + np.arange(k) / k) - a @ self.at
+        self.perturbed = True
+        self.pivots, self.flips = 0, int(np.count_nonzero(self.at))
+        self.scratch = np.zeros((k + 1, 2)), np.zeros((2, n)), np.empty((k + 1, n))
+
+    def remove_perturbations(self):
+        moved = np.flatnonzero(self.at)
+        self.values = -(self.t[:-1, moved] @ self.at[moved])
+        self.t[-1] = self.costs[self.cols] - self.costs[self.rows] @ self.t[:-1]
+        self.upper = self.boxed
+        self.row_upper = self.upper[self.rows]
+        self.width = self.upper[self.cols] - self.lower[self.cols]
+        self.other = np.where(self.direction > 0, self.upper[self.cols], self.lower[self.cols])
+        self.flip(np.flatnonzero(self.t[-1] * self.direction < -PIVOT_TOL))
+        self.perturbed = False
 
 
 def loop_train_mlp(rng, train, spec):

@@ -74,6 +74,16 @@ def test_summarize_takes_a_single_timed_pair(bench_pairs, tmp_path):
     assert wall["pairs"] == 1 and wall["change_better_pairs"] == 1
 
 
+@pytest.mark.parametrize("present", ["parent", "change"])
+def test_summarize_names_the_side_a_timed_log_lacks(bench_pairs, tmp_path, present):
+    # an interrupted run, or one whose other side never ran
+    log = [_record(bench_pairs, present, pair, 0, 1.0) for pair in range(2)]
+    missing = "change" if present == "parent" else "parent"
+    with pytest.raises(SystemExit, match=f"^workload conv3-cli seed 42: the timed runs hold "
+                                         f"no {missing} side to compare with$"):
+        _summarize(bench_pairs, tmp_path, log)
+
+
 def test_summarize_gives_each_timed_metric_its_median_change(bench_pairs, tmp_path):
     log = [_record(bench_pairs, side, pair, 0, value)
            for pair, (parent, change) in enumerate([(2.0, 1.0), (2.0, 1.5), (4.0, 3.0)])

@@ -42,6 +42,37 @@ def test_usage_errors():
     assert cli_main(["quantize"]) == 64  # missing required args
 
 
+def _parsed(parser, argv, capsys):
+    """What parsing `argv` prints and raises: help text and exit code, or the usage error."""
+    capsys.readouterr()
+    try:
+        options = vars(parser.parse_args(argv))
+    except SystemExit as stop:
+        return "exit", stop.code, capsys.readouterr()
+    except cli._UsageError as e:
+        return "usage error", str(e), capsys.readouterr()
+    return "parsed", options["command"], capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["frobnicate"], ["--bogus"], ["repair", "--bogus"],
+    *([command, "--help"] for command in cli.COMMANDS),
+    *([command] for command in cli.COMMANDS),  # a required flag left out
+    ["repair", "--float", "f", "--quant", "q", "--repair-set", "r", "--val", "v"],
+    ["repair", "--float", "f", "--quant", "q", "--repair-set", "r", "--val", "v", "--out", "o"],
+], ids=lambda argv: " ".join(argv) or "no_argv")
+def test_a_parser_for_the_named_command_alone_reads_like_the_whole_one(argv, capsys):
+    assert _parsed(build_parser(argv), argv, capsys) == _parsed(build_parser(), argv, capsys)
+
+
+def test_a_named_command_gets_its_parser_alone():
+    assert build_parser(["repair", "--help"]).format_usage() == \
+        "usage: qrepair [-h] {repair} ...\n"
+    whole = "usage: qrepair [-h] {quantize,eval,localize,repair,experiment} ...\n"
+    for argv in ([], ["--help"], ["frobnicate"], ["-h", "repair"]):
+        assert build_parser(argv).format_usage() == whole
+
+
 def test_runtime_error_missing_file(tmp_path):
     assert cli_main(["quantize", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "q.json")]) == 1
@@ -247,6 +278,23 @@ def test_bad_layer_fails_with_error_naming_it(artifacts, tmp_path, capsys, comma
     capsys.readouterr()
     assert cli_main(argv) == 1
     assert f"error: layer {layer} is out of range" in capsys.readouterr().err
+
+
+def test_repair_refuses_a_quantized_file_whose_weights_also_hold_floats(artifacts, tmp_path,
+                                                                        capsys):
+    obj = json.loads((artifacts / "quant.json").read_text())
+    index, layer = next((i, l) for i, l in enumerate(obj["layers"])
+                        if "data_i8" in l.get("weights", {}))
+    layer["weights"]["data"] = [0.0] * len(layer["weights"]["data_i8"])
+    (tmp_path / "quant.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["repair", "--float", str(artifacts / "float.json"),
+                     "--quant", str(tmp_path / "quant.json"),
+                     "--repair-set", str(artifacts / "repair.csv"),
+                     "--val", str(artifacts / "val.csv"), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (f"error: layer {index}: weights hold int8 'data_i8' and "
+                                       "float 'data'; a layer stores one or the other\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("bad", ["data", "model"])

@@ -14,7 +14,7 @@ from conftest import (
     repair_lp,
     wide_head_parts,
 )
-from oracles import certificate_gap, grid_oracle
+from oracles import certificate_gap, grid_oracle, stacked_solve_lp
 from qrepair.data import load_dataset
 from qrepair.localize import compare_at_layer
 from qrepair.lp import (
@@ -231,6 +231,38 @@ def test_output_neuron_optima_are_certified_and_pinned(case):
         assert sol.status == "optimal" and check_solution(lp, sol), n
         assert abs(certificate_gap(lp, sol.M, sol.y)) <= 1e-9, n
         assert sol.M == pytest.approx(float.fromhex(pinned[n]), rel=1e-9), n
+
+
+def seeded_lps():
+    lps = {(m, k, seed): repair_lp(m, k, seed) for m, k, seed in
+           [(8, 6, 1008), (16, 30, 1016), (24, 64, 1024), (64, 64, 1064), (3, 40, 7)]}
+    lps["bounded"] = NeuronLP(**{**vars(lps[16, 30, 1016]), "big_M_bound": 0.05})
+    lps["t_max"] = NeuronLP(0, 0, np.array([1.0, -1.0, 0.5]), -1.0,
+                            [[1.0, 1.0, 1.0], [2.0, 0.0, 1.0], [0.0, -3.0, 0.0]],
+                            [1, 1, 1], [0, 1, 1], 0.0)
+    return lps, None
+
+
+@pytest.mark.parametrize("case", [seeded_lps, wide_head_lps, conv3_lps],
+                         ids=["seeded", "wide_head", "conv3"])
+def test_solve_lp_gives_the_bits_of_the_stacked_set_up(case):
+    # one process runs both, so this holds under every BLAS kernel
+    lps, _ = case()
+    statuses = set()
+    for name, lp in lps.items():
+        sol, want = solve_lp(lp), stacked_solve_lp(lp)
+        statuses.add(sol.status)
+        assert (sol.status, sol.pivots, sol.flips) == (want.status, want.pivots, want.flips), name
+        for field in ("M", "bound"):
+            assert np.float64(getattr(sol, field)).tobytes() == \
+                np.float64(getattr(want, field)).tobytes(), (name, field)
+        for field in ("deltas", "y"):
+            got, expected = getattr(sol, field), getattr(want, field)
+            assert (got is None) == (expected is None), (name, field)
+            if got is not None:
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), \
+                    (name, field)
+    assert "optimal" in statuses
 
 
 # --- build ----------------------------------------------------------------

@@ -356,6 +356,22 @@ def test_sidecar_offset_must_not_be_negative(tmp_path):
         load_model(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("floats", [{"data": [5.0, 5.0, 5.0, 5.0]}, {"data_file": "w.bin"}],
+                         ids=["data", "data_file"])
+def test_weights_with_int8_codes_and_float_values_are_refused(tmp_path, floats):
+    # read as codes alone, the file would load as the identity and drop the floats
+    (tmp_path / "w.bin").write_bytes(np.full(4, 5.0, dtype="<f4").tobytes())
+    weights = {"shape": [2, 2], "scale": 1.0, "zero_point": 0, "data_i8": [1, 0, 0, 1], **floats}
+    obj = {"input_shape": [2], "num_classes": 2, "layers": [
+        {"kind": "dense", "weights": {"shape": [2, 2], "data": [1.0, 0.0, 0.0, 1.0]}},
+        {"kind": "dense", "weights": weights}]}
+    (tmp_path / "m.json").write_text(json.dumps(obj))
+    key = next(iter(floats))
+    with pytest.raises(ModelFormatError, match=rf"^layer 1: weights hold int8 'data_i8' and "
+                                               rf"float '{key}'; a layer stores one or the other$"):
+        load_model(tmp_path / "m.json")
+
+
 def _arrays_model(given):
     """A conv2d-flatten-dense model whose weights and biases are `given(x)`
     for seeded float64 arrays x."""

@@ -353,6 +353,15 @@ def test_quantized_tensor_rejects_codes_outside_int8_before_casting(code):
         QuantizedTensor((2,), np.array([1, code]), scale=1.0)
 
 
+def test_quantized_tensor_takes_int8_codes_as_its_own_copy_and_refuses_minus_128():
+    with pytest.raises(ValueError, match=r"\[-127, 127\], got -128$"):
+        QuantizedTensor((2,), np.array([1, -128], np.int8), scale=1.0)
+    codes = np.array([[1, -127]], np.int8)
+    qt = QuantizedTensor((1, 2), codes, scale=1.0)
+    codes[0, 0] = 5
+    assert qt.data.tolist() == [1, -127] and qt.data.dtype == np.int8
+
+
 def test_load_qmodel_runs_a_float_model_file_bit_identically(tmp_path, conv3_model, conv3_val):
     save_model(conv3_model, tmp_path / "float.json")
     loaded = load_qmodel(tmp_path / "float.json")
