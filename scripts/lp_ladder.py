@@ -12,7 +12,10 @@ record holds the status, the median seconds over the repeats, the pivot and
 bound-flip counts (`LPSolution.pivots` and `.flips`, summed over one run's
 solutions), the `path_digest` (the sha256 of the (row, col) of every
 `simplex._pivot` call in one more, untimed run, so two solver versions can
-be seen to take the same pivots), M as float.hex and the certificate gap
+be seen to take the same pivots), `steps` (the `simplex._Tableau.dual_step`
+calls of that run: one per pivot, plus the optimality check that ends each
+phase and a step that finds a row infeasible, so seconds / steps is the cost
+of one step at that width), M as float.hex and the certificate gap
 (M - bound) / M against the LP's dual bound (`LPSolution.bound`; null when
 not optimal). The head rung runs `repair.prepare`, then `repair.repair` on
 the record it returns (the work `repair` does alone), and holds each
@@ -67,31 +70,39 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def path_digest(call) -> str:
-    """The sha256 of the pivot path of one run of `call`: "row,col;" for every
-    `simplex._pivot` call in order, taken by wrapping the module global, as
-    perfbench's tracer does."""
+def pivot_trace(call) -> tuple[str, int]:
+    """The pivot path and the dual steps of one run of `call`: the sha256 of
+    "row,col;" for every `simplex._pivot` call in order, taken by wrapping
+    the module global as perfbench's tracer does, and the number of
+    `simplex._Tableau.dual_step` calls, each phase's closing optimality
+    check included."""
     from qrepair import simplex
 
-    pivot, digest = simplex._pivot, hashlib.sha256()
+    pivot, step, digest, steps = simplex._pivot, simplex._Tableau.dual_step, hashlib.sha256(), 0
 
     def traced(tableau, row, col, *scratch):
         digest.update(f"{row},{col};".encode())
         pivot(tableau, row, col, *scratch)
 
-    simplex._pivot = traced
+    def counted(tab):
+        nonlocal steps
+        steps += 1
+        return step(tab)
+
+    simplex._pivot, simplex._Tableau.dual_step = traced, counted
     try:
         call()
     finally:
-        simplex._pivot = pivot
-    return digest.hexdigest()
+        simplex._pivot, simplex._Tableau.dual_step = pivot, step
+    return digest.hexdigest(), steps
 
 
 def timed(name, call) -> tuple:
     """Repeat `call`, which returns a result and the LP solutions it made,
     until REPEAT_S has passed, at most 5 times; the last result and
     solutions, the median seconds, the repeats, the pivots and flips
-    summed over one run's solutions, and the path digest of one more run."""
+    summed over one run's solutions, and the path digest and dual steps of
+    one more run."""
     times, counts = [], set()
     while len(times) < 5 and (not times or sum(times) < REPEAT_S):
         t0 = time.perf_counter()
@@ -100,7 +111,7 @@ def timed(name, call) -> tuple:
         counts.add((sum(s.pivots for s in solved if s), sum(s.flips for s in solved if s)))
     if len(counts) != 1:
         raise RuntimeError(f"{name}: pivot and flip counts vary between repeats: {counts}")
-    return out, solved, statistics.median(times), len(times), *counts.pop(), path_digest(call)
+    return out, solved, statistics.median(times), len(times), *counts.pop(), *pivot_trace(call)
 
 
 def gap(sol):
@@ -114,11 +125,12 @@ def run_rung(m: int) -> dict:
     from qrepair.lp import solve_lp
 
     lp = repair_lp(m, K, 1000 + m)
-    _, (sol,), seconds, repeats, pivots, flips, digest = timed(
+    _, (sol,), seconds, repeats, pivots, flips, digest, steps = timed(
         m, lambda: (None, [solve_lp(lp, time_budget=BUDGET_S)]))
     return {"rung": str(m), "m": m, "k": K, "status": sol.status, "seconds": seconds,
-            "repeats": repeats, "pivots": pivots, "flips": flips, "path_digest": digest,
-            "M": None if sol.M is None else float(sol.M).hex(), "gap": gap(sol)}
+            "repeats": repeats, "pivots": pivots, "flips": flips, "steps": steps,
+            "path_digest": digest, "M": None if sol.M is None else float(sol.M).hex(),
+            "gap": gap(sol)}
 
 
 def head_parts():
@@ -151,12 +163,12 @@ def run_head() -> dict:
         report = repair(*parts, config, shared=shared)[1]
         return report, [shared.solutions.get(r.neuron) for r in report.records]
 
-    report, solved, seconds, repeats, pivots, flips, digest = timed("head", call)
+    report, solved, seconds, repeats, pivots, flips, digest, steps = timed("head", call)
     statuses, gaps = [r.status for r in report.records], [gap(sol) for sol in solved]
     return {"rung": "head", "m": HEAD_WIDTH, "k": None,
             "status": "optimal" if all(s == "optimal" for s in statuses) else ",".join(statuses),
             "seconds": seconds, "repeats": repeats, "pivots": pivots, "flips": flips,
-            "path_digest": digest,
+            "steps": steps, "path_digest": digest,
             "M": [None if r.M is None else float(r.M).hex() for r in report.records],
             "gap": None if None in gaps else max(gaps),
             "accuracy_after": report.accuracy_after}
@@ -197,8 +209,8 @@ def main(argv=None) -> int:
         rungs.append(run_head() if name == "head" else run_rung(int(name)))
         r = rungs[-1]
         print(f"{name:>5}  {r['status']:8s} {r['seconds']:8.3f} s  pivots {r['pivots']:6d}"
-              f"  flips {r['flips']:6d}  path {r['path_digest'][:12]}  M {r['M']}"
-              f"  gap {r['gap']}", flush=True)
+              f"  flips {r['flips']:6d}  steps {r['steps']:6d}  path {r['path_digest'][:12]}"
+              f"  M {r['M']}  gap {r['gap']}", flush=True)
 
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}

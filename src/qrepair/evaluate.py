@@ -32,11 +32,16 @@ def evaluate(predicted: np.ndarray, dataset, reference: np.ndarray | None = None
     """Score one model's labels of the dataset rows against the stored labels.
 
     When `reference` holds another model's labels of the same rows, the
-    result also carries the fidelity, (n - k)/n for k disagreements.
+    result also carries the fidelity, (n - k)/n for k disagreements. Raises
+    ValueError when either is not one label per dataset row.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    for name, labels in (("predicted", predicted), ("reference", reference)):
+        if labels is not None and np.shape(labels) != (n,):
+            raise ValueError(f"{name} has shape {np.shape(labels)}, not one label per "
+                             f"each of the {n} dataset rows")
     correct = int(np.sum(predicted == dataset.labels))
     fid = None if reference is None else (n - int(np.sum(predicted != reference))) / n
     return EvalResult(n, correct, correct / n, fid)

@@ -169,18 +169,21 @@ def damaged_quantized_model(fmodel: Model, val: Dataset, repair_set: Dataset,
 
     Also requires a handful of failing tests in the repair set, so the
     localization stage has evidence to work with. The float model is quantized
-    once; each damage level damages a copy and scores it with `prepare`. Returns
-    the damaged model, the float val accuracy and the record its repairs share.
+    once; each damage level damages a copy and scores it with the record
+    `prepare` makes, the float model's passes over each set made at the first
+    level only. Returns the damaged model, the float val accuracy and the
+    record its repairs share.
     """
     if not len(val):
         raise ValueError("cannot evaluate on an empty dataset")
     config = config or RepairConfig()
     target = fmodel.last_dense_index()
-    undamaged = quantize_model(fmodel)
+    undamaged, record = quantize_model(fmodel), None
     for level, child in zip(DAMAGE_LEVELS, seed_seq.spawn(len(DAMAGE_LEVELS))):
         qmodel = clone_quantized(undamaged)
         damage_layer(qmodel, target, np.random.default_rng(child), level)
-        record = prepare(fmodel, qmodel, repair_set, val, config)
+        record = (prepare(fmodel, qmodel, repair_set, val, config) if record is None
+                  else record.requantized(qmodel))
         acc_f = evaluate(record.validation.float_labels, val).accuracy
         gap, failing = acc_f - record.before.accuracy, int(record.comparison.failing.sum())
         if gap >= GAP_TARGET and failing >= 3:

@@ -85,6 +85,11 @@ class LayerComparison:
     def spectra(self) -> SpectraCounters:
         return accumulate_spectra(self.status_float != self.status_quant, self.failing)
 
+    def requantized(self, qmodel: Model, dataset) -> LayerComparison:
+        """This comparison, made on `dataset`, with `qmodel` (of the float
+        model's topology) as the quantized model: only `qmodel` runs."""
+        return _compared(self.layer_index, self.float_labels, self.status_float, qmodel, dataset)
+
 
 def compare_at_layer(fmodel: Model, qmodel: Model, dataset,
                      layer_index: int | None = None) -> LayerComparison:
@@ -102,13 +107,19 @@ def compare_at_layer(fmodel: Model, qmodel: Model, dataset,
     if fmodel.layers[layer_index].kind != "dense":
         raise ValueError(f"layer {layer_index} is not dense")
     logits_f, pre_f, _ = forward_batch(fmodel, dataset.features, {layer_index})
+    return _compared(layer_index, logits_f.argmax(axis=1), pre_f[layer_index] > 0, qmodel,
+                     dataset)
+
+
+def _compared(layer_index, float_labels, status_float, qmodel, dataset) -> LayerComparison:
+    """The comparison of the float model's labels and statuses with one
+    pass of `qmodel` over `dataset`."""
     logits_q, pre_q, inputs = forward_batch(qmodel, dataset.features, {layer_index},
                                             input_of=layer_index)
     qlayer = qmodel.layers[layer_index]
     bias = None if qlayer.bias is None else qlayer.bias.data.copy()
-    return LayerComparison(layer_index, logits_f.argmax(axis=1), logits_q.argmax(axis=1),
-                           pre_f[layer_index] > 0, pre_q[layer_index] > 0, inputs,
-                           qlayer.eff_weights.copy(), bias)
+    return LayerComparison(layer_index, float_labels, logits_q.argmax(axis=1), status_float,
+                           pre_q[layer_index] > 0, inputs, qlayer.eff_weights.copy(), bias)
 
 
 def classify_tests(fmodel: Model, qmodel: Model, dataset) -> list[TestOutcome]:

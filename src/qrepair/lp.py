@@ -70,10 +70,12 @@ class NeuronLP:
         self.big_M_bound = check_number("big_M_bound", self.big_M_bound, 0, above=True, none=True)
         for name in ("target_status", "current_status", "test_id"):
             value = getattr(self, name)
+            # test ids may hold any integer, and a bool array holds only 0 and 1
+            skip_bits = name == "test_id" or getattr(value, "dtype", None) == bool
             value = np.full(len(self.x), -1) if value is None else np.asarray(value, np.int64)
             if value.shape != self.x.shape[:1]:
                 raise ValueError(f"{name} needs one entry per row of x, got {value.shape}")
-            if name != "test_id" and (value & ~1).any():  # a bit set above the lowest
+            if not skip_bits and (value & ~1).any():  # a bit set above the lowest
                 raise ValueError(f"{name} must hold only 0 and 1")
             setattr(self, name, value)
 
@@ -123,12 +125,12 @@ def build_neuron_lp(comparison: LayerComparison, neuron: int, epsilon: float = 1
     disagreeing = order[~agree[order]][:cap]
     if not disagreeing.size:
         raise EmptyLPError(f"neuron ({c.layer_index},{neuron}) has no status-disagreeing tests")
-    kept, x = np.flatnonzero(agree), c.inputs64
-    distance = np.abs(x[kept] @ w + bias)
-    preserving = kept[np.argsort(distance, kind="stable")][:cap]
+    kept, x = agree.nonzero()[0], c.inputs64
+    distance = np.abs(x.take(kept, axis=0) @ w + bias)
+    preserving = kept.take(np.argsort(distance, kind="stable")[:cap])
     rows = np.concatenate([disagreeing, preserving])
-    return NeuronLP(c.layer_index, neuron, w, bias, x[rows], status_f[rows], status_q[rows],
-                    epsilon, big_M_bound, rows)
+    return NeuronLP(c.layer_index, neuron, w, bias, x.take(rows, axis=0), status_f.take(rows),
+                    status_q.take(rows), epsilon, big_M_bound, rows)
 
 
 def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
@@ -144,18 +146,20 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
     deadline = time.monotonic() + check_number("time_budget", time_budget, 0, inf=True)
     (k, m), result = lp.x.shape, None
     # target 1: (w + d).x + b >= eps, target 0: (w + d).x + b <= -eps; as G d >= h
-    sign = 2.0 * lp.target_status - 1.0
-    g, h = sign[:, None] * lp.x, lp.epsilon - sign * (lp.x @ lp.w + lp.bias)
+    # with G = sign x, whose products with sign = +-1 are exact, so G is never
+    # formed: |G| is |x|, -G is -sign x and G^T y is x^T (sign y), bit for bit
+    x, sign = lp.x, 2.0 * lp.target_status - 1.0
+    h = lp.epsilon - sign * (x @ lp.w + lp.bias)
     # a row with h_j > 0 needs h_j t <= G_j u <= ||G_j||_1, so t <= t_max, the least
     # such ratio: a bound that leaves the optimum where it is and that t can start at
-    raised = np.flatnonzero(h > 0)
+    raised = (h > 0).nonzero()[0]
     if raised.size:
-        reach = np.abs(g[raised]).sum(axis=1) / h[raised]
+        reach = np.abs(x.take(raised, axis=0)).sum(axis=1) / h.take(raised)
         j = reach.argmin()
-        first, t_max = raised[j], reach[j]
+        first, t_max = raised.item(j), reach.item(j)
         # u = d/M, t = 1/M: min -t s.t. -G u + h t <= 0, u in [-1, 1], t in [0, t_max]
         a = np.empty((k, m + 1))
-        np.negative(g, out=a[:, :m])
+        np.multiply(x, -sign[:, None], out=a[:, :m])
         a[:, m] = h
         c, upper, lower = np.zeros(m + 1), np.ones(m + 1), np.full(m + 1, -1.0)
         c[m], upper[m], lower[m] = -1.0, t_max, 0.0
@@ -173,7 +177,7 @@ def solve_lp(lp: NeuronLP, time_budget: float = 60.0) -> LPSolution:
             y = np.zeros(k)
             y[first] = 1.0
         # weak duality: M >= h.y / ||G^T y||_1 for every y >= 0
-        spread = np.abs(g.T @ y).sum()
+        spread = np.abs(x.T @ (sign * y)).sum()
         bound = float(h @ y) / spread if spread > 0 else 0.0
         sol = LPSolution("optimal", float(1.0 / t), result.x[:m] / t, bound, y)
     sol.pivots, sol.flips = (result.pivots, result.flips) if result else (0, 0)

@@ -27,7 +27,7 @@ from .evaluate import EvalResult, evaluate
 from .localize import METRICS, LayerComparison, compare_at_layer, importance_scores, rank_neurons
 from .lp import EmptyLPError, LPSolution, build_neuron_lp, export_lp, solve_lp
 from .model import Model, check_number, forward_batch, is_int
-from .quantize import clone_quantized, quantize_tensor
+from .quantize import check_same_topology, clone_quantized, quantize_tensor
 
 log = logging.getLogger("qrepair")
 
@@ -200,8 +200,12 @@ class Prepared:
     made_from: tuple  # (float model, quantized model, repair set, validation set)
     comparison: LayerComparison  # on the repair set
     validation: LayerComparison | None = None  # None without validation rows
-    before: EvalResult | None = None  # the unrepaired model on validation
+    before: EvalResult | None = field(default=None, init=False)  # unrepaired, on validation
     solutions: dict[int, LPSolution | None] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if (val := self.validation) is not None:
+            self.before = evaluate(val.quant_labels, self.made_from[3], val.float_labels)
 
     def solution(self, n: int) -> LPSolution | None:
         """Neuron n's LP solution, solved on first use; None if no test disagrees there."""
@@ -223,17 +227,26 @@ class Prepared:
             self.solutions[n] = sol
         return sol
 
+    def requantized(self, qmodel: Model) -> Prepared:
+        """The record `prepare` makes with `qmodel` in place of the quantized
+        model, on the same float model, sets and config; only `qmodel` runs."""
+        fmodel, _, repair_set, validation_set = self.made_from
+        check_same_topology(fmodel, qmodel)
+        comparison = self.comparison.requantized(qmodel, repair_set)
+        validation = (None if self.validation is None
+                      else self.validation.requantized(qmodel, validation_set))
+        return Prepared(self.config, (fmodel, qmodel, repair_set, validation_set), comparison,
+                        validation)
+
 
 def prepare(fmodel: Model, qmodel: Model, repair_set, validation_set,
             config: RepairConfig) -> Prepared:
     """Compare the models once on each set and score the unrepaired model on validation."""
     comparison = compare_at_layer(fmodel, qmodel, repair_set, config.target_layer)
-    prepared = Prepared(config, (fmodel, qmodel, repair_set, validation_set), comparison)
+    validation = None
     if validation_set is not None and len(validation_set):
-        prepared.validation = val = compare_at_layer(fmodel, qmodel, validation_set,
-                                                     comparison.layer_index)
-        prepared.before = evaluate(val.quant_labels, validation_set, val.float_labels)
-    return prepared
+        validation = compare_at_layer(fmodel, qmodel, validation_set, comparison.layer_index)
+    return Prepared(config, (fmodel, qmodel, repair_set, validation_set), comparison, validation)
 
 
 def repair(fmodel: Model, qmodel: Model, repair_set, validation_set,

@@ -13,7 +13,11 @@ largest miss^2 / (||tableau row||^2 + 1), its dual steepest-edge score
 (Forrest and Goldfarb 1992), and the bound-flipping ratio test moves every
 boxed column whose breakpoint the step passes to its other bound without a
 pivot. The squared row norms come from one np.vecdot per step, so their last
-bits follow the BLAS build; only the choice of the leaving row reads them.
+bits follow the BLAS build; only the choice of the leaving row reads them,
+and it scores the rows that miss a bound alone. A step reads its scalars as
+Python floats, the same IEEE doubles, gathers with `take`, and turns the
+pivot row's sign in place, so its work is the numpy calls on the arrays and
+not the scalars between them.
 When no basic value misses, both perturbations are removed once (Wolfe 1963;
 Harris 1973): the basic values are recomputed, the basis is priced with the
 true costs, each row slack gets an upper bound its row cannot reach, and every
@@ -96,9 +100,9 @@ class _Tableau:
 
     def flip(self, cols) -> None:
         """Move each of `cols`' variables to its other bound, without a pivot."""
-        to = self.other[cols]
-        self.values -= self.t[:-1, cols] @ (to - self.at[cols])
-        self.other[cols], self.at[cols] = self.at[cols], to
+        at, to = self.at[cols], self.other[cols]
+        self.values -= self.t[:-1, cols] @ (to - at)
+        self.other[cols], self.at[cols] = at, to
         self.direction[cols] = -self.direction[cols]
         self.flips += len(cols)
 
@@ -106,40 +110,49 @@ class _Tableau:
         """One dual simplex step on a basic value outside its bounds; "optimal"
         when there is none, "infeasible" when no column moves the chosen one
         toward its bounds faster than the pivot tolerance."""
-        t, values = self.t, self.values
-        miss = np.maximum(self.row_lower - values, values - self.row_upper)
-        bad, body = miss > FEAS_TOL, t[:-1]
-        if not np.count_nonzero(bad):
+        t, values, direction = self.t, self.values, self.direction
+        row_lower, row_upper = self.row_lower, self.row_upper
+        miss = row_lower - values
+        np.maximum(miss, values - row_upper, out=miss)
+        bad = (miss > FEAS_TOL).nonzero()[0]
+        if not bad.size:
             return "optimal"
-        row = np.where(bad, miss ** 2 / (np.vecdot(body, body) + 1.0), -1.0).argmax()
-        to_upper = values[row] > self.row_upper[row]
-        push = t[row] * self.direction * (1.0 if to_upper else -1.0)  # each column's closing rate
+        body = t[:-1]
+        score = miss.take(bad) ** 2
+        score /= np.vecdot(body, body).take(bad) + 1.0
+        row = bad.item(score.argmax())
+        low, up = row_lower.item(row), row_upper.item(row)
+        to_upper = values.item(row) > up
+        push = t[row] * direction  # each column's closing rate
+        if not to_upper:
+            np.negative(push, out=push)
         cand = (push > PIVOT_TOL).nonzero()[0]
         if not cand.size:
             return "infeasible"
         # each reduced cost reaches 0 at its breakpoint; every column whose
         # breakpoint comes before the miss is closed flips to its other bound
-        ratio = np.maximum((t[-1] * self.direction)[cand], 0.0) / push[cand]
-        order = cand[ratio.argsort(kind="stable")]
-        reach = (push[order] * self.width[order]).cumsum()
-        enter = min(int(reach.searchsorted(miss[row])), order.size - 1)
+        ratio = (t[-1] * direction).take(cand)
+        np.maximum(ratio, 0.0, out=ratio)
+        ratio /= push.take(cand)
+        order = cand.take(ratio.argsort(kind="stable"))
+        reach = push.take(order)
+        reach *= self.width.take(order)
+        enter = min(int(reach.cumsum().searchsorted(miss.item(row))), order.size - 1)
         if enter:
             self.flip(order[:enter])
-        col = order[enter]
-        alpha = t[:-1, col] * self.direction[col]
-        missed = self.row_upper if to_upper else self.row_lower
-        step = (self.values[row] - missed[row]) / alpha[row]
-        # the entering variable moves by step, the basic values by -step * alpha,
-        # and the leaving one rests at the bound it missed
-        self.values -= step * alpha
-        var, leaving = self.cols[col], self.rows[row]
-        self.values[row] = self.at[col] + step * self.direction[col]
-        self.at[col] = missed[row]
-        self.other[col] = self.row_lower[row] if to_upper else self.row_upper[row]
-        self.width[col] = self.row_upper[row] - self.row_lower[row]
-        self.direction[col] = -1.0 if to_upper else 1.0
+        col = order.item(enter)
+        sign, missed = direction.item(col), up if to_upper else low
+        step = (values.item(row) - missed) / (t.item(row, col) * sign)
+        # the entering variable moves by step, the basic values by -step * alpha
+        # for alpha = t[:, col] * sign, and the leaving one rests at the bound it
+        # missed; sign is +-1, so t * (step * sign) has the bits of alpha * step
+        values -= t[:-1, col] * (step * sign)
+        var, leaving = self.cols.item(col), self.rows.item(row)
+        values[row] = self.at.item(col) + step * sign
+        self.at[col], self.other[col] = missed, low if to_upper else up
+        self.width[col], direction[col] = up - low, -1.0 if to_upper else 1.0
         self.rows[row], self.cols[col] = var, leaving
-        self.row_lower[row], self.row_upper[row] = self.lower[var], self.upper[var]
+        row_lower[row], row_upper[row] = self.lower.item(var), self.upper.item(var)
         _pivot(t, row, col, *self.scratch)
         self.pivots += 1
         return None
@@ -148,15 +161,17 @@ class _Tableau:
         """Basic values for the true zero right-hand side, prices from the true
         costs, each slack boxed by 1 above the most its row allows, and every
         column whose true reduced cost prefers its other bound flipped there."""
-        moved = np.flatnonzero(self.at)
-        self.values = -(self.t[:-1, moved] @ self.at[moved])
-        self.t[-1] = self.costs[self.cols] - self.costs[self.rows] @ self.t[:-1]
+        t, at, direction = self.t, self.at, self.direction
+        moved = at.nonzero()[0]
+        self.values = t[:-1, moved] @ at[moved]
+        np.negative(self.values, out=self.values)
+        np.subtract(self.costs[self.cols], self.costs[self.rows] @ t[:-1], out=t[-1])
         self.upper = self.boxed  # a bound that never binds, so a slack can flip too
         self.row_upper = self.upper[self.rows]
         upper, lower = self.upper[self.cols], self.lower[self.cols]
         self.width = upper - lower
-        self.other = np.where(self.direction > 0, upper, lower)
-        wrong = np.flatnonzero(self.t[-1] * self.direction < -PIVOT_TOL)
+        self.other = np.where(direction > 0, upper, lower)
+        wrong = (t[-1] * direction < -PIVOT_TOL).nonzero()[0]
         if wrong.size:
             self.flip(wrong)
         self.perturbed = False
@@ -191,16 +206,17 @@ def simplex_solve(c, a, upper, deadline=None, lower=None) -> SimplexResult:
     lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=np.float64)
     if c.shape != (n,) or upper.shape != (n,) or lower.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if not (-np.inf < lower.min(initial=0.0) and lower.max(initial=0.0) <= 0  # NaN fails too
-            and upper.min(initial=0.0) >= 0 and upper.max(initial=0.0) < np.inf):
+    bounds = np.concatenate((lower, -upper))  # each must lie in (-inf, 0]; NaN fails too
+    if not (-np.inf < bounds.min(initial=0.0) and bounds.max(initial=0.0) <= 0):
         raise ValueError("bounds must be finite and satisfy lower <= 0 <= upper")
     if not (np.isfinite(c).all() and np.isfinite(a).all()):
         raise ValueError("costs and constraint coefficients must be finite")
     tab = _Tableau(c, a, lower, upper)
+    step, clock = tab.dual_step, time.monotonic
     for _ in range(MAX_STEPS):
-        if deadline is not None and time.monotonic() >= deadline:
+        if deadline is not None and clock() >= deadline:
             break
-        status = tab.dual_step()
+        status = step()
         if status == "optimal" and tab.perturbed:
             tab.remove_perturbations()
         elif status:

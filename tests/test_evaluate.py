@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import dense_model, grid_mlp, make_dataset, manual_qmodel
-from qrepair.evaluate import accuracy, fidelity
+from qrepair.evaluate import accuracy, evaluate, fidelity
 from qrepair.localize import classify_tests
 from qrepair.quantize import quantize_model
 
@@ -89,3 +91,21 @@ def test_fidelity_empty_dataset():
     ds = make_dataset(np.zeros((0, 2)), labels=np.zeros(0), num_classes=2)
     with pytest.raises(ValueError):
         fidelity(fmodel, qmodel, ds)
+
+
+@pytest.mark.parametrize("labels", [np.array([1]), np.array([0, 1]), np.zeros(5, np.int64),
+                                    np.zeros((4, 1), np.int64), np.int64(0)],
+                         ids=["one", "two", "five", "column", "scalar"])
+def test_evaluate_refuses_labels_that_are_not_one_per_row(labels):
+    ds = make_dataset(np.zeros((4, 2)), labels=[1, 1, 1, 0], num_classes=2)
+    shape = re.escape(str(np.shape(labels)))
+    with pytest.raises(ValueError, match=f"^predicted has shape {shape}, .* 4 dataset rows"):
+        evaluate(labels, ds)
+    with pytest.raises(ValueError, match=f"^reference has shape {shape}, .* 4 dataset rows"):
+        evaluate(np.ones(4, np.int64), ds, labels)
+
+
+def test_evaluate_scores_one_label_per_row():
+    ds = make_dataset(np.zeros((4, 2)), labels=[1, 1, 1, 0], num_classes=2)
+    res = evaluate(np.array([1, 1, 0, 0]), ds, reference=np.array([1, 0, 0, 0]))
+    assert (res.n, res.correct, res.accuracy, res.fidelity) == (4, 3, 0.75, 0.75)

@@ -385,11 +385,13 @@ def test_every_written_json_file_is_strict_json(tiny_report):
         json.loads((out / name).read_text(), parse_constant=reject)
 
 
-@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("seed", [42, 7, 11])
 def test_experiment_runs_each_model_over_each_set_once(monkeypatch, seed):
-    # the damage search scores its accepted rung with the record all 17 repairs
-    # share: the float and the damaged model each run once over the repair and
-    # the validation set, then each repair runs validation rows from the target layer
+    # the damage search runs the float model once over the repair and the
+    # validation set and each damaged model once over each (seed 11 damages
+    # at two rungs), and the 17 repairs share its accepted rung's record: each
+    # then runs validation rows from the target layer
+    rungs = {42: 1, 7: 1, 11: 2}[seed]
     real = model_mod.forward_batch
     calls = []
 
@@ -401,10 +403,10 @@ def test_experiment_runs_each_model_over_each_set_once(monkeypatch, seed):
         if name.startswith("qrepair") and getattr(module, "forward_batch", None) is real:
             monkeypatch.setattr(module, "forward_batch", counting)
     run_experiment(preset="mlp-blobs", seed=seed)
-    full = {(id(model), id(inputs)) for model, inputs, start in calls if start == 0}
-    assert len(calls) == 4 + len(METRICS) + 10
-    assert len(full) == 4 and len({m for m, _ in full}) == len({x for _, x in full}) == 2
-    assert [start for _, _, start in calls[4:]] == [2] * (len(METRICS) + 10)
+    full = [(id(model), id(inputs)) for model, inputs, start in calls if start == 0]
+    assert len(full) == len(set(full)) == 2 + 2 * rungs
+    assert len({m for m, _ in full}) == 1 + rungs and len({x for _, x in full}) == 2
+    assert [start for _, _, start in calls[len(full):]] == [2] * (len(METRICS) + 10)
 
 
 def _old_damage_search(fmodel, val, repair_set, seed_seq):

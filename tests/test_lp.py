@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import qrepair.simplex as simplex
 from conftest import (
     FIXTURES,
     GOLDEN,
@@ -94,6 +96,12 @@ def test_neuron_lp_rejects_an_epsilon_that_is_not_a_finite_real_at_least_0(epsil
 def test_neuron_lp_rejects_a_status_outside_0_and_1(name, value):
     with pytest.raises(ValueError, match=f"^{name} must hold only 0 and 1"):
         one_row_lp(**{name: value})
+
+
+def test_neuron_lp_takes_bool_statuses_as_int64_0_and_1():
+    lp = one_row_lp(target_status=np.array([False]), current_status=np.array([True]))
+    assert lp.target_status.dtype == lp.current_status.dtype == np.int64
+    assert (lp.target_status.tolist(), lp.current_status.tolist()) == ([0], [1])
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf, True, "2", np.bool_(True)])
@@ -207,6 +215,14 @@ WIDE_HEAD_M = {0: "0x1.a22aaa97467cfp-5", 1: "0x1.12545f24239aap-3", 2: "0x1.ccb
                9: "0x1.3424343bc63bdp-3"}
 CONV3_M = {1: "0x1.ea981f0aef0d1p-15", 5: "0x1.95d7bd51458fdp-10", 6: "0x1.5d13e9ae1c3fep-8",
            7: "0x1.e80133aa479d2p-9"}
+# each output-neuron LP's (pivots, flips), and the sha256 of "row,col;" for
+# every `simplex._pivot` call over the LPs in neuron order: the pivot path,
+# which holds under every BLAS kernel
+WIDE_HEAD_PATH = ({0: (37, 177), 1: (67, 219), 2: (80, 251), 3: (50, 216), 4: (67, 237),
+                   5: (63, 219), 6: (67, 238), 7: (72, 234), 8: (68, 211), 9: (51, 237)},
+                  "7b71047443ba4fe585a65e7b9db89d2962f89aa3a639a6faf794823850a310b8")
+CONV3_PATH = ({1: (1, 27), 5: (1, 29), 6: (3, 27), 7: (2, 25)},
+              "aefb53aa6b0d73b51e19aa8e485330d9d43b42258c7b6375123febfc23320ed8")
 
 
 def wide_head_lps():
@@ -231,6 +247,21 @@ def test_output_neuron_optima_are_certified_and_pinned(case):
         assert sol.status == "optimal" and check_solution(lp, sol), n
         assert abs(certificate_gap(lp, sol.M, sol.y)) <= 1e-9, n
         assert sol.M == pytest.approx(float.fromhex(pinned[n]), rel=1e-9), n
+
+
+@pytest.mark.parametrize("case, pinned", [(wide_head_lps, WIDE_HEAD_PATH),
+                                           (conv3_lps, CONV3_PATH)], ids=["wide_head", "conv3"])
+def test_output_neuron_pivot_paths_are_pinned(case, pinned, monkeypatch):
+    lps, _ = case()
+    digest, pivot = hashlib.sha256(), simplex._pivot
+
+    def traced(tableau, row, col, *scratch):
+        digest.update(f"{row},{col};".encode())
+        pivot(tableau, row, col, *scratch)
+
+    monkeypatch.setattr(simplex, "_pivot", traced)
+    counts = {n: (sol.pivots, sol.flips) for n, lp in lps.items() for sol in [solve_lp(lp, 60.0)]}
+    assert (counts, digest.hexdigest()) == pinned
 
 
 def seeded_lps():

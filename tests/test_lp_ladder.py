@@ -14,8 +14,9 @@ def test_ladder_records_the_counts_of_each_rung(tmp_path):
                           "--out", str(out)], capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     rungs = json.loads(out.read_text())["lp_ladder"]["test"]["rungs"]
-    assert [(r["rung"], r["status"], r["pivots"], r["flips"]) for r in rungs] == [
-        ("24", "optimal", 30, 61), ("64", "optimal", 34, 130)]
+    assert [(r["rung"], r["status"], r["pivots"], r["flips"], r["steps"]) for r in rungs] == [
+        ("24", "optimal", 30, 61, 32), ("64", "optimal", 34, 130, 36)]
+    assert all(r["steps"] >= r["pivots"] for r in rungs)
     assert all(abs(r["gap"]) <= 1e-9 for r in rungs)
     assert [r["path_digest"] for r in rungs] == [
         "502e89961339bf1c8ccbdd59e8f793fb8700ed7821b0ff06c204fc24fd2d6ef7",
@@ -32,20 +33,27 @@ def test_path_digest_hashes_every_pivot_in_order(monkeypatch):
     spec = importlib.util.spec_from_file_location("lp_ladder", SCRIPT)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    pivots, real = [], simplex._pivot
+    pivots, steps, real, real_step = [], [], simplex._pivot, simplex._Tableau.dual_step
 
     def recorded(tableau, row, col, *scratch):
         pivots.append((row, col))
         real(tableau, row, col, *scratch)
 
+    def stepped(tab):
+        steps.append(real_step(tab))
+        return steps[-1]
+
     monkeypatch.setattr(simplex, "_pivot", recorded)
+    monkeypatch.setattr(simplex._Tableau, "dual_step", stepped)
     lp, solved = repair_lp(24, 64, 1024), []
-    digest = ladder.path_digest(lambda: solved.append(solve_lp(lp, time_budget=60.0)))
-    assert simplex._pivot is recorded  # put back after the run
+    digest, count = ladder.pivot_trace(lambda: solved.append(solve_lp(lp, time_budget=60.0)))
+    assert simplex._pivot is recorded and simplex._Tableau.dual_step is stepped  # put back
     assert len(pivots) == solved[0].pivots > 0
     want = hashlib.sha256("".join(f"{row},{col};" for row, col in pivots).encode())
     assert digest == want.hexdigest()
-    assert ladder.path_digest(lambda: None) == hashlib.sha256().hexdigest()
+    # a step pivots, or ends a phase as optimal
+    assert count == len(steps) == len(pivots) + steps.count("optimal") == len(pivots) + 2
+    assert ladder.pivot_trace(lambda: None) == (hashlib.sha256().hexdigest(), 0)
 
 
 def test_a_head_neuron_that_times_out_fails_the_run(tmp_path):

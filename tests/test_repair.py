@@ -546,6 +546,48 @@ def test_prepare_compares_the_validation_set_as_it_compares_the_repair_set(
     assert shared.before == evaluate(direct.quant_labels, val, direct.float_labels)
 
 
+@pytest.mark.parametrize("case,config", [
+    ("conv3", RepairConfig(top_n=10)),
+    ("conv3", RepairConfig(top_n=10, target_layer=4)),
+    ("desk", RepairConfig(top_n=3)),
+], ids=["conv3", "conv3-hidden", "desk"])
+def test_a_requantized_record_is_the_record_prepare_makes(case, config, conv3_model, conv3_val,
+                                                           desk_fixture, monkeypatch):
+    import qrepair.localize as localize_mod
+    from qrepair.experiment import damage_layer
+    from qrepair.quantize import clone_quantized
+    from qrepair.repair import prepare
+
+    fmodel, qmodel, repair_set, val = (_conv3_parts(conv3_model, conv3_val) if case == "conv3"
+                                       else desk_fixture)
+    damaged = clone_quantized(qmodel)
+    damage_layer(damaged, fmodel.last_dense_index(), np.random.default_rng(5), 0.5)
+    first = prepare(fmodel, damaged, repair_set, val, config)
+    first.solution(0)
+    real, runs = localize_mod.forward_batch, []
+
+    def forward(model, inputs, *args, **kwargs):
+        runs.append((model, inputs))
+        return real(model, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(localize_mod, "forward_batch", forward)
+    got = first.requantized(qmodel)
+    assert [(m is qmodel, len(x)) for m, x in runs] == [(True, len(repair_set)), (True, len(val))]
+    monkeypatch.undo()
+    want = prepare(fmodel, qmodel, repair_set, val, config)
+    assert got.config is config and got.solutions == {}
+    assert all(a is b for a, b in zip(got.made_from, want.made_from))
+    for side in ("comparison", "validation"):
+        for name in ("float_labels", "quant_labels", "status_float", "status_quant", "inputs",
+                     "weights", "bias"):
+            have, expected = getattr(getattr(got, side), name), getattr(getattr(want, side), name)
+            assert have.dtype == expected.dtype and have.shape == expected.shape, (side, name)
+            assert have.tobytes() == expected.tobytes(), (side, name)
+    assert got.before == want.before
+    no_val = prepare(fmodel, damaged, repair_set, None, config).requantized(qmodel)
+    assert no_val.validation is None and no_val.before is None
+
+
 def test_an_empty_validation_set_is_measured_as_no_validation_set(desk_fixture, monkeypatch):
     import qrepair.repair as repair_mod
 
